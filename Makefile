@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: build test bench-smoke bench-compare bench-baseline chaos-smoke resume-smoke oom-spill-smoke serve-smoke serve-crash-smoke serve-saturation-smoke fmt
+.PHONY: build test bench-smoke bench-compare bench-baseline perfbench-check chaos-smoke resume-smoke oom-spill-smoke serve-smoke serve-crash-smoke serve-saturation-smoke fmt
 
 build:
 	dune build
@@ -22,6 +22,11 @@ bench-compare:
 # Refresh the committed baseline after a deliberate perf change.
 bench-baseline:
 	dune exec bench/main.exe -- --json > BENCH_baseline.json
+
+# Run both perfbench workloads for a second each and require every
+# output to match perfbench/expected.txt ("correct": true, "failed": 0).
+perfbench-check:
+	bash scripts/perfbench_check.sh
 
 # One full round of the fault-injection matrix at a fixed seed: every
 # (site, oracle) cell must detect its armed fault and pass its control.

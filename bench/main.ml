@@ -537,17 +537,13 @@ let simgraph_bucketed () =
   ignore
     (Sim_E.similarity_graph ~builder:Simgraph.Bucketed (Lazy.force simgraph_states))
 
-(* Valence cache keying: the same cold (3,1) classification with the
-   memo table keyed by rebuilt canonical key strings vs the packed
-   statevec identity, with successors answered from the precomputed
-   table ([st_tab]).  The valence recursion revisits states across
-   classify calls, which is exactly where the packed id + successor
-   memo pay off — CI asserts the crossover (interned strictly faster). *)
-(* Each round is a fresh analysis (its own valence cache) over one
-   shared engine — the registry's usage pattern.  The string-key leg
-   recomputes every successor list and rebuilds every memo key per
-   round; the interned leg answers successors from the engine's packed
-   successor table and keys its memo by the arena id. *)
+(* Valence cache keying: the same cold (4,1) classification with the
+   memo table keyed by canonical key strings vs the dense intern id.
+   Each round is a fresh analysis (its own valence cache) over one
+   shared engine — the registry's usage pattern.  Both legs recompute
+   every successor list; the string-key leg demands each state's key
+   and hashes it per probe, the interned leg hashes one int — CI
+   asserts the crossover (interned strictly faster). *)
 let valence_rounds = 5
 
 let valence_string_key () =
@@ -562,9 +558,9 @@ let valence_string_key () =
 
 let valence_interned () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st_tab ~t:1 in
+  let succ = E.st ~t:1 in
   for _ = 1 to valence_rounds do
-    let v = Valence.create ~ident:E.vec_ident (E.valence_spec ~succ) in
+    let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
     List.iter
       (fun x -> ignore (Valence.classify v ~depth:4 x))
       (E.initial_states ~n:4 ~values)
@@ -873,13 +869,12 @@ let run_json () =
       let s = Stats.snapshot () in
       Printf.printf
         "\n  {\"kernel\": %S, \"n\": %d, \"t\": %d, \"depth\": %d, \"wall_ns\": %.0f, \
-         \"states\": %d, \"bytes\": %d, \"statevec\": %d, \"arena_bytes\": %d, \
-         \"orbit_hits\": %d}"
+         \"states\": %d, \"bytes\": %d, \"orbit_hits\": %d}"
         k.name k.n k.t k.depth
         ((t1 -. t0) *. 1e9)
         s.Stats.states_expanded
         (Atomic.get last_ckpt_bytes)
-        s.Stats.statevec_states s.Stats.arena_bytes s.Stats.orbit_hits)
+        s.Stats.orbit_hits)
     kernels;
   print_string "\n]\n"
 

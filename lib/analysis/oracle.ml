@@ -795,7 +795,7 @@ let sym_instance () =
     let succ = E.layer
     let key = E.key
     let roles = Canon.roles_of ~eq:Value.equal inputs
-    let ckey x = (E.canon ~roles x).Intern.cmeta.Intern.key
+    let ckey x = (E.canon ~roles x).Intern.ckey
     let weight x = (E.canon ~roles x).Intern.weight
   end : SYM_INSTANCE)
 

@@ -216,16 +216,11 @@ let run ?pool ?budget ?checkpoint ?spill ~model ~n ~t ~depth () =
      the renaming action.  [--symmetry] is a documented no-op for all of
      them (see Canon's docs and DESIGN §6). *)
   let sym_for_model = Canon.enabled () && model = "iis" in
-  let orbit_canon (type s) ~(ident : s -> int)
-      ~(canon : roles:int array -> s -> Intern.canon) ~inputs =
+  let orbit_canon (type s) ~(canon : roles:int array -> s -> Intern.canon) ~inputs =
     if not sym_for_model then (None, None, false)
     else begin
       let roles = Canon.roles_of ~eq:Value.equal inputs in
-      let ckey x =
-        let c = canon ~roles x in
-        if c.Intern.cmeta.Intern.id <> ident x then Stats.add_orbit_hits 1;
-        c.Intern.cmeta.Intern.key
-      in
+      let ckey x = (canon ~roles x).Intern.ckey in
       let level_weight level =
         List.fold_left (fun a x -> a + (canon ~roles x).Intern.weight) 0 level
       in
@@ -264,7 +259,7 @@ let run ?pool ?budget ?checkpoint ?spill ~model ~n ~t ~depth () =
         let module E = Layered_iis.Engine.Make (P) in
         let inputs = mixed_inputs n in
         let canon, size, symmetry =
-          orbit_canon ~ident:E.ident ~canon:E.canon ~inputs
+          orbit_canon ~canon:E.canon ~inputs
         in
         sweep_generic ?canon ?size ~symmetry ~succ:E.layer ~key:E.key
           ~x0:(E.initial ~inputs) ~depth ()

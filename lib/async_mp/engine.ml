@@ -185,9 +185,11 @@ module Make (P : Protocol.S) = struct
           Buffer.contents buf
         end)
 
-  let intern_table = Intern.create ~key ~parts:raw_parts ()
+  let intern_table =
+    Intern.create ~view:(fun x -> (x.round, x.mail, x.locals)) ~key ~parts:raw_parts ()
+
   let meta x = Intern.memo intern_table x.interned x
-  let key x = (meta x).Intern.key
+  let key x = Intern.key intern_table (meta x) x
   let ident x = (meta x).Intern.id
   let equal x y = ident x = ident y
 
@@ -243,19 +245,11 @@ module Make (P : Protocol.S) = struct
   let similarity_graph ?builder states =
     Simgraph.Incremental.build ?builder sim_inc states
 
-  (* Packed hot-path identity + precomputed successor table (small n). *)
-  let vec_table = Statevec.create ()
-  let vec_ident x = Statevec.id vec_table (meta x).Intern.parts
-  let succ_cache : state Statevec.Memo.cache = Statevec.Memo.create ()
-
-  let sper_tab x =
-    Statevec.Memo.find succ_cache ~ctx:0 ~id:(vec_ident x) ~compute:(fun () -> sper x)
-
   (* Symmetry: the mailbox entries inside the parts carry sender pids,
      so permuting the part array is *not* the renaming action on states
      in this model — [canon] is exposed for uniformity but quotienting
      a traversal by it is unsound here (see {!Layered_core.Canon}). *)
-  let canon ~roles x = Intern.canon_meta intern_table ~roles x
+  let canon ~roles x = Intern.canon intern_table ~roles x
 
   let explore_spec = { Explore.succ = sper; key }
   let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }

@@ -127,9 +127,11 @@ module Make (P : Layered_sync.Protocol.S) = struct
         end
         else P.key x.locals.(i - 1))
 
-  let intern_table = Intern.create ~key ~parts:raw_parts ()
+  let intern_table =
+    Intern.create ~view:(fun x -> (x.round, x.transit, x.locals)) ~key ~parts:raw_parts ()
+
   let meta x = Intern.memo intern_table x.interned x
-  let key x = (meta x).Intern.key
+  let key x = Intern.key intern_table (meta x) x
   let ident x = (meta x).Intern.id
   let equal x y = ident x = ident y
 
@@ -172,18 +174,10 @@ module Make (P : Layered_sync.Protocol.S) = struct
   let similarity_graph ?builder states =
     Simgraph.Incremental.build ?builder sim_inc states
 
-  (* Packed hot-path identity + precomputed successor table (small n). *)
-  let vec_table = Statevec.create ()
-  let vec_ident x = Statevec.id vec_table (meta x).Intern.parts
-  let succ_cache : state Statevec.Memo.cache = Statevec.Memo.create ()
-
-  let smp_tab x =
-    Statevec.Memo.find succ_cache ~ctx:0 ~id:(vec_ident x) ~compute:(fun () -> smp x)
-
   (* Symmetry: transit packets in the header carry src/dst pids, so
      quotienting by the part permutation is unsound in this model —
      exposed for uniformity only. *)
-  let canon ~roles x = Intern.canon_meta intern_table ~roles x
+  let canon ~roles x = Intern.canon intern_table ~roles x
 
   let explore_spec = { Explore.succ = smp; key }
   let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }

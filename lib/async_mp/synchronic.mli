@@ -47,10 +47,14 @@ module Make (P : Layered_sync.Protocol.S) : sig
   (** The synchronic layering: de-duplicated [apply x] over {!actions}. *)
   val smp : state -> state list
 
+  (** Canonical encoding, rendered once per distinct state on demand. *)
   val key : state -> string
 
-  (** Dense intern id of the canonical encoding (O(1) equality). *)
+  (** Dense {!Intern} id (O(1) equality; renders no key). *)
   val ident : state -> int
+
+  (** The engine's identity table (for tests). *)
+  val intern_table : state Intern.t
 
   val equal : state -> state -> bool
   val decisions : state -> Value.t option array
@@ -63,14 +67,6 @@ module Make (P : Layered_sync.Protocol.S) : sig
   (** Similarity graph over [states]; see {!Simgraph.build}. *)
   val similarity_graph :
     ?builder:Simgraph.builder -> state list -> state array * Graph.t
-
-  (** Packed identity: the part-id vector hash-consed in the statevec
-      arena.  Injective like {!ident}. *)
-  val vec_ident : state -> int
-
-  (** {!smp} answered from a precomputed successor table keyed on
-      {!vec_ident} (small instances only; falls back to computing). *)
-  val smp_tab : state -> state list
 
   (** Orbit data for the canonical-form machinery.  {b Unsound to
       quotient traversals by in this model}: transit packets in the

@@ -129,9 +129,11 @@ module Make (P : Protocol.S) = struct
         end
         else P.key x.locals.(i - 1))
 
-  let intern_table = Intern.create ~key ~parts:raw_parts ()
+  let intern_table =
+    Intern.create ~view:(fun x -> (x.phase, x.regs, x.locals)) ~key ~parts:raw_parts ()
+
   let meta x = Intern.memo intern_table x.interned x
-  let key x = (meta x).Intern.key
+  let key x = Intern.key intern_table (meta x) x
   let ident x = (meta x).Intern.id
   let equal x y = ident x = ident y
   let decisions x = Array.map P.decision x.locals
@@ -162,15 +164,10 @@ module Make (P : Protocol.S) = struct
   let similarity_graph ?builder states =
     Simgraph.Incremental.build ?builder sim_inc states
 
-  (* Packed hot-path identity + precomputed successor table (small n). *)
-  let vec_table = Statevec.create ()
-  let vec_ident x = Statevec.id vec_table (meta x).Intern.parts
-  let succ_cache : state Statevec.Memo.cache = Statevec.Memo.create ()
-
   (* Symmetry: the register vector in the header part is indexed by
      process, so permuting the per-process parts alone is not the
      renaming action — exposed for uniformity, unsound to quotient by. *)
-  let canon ~roles x = Intern.canon_meta intern_table ~roles x
+  let canon ~roles x = Intern.canon intern_table ~roles x
 
   let dedup states =
     let seen = Hashtbl.create 64 in
@@ -185,9 +182,6 @@ module Make (P : Protocol.S) = struct
       states
 
   let srw x = dedup (List.map (apply x) (actions ~n:(n_of x)))
-
-  let srw_tab x =
-    Statevec.Memo.find succ_cache ~ctx:0 ~id:(vec_ident x) ~compute:(fun () -> srw x)
 
   let explore_spec = { Explore.succ = srw; key }
   let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }

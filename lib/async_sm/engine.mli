@@ -62,10 +62,14 @@ module Make (P : Protocol.S) : sig
       participating process. *)
   val schedule_legal : event list -> bool
 
+  (** Canonical encoding, rendered once per distinct state on demand. *)
   val key : state -> string
 
-  (** Dense intern id of the canonical encoding (O(1) equality). *)
+  (** Dense {!Intern} id (O(1) equality; renders no key). *)
   val ident : state -> int
+
+  (** The engine's identity table (for tests). *)
+  val intern_table : state Intern.t
 
   val equal : state -> state -> bool
   val decisions : state -> Value.t option array
@@ -85,14 +89,6 @@ module Make (P : Protocol.S) : sig
   (** The synchronic layering: [S^rw x] is the de-duplicated set of
       [apply x a] over all actions. *)
   val srw : state -> state list
-
-  (** Packed identity: the part-id vector hash-consed in the statevec
-      arena.  Injective like {!ident}. *)
-  val vec_ident : state -> int
-
-  (** {!srw} answered from a precomputed successor table keyed on
-      {!vec_ident} (small instances only; falls back to computing). *)
-  val srw_tab : state -> state list
 
   (** Orbit data for the canonical-form machinery.  {b Unsound to
       quotient traversals by in this model}: the register vector in the

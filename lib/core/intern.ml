@@ -1,117 +1,132 @@
 module Stats = Layered_runtime.Stats
 
-type meta = { id : int; key : string; khash : int; parts : int array }
+(* The key cell stays [None] until the key is first demanded; a CAS
+   publishes the first render, so racing domains all return one string. *)
+type key_cell = string option Atomic.t
+type meta = { id : int; parts : int array; rendered : key_cell }
 
 (* The slot caches the meta *together with a physical token of the table
    that produced it*.  Metas are only trusted when the token is
    physically the live table's own: a state revived by [Marshal] (the
    checkpoint/resume path) carries a *copy* of the token, so its cached
    meta — whose [id]/[parts] are relative to a dead table — is discarded
-   and the state is re-interned into the live table.  The [key] string
-   inside a stale meta is still self-contained, but nothing reads it. *)
+   and the state is re-interned into the live table. *)
 type token = unit ref
 type slot = (meta * token) option Atomic.t
 
 let fresh_slot () = Atomic.make None
 
+(* [Hashtbl.hash] stops after 10 meaningful values — fewer than one
+   n >= 4 state holds — so both probes hash deeper. *)
+let deep_hash v = Hashtbl.hash_param 64 256 v
+
+(* The arena: dense part-id vector -> meta.  It is the canonical
+   identity and assigns the ids; the structural table only caches it. *)
+module Arena = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash = deep_hash
+end)
+
+(* [find]/[remember] close over the structural table, whose key type is
+   the engine's view; callers hold [lock]. *)
 type 'a t = {
   key : 'a -> string;
   parts : 'a -> string array;
+  find : 'a -> meta option;
+  remember : 'a -> meta -> unit;
   token : token;
   lock : Mutex.t;
-  table : (string, meta) Hashtbl.t;
   pool : (string, int) Hashtbl.t;  (* part string -> dense part id *)
-  mutable next_part : int;
+  arena : meta Arena.t;
 }
 
-let create ?(size = 1024) ~key ~parts () =
+let create (type v) ?(size = 1024) ~(view : 'a -> v) ~key ~parts () =
+  let module Structural = Hashtbl.Make (struct
+    type t = v
+
+    (* [compare] short-cuts physically shared substructure; [( = )] does not *)
+    let equal a b = compare a b = 0
+    let hash = deep_hash
+  end) in
+  let structural = Structural.create size in
   {
     key;
     parts;
+    find = (fun x -> Structural.find_opt structural (view x));
+    remember = (fun x m -> Structural.replace structural (view x) m);
     token = ref ();
     lock = Mutex.create ();
-    table = Hashtbl.create size;
     pool = Hashtbl.create (4 * size);
-    next_part = 0;
+    arena = Arena.create size;
   }
 
 let part_id t s =
   match Hashtbl.find_opt t.pool s with
   | Some i -> i
   | None ->
-      let i = t.next_part in
-      t.next_part <- i + 1;
+      let i = Hashtbl.length t.pool in
       Hashtbl.add t.pool s i;
       i
 
-(* The canonical key is built outside the lock (it calls protocol code);
-   the table insert — including the part-string pool updates — happens
-   under the mutex so concurrent domains interning equal states always
-   receive the same meta. *)
+(* Hit: one structural probe, nothing rendered.  Miss: render the parts
+   outside the lock (protocol code), then map them through the pool and
+   look the id vector up in the arena — the canonical fallback that
+   gives structurally different, key-equal states one meta. *)
 let intern t x =
-  let k = t.key x in
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | Some m ->
-          Stats.record_intern ~fresh:false;
-          m
-      | None ->
-          let parts = Array.map (part_id t) (t.parts x) in
-          let m = { id = Hashtbl.length t.table; key = k; khash = Hashtbl.hash k; parts } in
-          Hashtbl.add t.table k m;
-          Stats.record_intern ~fresh:true;
-          m)
-
-(* Intern a pre-rendered key/parts pair (the canonicalization path:
-   the canonical encoding is derived from another state's parts, not
-   rendered by [t.key]).  Caller holds the lock. *)
-let intern_rendered_locked t k sparts =
-  match Hashtbl.find_opt t.table k with
+  match Mutex.protect t.lock (fun () -> t.find x) with
   | Some m ->
       Stats.record_intern ~fresh:false;
       m
   | None ->
-      let parts = Array.map (part_id t) sparts in
-      let m = { id = Hashtbl.length t.table; key = k; khash = Hashtbl.hash k; parts } in
-      Hashtbl.add t.table k m;
-      Stats.record_intern ~fresh:true;
+      let sparts = t.parts x in
+      let m, fresh =
+        Mutex.protect t.lock (fun () ->
+            let ids = Array.map (part_id t) sparts in
+            let found =
+              match Arena.find_opt t.arena ids with
+              | Some m -> (m, false)
+              | None ->
+                  let id = Arena.length t.arena in
+                  let m = { id; parts = ids; rendered = Atomic.make None } in
+                  Arena.add t.arena ids m;
+                  (m, true)
+            in
+            t.remember x (fst found);
+            found)
+      in
+      Stats.record_intern ~fresh;
       m
-
-type canon = { cmeta : meta; witness : Canon.witness; weight : int }
-
-let canon_meta t ~roles x =
-  let sparts = t.parts x in
-  let cparts, witness = Canon.sort ~roles sparts in
-  let weight = Canon.weight ~roles sparts in
-  let ckey = Canon.render cparts in
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> { cmeta = intern_rendered_locked t ckey cparts; witness; weight })
-
-let part_ids t x =
-  let sparts = t.parts x in
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> Array.map (part_id t) sparts)
 
 let memo t slot x =
   match Atomic.get slot with
   | Some (m, tok) when tok == t.token -> m
   | Some _ | None ->
       let m = intern t x in
-      (* Racing domains may both intern, but the mutex-guarded table
+      (* Racing domains may both intern, but the mutex-guarded arena
          hands both the same meta, so the slot converges regardless of
          write order. *)
       Atomic.set slot (Some (m, t.token));
       m
 
-let size t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () -> Hashtbl.length t.table)
+let key t m x =
+  match Atomic.get m.rendered with
+  | Some k -> k
+  | None ->
+      (* a racing domain may publish first; everyone returns its string *)
+      ignore (Atomic.compare_and_set m.rendered None (Some (t.key x)));
+      Option.get (Atomic.get m.rendered)
+
+type canon = { ckey : string; witness : Canon.witness; weight : int }
+
+let canon t ~roles x =
+  let sparts = t.parts x in
+  let cparts, witness = Canon.sort ~roles sparts in
+  { ckey = Canon.render cparts; witness; weight = Canon.weight ~roles sparts }
+
+let part_ids t x =
+  let sparts = t.parts x in
+  Mutex.protect t.lock (fun () -> Array.map (part_id t) sparts)
+
+let size t = Mutex.protect t.lock (fun () -> Arena.length t.arena)

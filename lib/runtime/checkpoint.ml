@@ -1,8 +1,9 @@
-(* Version 2: meta grew the [symmetry] flag.  Version-1 snapshots are
+(* Version 2: meta grew the [symmetry] flag.  Version 3: the [stats]
+   snapshot lost its two statevec counters.  Older snapshots are
    rejected as not-intact (fresh start) rather than misread — the first
-   meta field is the version int in both layouts, so the check below
+   meta field is the version int in every layout, so the check below
    reads clean even against an old body. *)
-let current_version = 2
+let current_version = 3
 let magic = "LAYCKPT1"
 
 type meta = {

@@ -141,6 +141,14 @@ let iter_levels ?budget ?checkpoint ?resume ?spill ?(on_restart = fun () -> ())
       in
       let next = List.filter_map Fun.id winners in
       Stats.add_dedup_hits (Array.length cands - List.length next);
+      (* orbit hits: what the orbit dedup dropped beyond a raw-key dedup
+         of the same candidates — distinct states merged into another
+         member's orbit *)
+      if Option.is_some canon then begin
+        let raw = Hashtbl.create (Array.length cands) in
+        Array.iter (fun c -> Hashtbl.replace raw (key c) ()) cands;
+        Stats.add_orbit_hits (Hashtbl.length raw - List.length next)
+      end;
       (* chaos sites: drop or duplicate a state *after* dedup has settled
          the level, where the damage cannot be absorbed by rediscovery
          (the dropped state's key stays committed in the shards) *)

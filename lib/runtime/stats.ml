@@ -25,8 +25,6 @@ type snapshot = {
   spill_restarts : int;
   spill_backpressure : int;
   orbit_hits : int;
-  statevec_states : int;
-  arena_bytes : int;
 }
 
 let states_expanded = Atomic.make 0
@@ -54,8 +52,6 @@ let spill_reloads = Atomic.make 0
 let spill_restarts = Atomic.make 0
 let spill_backpressure = Atomic.make 0
 let orbit_hits = Atomic.make 0
-let statevec_states = Atomic.make 0
-let arena_bytes = Atomic.make 0
 
 (* One bit per pool slot; popcount = "domains utilised". *)
 let domain_mask = Atomic.make 0
@@ -90,10 +86,6 @@ let record_spill_backpressure () = add spill_backpressure 1
 let add_simgraph_maskings n = add simgraph_maskings n
 let add_simgraph_candidates n = add simgraph_candidates n
 let add_orbit_hits n = add orbit_hits n
-
-let record_statevec ~bytes =
-  add statevec_states 1;
-  add arena_bytes bytes
 
 let rec set_bit bit =
   let cur = Atomic.get domain_mask in
@@ -138,8 +130,6 @@ let snapshot () =
     spill_restarts = Atomic.get spill_restarts;
     spill_backpressure = Atomic.get spill_backpressure;
     orbit_hits = Atomic.get orbit_hits;
-    statevec_states = Atomic.get statevec_states;
-    arena_bytes = Atomic.get arena_bytes;
   }
 
 let reset () =
@@ -168,8 +158,6 @@ let reset () =
   Atomic.set spill_restarts 0;
   Atomic.set spill_backpressure 0;
   Atomic.set orbit_hits 0;
-  Atomic.set statevec_states 0;
-  Atomic.set arena_bytes 0;
   Atomic.set domain_mask 0
 
 (* [domains_utilised] is a popcount, so restoring it can only mark "that
@@ -202,8 +190,6 @@ let restore s =
   Atomic.set spill_restarts s.spill_restarts;
   Atomic.set spill_backpressure s.spill_backpressure;
   Atomic.set orbit_hits s.orbit_hits;
-  Atomic.set statevec_states s.statevec_states;
-  Atomic.set arena_bytes s.arena_bytes;
   Atomic.set domain_mask (mask_of_count s.domains_utilised)
 
 let merge s =
@@ -232,8 +218,6 @@ let merge s =
   add spill_restarts s.spill_restarts;
   add spill_backpressure s.spill_backpressure;
   add orbit_hits s.orbit_hits;
-  add statevec_states s.statevec_states;
-  add arena_bytes s.arena_bytes;
   let rec or_mask m =
     let cur = Atomic.get domain_mask in
     let next = cur lor m in
@@ -272,8 +256,6 @@ let diff a b =
     spill_restarts = d a.spill_restarts b.spill_restarts;
     spill_backpressure = d a.spill_backpressure b.spill_backpressure;
     orbit_hits = d a.orbit_hits b.orbit_hits;
-    statevec_states = d a.statevec_states b.statevec_states;
-    arena_bytes = d a.arena_bytes b.arena_bytes;
   }
 
 let pp ppf s =
@@ -304,14 +286,11 @@ let pp ppf s =
     \  spill segment reloads  %d@,\
     \  spill restarts        %d@,\
     \  spill backpressure waits  %d@,\
-    \  orbit hits            %d@,\
-    \  statevec states       %d@,\
-    \  arena bytes           %d@]@."
+    \  orbit hits            %d@]@."
     s.states_expanded s.dedup_hits s.valence_cache_hits s.valence_cache_misses
     s.tasks_executed s.domains_utilised s.workers_respawned s.interned_states
     s.intern_hits s.simgraph_maskings s.simgraph_candidates s.result_cache_hits
     s.result_cache_misses s.requests_cancelled s.singleflight_joins
     s.gc_compactions s.ckpt_rejected s.mem_soft_events s.spill_segments
     s.spill_keys s.spill_bytes s.spill_write_failures s.spill_reloads
-    s.spill_restarts s.spill_backpressure s.orbit_hits s.statevec_states
-    s.arena_bytes
+    s.spill_restarts s.spill_backpressure s.orbit_hits

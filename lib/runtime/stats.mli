@@ -21,10 +21,12 @@ type snapshot = {
       (** dead worker domains replaced by {!Pool} crash containment *)
   interned_states : int;
       (** distinct states hash-consed into {!Layered_core.Intern} tables
-          (the total intern-table population across all engines) *)
+          (the total arena population across all engines) *)
   intern_hits : int;
-      (** intern calls answered by an existing table entry (per-state
-          memo-slot hits are not counted — they never reach the table) *)
+      (** intern calls answered by an existing meta — by the structural
+          probe or, for a structurally new but key-equal state, by the
+          part-id arena (per-state memo-slot hits are not counted — they
+          never reach the table) *)
   simgraph_maskings : int;
       (** state × masked-position bucket insertions performed by the
           bucketed similarity-graph builder (its O(m·n) term) *)
@@ -71,16 +73,11 @@ type snapshot = {
       (** level dispatches held back (compaction forced) because the
           heap was still above the watermark after spilling *)
   orbit_hits : int;
-      (** candidate states merged into an already-claimed symmetry orbit
-          by the canon-keyed frontier dedup (states the unreduced run
-          would have explored separately) *)
-  statevec_states : int;
-      (** distinct packed state vectors hash-consed into
-          {!Layered_core.Statevec} arenas *)
-  arena_bytes : int;
-      (** bytes of packed state-vector storage across all statevec
-          arenas (the flat encoding backing the hot explore/valence
-          paths) *)
+      (** candidates the canon-keyed frontier dedup dropped beyond what
+          a raw-key dedup of the same level would drop: per level,
+          distinct candidate states minus claimed orbits — distinct
+          states merged into another member's orbit (never more than
+          [dedup_hits]) *)
 }
 
 val reset : unit -> unit
@@ -121,13 +118,9 @@ val record_intern : fresh:bool -> unit
 val add_simgraph_maskings : int -> unit
 val add_simgraph_candidates : int -> unit
 
-(** [add_orbit_hits n] counts [n] candidates that dedup'd against an
-    already-claimed orbit representative under [--symmetry]. *)
+(** [add_orbit_hits n] counts [n] distinct candidate states merged into
+    another member's orbit under [--symmetry]. *)
 val add_orbit_hits : int -> unit
-
-(** [record_statevec ~bytes] counts one fresh packed vector of [bytes]
-    bytes hash-consed into a statevec arena. *)
-val record_statevec : bytes:int -> unit
 
 (** [record_result_cache ~hit] counts one keyed result-cache probe in
     the serve daemon: a replayed response when [hit], a fresh

@@ -108,9 +108,13 @@ module Make (P : Protocol.S) = struct
         if i = 0 then string_of_int x.round
         else (if x.failed.(i - 1) then "1" else "0") ^ P.key x.locals.(i - 1))
 
-  let intern_table = Intern.create ~key:raw_key ~parts:raw_parts ()
+  let intern_table =
+    Intern.create
+      ~view:(fun x -> (x.round, x.failed, x.locals))
+      ~key:raw_key ~parts:raw_parts ()
+
   let meta x = Intern.memo intern_table x.interned x
-  let key x = (meta x).Intern.key
+  let key x = Intern.key intern_table (meta x) x
   let ident x = (meta x).Intern.id
   let equal x y = ident x = ident y
   let decisions x = Array.map P.decision x.locals
@@ -154,14 +158,8 @@ module Make (P : Protocol.S) = struct
   let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
   let similarity_graph ?builder states = Simgraph.Incremental.build ?builder sim_inc states
 
-  (* Packed hot-path identity: part-id vector hash-consed in the
-     statevec arena — injective like [ident] (parts determine the key)
-     without rendering the full key string. *)
-  let vec_table = Statevec.create ()
-  let vec_ident x = Statevec.id vec_table (meta x).Intern.parts
-
   (* Symmetry: orbit representative under role-respecting renamings. *)
-  let canon ~roles x = Intern.canon_meta intern_table ~roles x
+  let canon ~roles x = Intern.canon intern_table ~roles x
 
   let dedup states =
     let seen = Hashtbl.create 64 in
@@ -205,22 +203,6 @@ module Make (P : Protocol.S) = struct
     end
 
   let st ~t x = dedup (List.map (apply ~record_failures:true x) (st_actions ~t x))
-
-  (* Precomputed successor tables for small (n, t): the [_tab] variants
-     answer repeat expansions of a state from the packed-id memo.
-     Distinct successor functions share the cache under distinct
-     contexts ([t >= 0] for [st], negative for the [s1] variants). *)
-  let succ_cache : state Statevec.Memo.cache = Statevec.Memo.create ()
-
-  let st_tab ~t x =
-    Statevec.Memo.find succ_cache ~ctx:t ~id:(vec_ident x)
-      ~compute:(fun () -> st ~t x)
-
-  let s1_tab ~record_failures x =
-    Statevec.Memo.find succ_cache
-      ~ctx:(if record_failures then -1 else -2)
-      ~id:(vec_ident x)
-      ~compute:(fun () -> s1 ~record_failures x)
 
   let s_multi_actions ~omitters x =
     let n = n_of x in

@@ -37,11 +37,16 @@ module type S = sig
       prefix [{1, ..., k}]. *)
   val apply_jk : record_failures:bool -> state -> Pid.t -> int -> state
 
+  (** Canonical encoding, rendered once per distinct state on demand. *)
   val key : state -> string
 
-  (** Dense intern id of the state's canonical encoding: equal keys have
-      equal ids, so [equal] and memo-table probes are O(1). *)
+  (** Dense {!Intern} id: equal keys have equal ids, so [equal] and
+      memo-table probes are O(1), and computing it renders no key. *)
   val ident : state -> int
+
+  (** The engine's identity table (tests probe it through
+      {!Intern.memo} and {!Intern.part_ids}). *)
+  val intern_table : state Intern.t
 
   val equal : state -> state -> bool
   val decisions : state -> Value.t option array
@@ -118,26 +123,10 @@ module type S = sig
       failure-free action. *)
   val all_actions : max_new:int -> remaining_failures:int -> state -> action list
 
-  (** {1 Packed hot-path identity}
-
-      The statevec path: the state's dense part-id vector hash-consed in
-      a packed [Bytes] arena.  [vec_ident] is injective exactly like
-      {!ident} (parts determine the key) but skips the full key render,
-      and the [_tab] successor functions memoize through the precomputed
-      successor table for small instances. *)
-
-  val vec_ident : state -> int
-
-  (** [st ~t], memoized by packed state id (t is the memo context). *)
-  val st_tab : t:int -> state -> state list
-
-  (** [s1 ~record_failures], memoized by packed state id. *)
-  val s1_tab : record_failures:bool -> state -> state list
-
   (** {1 Symmetry}
 
       Orbit representative of the state under role-respecting process
-      permutations ({!Intern.canon_meta}).  Sound for this engine
+      permutations ({!Intern.canon}).  Sound for this engine
       whenever the protocol's local keys are process-id-free: part [i]
       is the failure bit + local key, the header is the round, so
       permuting the part array is exactly the renaming action. *)

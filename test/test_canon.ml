@@ -153,6 +153,28 @@ let test_symmetry_report_identical () =
             true (on_states < off_states)))
     [ 1; 4 ]
 
+(* [orbit hits] counts distinct candidate states merged into another
+   member's orbit, so it never exceeds the dedup hits.  Pinned on the
+   instance of `layers -m iis -n 5 -t 1 -d 2 --symmetry --stats`: 22 of
+   its 37 dedup hits are orbit merges, at every job count. *)
+let test_orbit_hits_pinned () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let leg sym =
+            with_symmetry sym (fun () ->
+                let before = Stats.snapshot () in
+                ignore (Sweep.run ~pool ~model:"iis" ~n:5 ~t:1 ~depth:2 ());
+                Stats.diff (Stats.snapshot ()) before)
+          in
+          let off = leg false and on = leg true in
+          let int = Alcotest.(check int) in
+          int (Printf.sprintf "jobs=%d no orbit hits unreduced" jobs) 0
+            off.Stats.orbit_hits;
+          int (Printf.sprintf "jobs=%d dedup hits" jobs) 37 on.Stats.dedup_hits;
+          int (Printf.sprintf "jobs=%d orbit hits" jobs) 22 on.Stats.orbit_hits))
+    [ 1; 4 ]
+
 let test_symmetry_noop_on_sync () =
   (* Prefix-blocked omissions leave partial orbits reachable, so the
      sync substrate must ignore the flag entirely. *)
@@ -227,6 +249,7 @@ let () =
           Alcotest.test_case "report identical, fewer states" `Quick
             test_symmetry_report_identical;
           Alcotest.test_case "no-op on sync" `Quick test_symmetry_noop_on_sync;
+          Alcotest.test_case "orbit hits pinned" `Quick test_orbit_hits_pinned;
         ] );
       ( "checkpoint",
         [

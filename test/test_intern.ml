@@ -1,7 +1,9 @@
-(* Tests for hash-consing (Intern) and the bucketed similarity-graph
-   construction (Simgraph): id determinism and density, rehash, marshal-safe
-   memo slots, domain-safety, and pairwise/bucketed builder equivalence over
-   randomized omission schedules on the model engines. *)
+(* Tests for state identity (Intern) and the bucketed similarity-graph
+   construction (Simgraph): id determinism and density, rehash,
+   structurally different but key-equal states, on-demand key rendering,
+   marshal-safe memo slots, domain-safety, the ident/key/parts invariants
+   over random walks on all five engines, and pairwise/bucketed builder
+   equivalence over randomized omission schedules. *)
 
 open Layered_core
 
@@ -12,7 +14,7 @@ let check_int = Alcotest.(check int)
 (* Intern *)
 
 let string_table ?size () =
-  Intern.create ?size ~key:(fun s -> s) ~parts:(fun s -> [| ""; s |]) ()
+  Intern.create ?size ~view:Fun.id ~key:Fun.id ~parts:(fun s -> [| ""; s |]) ()
 
 let test_intern_dense_ids () =
   let t = string_table () in
@@ -39,7 +41,7 @@ let test_intern_rehash () =
 
 let test_intern_meta_fields () =
   let t =
-    Intern.create
+    Intern.create ~view:Fun.id
       ~key:(fun (a, b) -> a ^ "|" ^ b)
       ~parts:(fun (a, b) -> [| ""; a; b |])
       ()
@@ -47,11 +49,55 @@ let test_intern_meta_fields () =
   let m1 = Intern.intern t ("x", "y") in
   let m2 = Intern.intern t ("x", "z") in
   let m3 = Intern.intern t ("w", "y") in
-  check "key preserved verbatim" true (String.equal m1.Intern.key "x|y");
+  check "key preserved verbatim" true (String.equal (Intern.key t m1 ("x", "y")) "x|y");
   check_int "equal components share a part id" m1.Intern.parts.(1) m2.Intern.parts.(1);
   check_int "part ids are positional, not global" m1.Intern.parts.(2) m3.Intern.parts.(2);
   check "distinct components get distinct part ids" true
     (m1.Intern.parts.(2) <> m2.Intern.parts.(2))
+
+(* A toy table whose views are unsorted int lists and whose key sorts
+   them: permutations of one list are structurally different but
+   key-equal.  Counters record every key and parts render. *)
+let sorted_table () =
+  let key_renders = Atomic.make 0 and part_renders = Atomic.make 0 in
+  let render l = String.concat "," (List.map string_of_int (List.sort compare l)) in
+  let t =
+    Intern.create ~view:Fun.id
+      ~key:(fun l ->
+        Atomic.incr key_renders;
+        render l)
+      ~parts:(fun l ->
+        Atomic.incr part_renders;
+        [| ""; render l |])
+      ()
+  in
+  (t, key_renders, part_renders)
+
+let test_intern_key_equal_structures () =
+  let t, _, parts = sorted_table () in
+  let m1 = Intern.intern t [ 3; 1; 2 ] in
+  let m2 = Intern.intern t [ 1; 2; 3 ] in
+  let m3 = Intern.intern t [ 2; 3; 1 ] in
+  check_int "one id" m1.Intern.id m2.Intern.id;
+  check_int "one id (third order)" m1.Intern.id m3.Intern.id;
+  check "one part vector" true
+    (m1.Intern.parts == m2.Intern.parts && m2.Intern.parts == m3.Intern.parts);
+  check_int "one arena entry" 1 (Intern.size t);
+  let rendered = Atomic.get parts in
+  check "structural repeat is a hit" true (Intern.intern t [ 1; 2; 3 ] == m1);
+  check_int "structural hit renders no parts" rendered (Atomic.get parts);
+  check "any member renders the shared key" true
+    (String.equal (Intern.key t m1 [ 2; 3; 1 ]) (Intern.key t m2 [ 3; 1; 2 ]))
+
+let test_intern_keys_on_demand () =
+  let t, keys, _ = sorted_table () in
+  let values = List.init 50 (fun i -> [ i mod 7; i mod 5 ]) in
+  let metas = List.map (Intern.intern t) values in
+  List.iter (fun v -> ignore (Intern.intern t v)) values;
+  check_int "interning renders no key" 0 (Atomic.get keys);
+  List.iter2 (fun m v -> ignore (Intern.key t m v)) metas values;
+  List.iter2 (fun m v -> ignore (Intern.key t m v)) metas values;
+  check_int "one render per meta" (Intern.size t) (Atomic.get keys)
 
 (* Memo slots survive [Marshal]: the revived slot is foreign to the table,
    so the value transparently re-interns — to the same id, with no
@@ -60,7 +106,9 @@ type boxed = { label : string; slot : Intern.slot }
 
 let test_intern_memo_marshal () =
   let t =
-    Intern.create ~key:(fun b -> b.label) ~parts:(fun b -> [| ""; b.label |]) ()
+    Intern.create ~view:(fun b -> b.label) ~key:(fun b -> b.label)
+      ~parts:(fun b -> [| ""; b.label |])
+      ()
   in
   let x = { label = "persist-me"; slot = Intern.fresh_slot () } in
   let m = Intern.memo t x.slot x in
@@ -69,19 +117,38 @@ let test_intern_memo_marshal () =
   check_int "same id after marshal round-trip" m.Intern.id m'.Intern.id;
   check_int "no duplicate entry" 1 (Intern.size t)
 
+(* Four domains intern the same structurally varied values and force
+   their keys at once: every domain sees the same ids and physically the
+   same key strings (one render published per meta). *)
 let test_intern_domains () =
-  let t = string_table () in
-  let words = List.init 64 (fun i -> "w" ^ string_of_int (i mod 16)) in
+  let t, _, _ = sorted_table () in
+  let values =
+    List.init 64 (fun i -> if i / 16 mod 2 = 0 then [ i mod 16; 0 ] else [ 0; i mod 16 ])
+  in
+  let ready = Atomic.make 0 in
   let doms =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            List.map (fun w -> (Intern.intern t w).Intern.id) words))
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            List.map
+              (fun v ->
+                let m = Intern.intern t v in
+                (m.Intern.id, Intern.key t m v))
+              values))
   in
   let results = List.map Domain.join doms in
   check_int "distinct keys across domains" 16 (Intern.size t);
   match results with
   | r0 :: rest ->
-      List.iter (fun r -> check "domains agree on every id" true (r = r0)) rest
+      List.iter
+        (fun r ->
+          check "domains agree on every id" true (List.map fst r = List.map fst r0);
+          check "domains see the same key strings" true
+            (List.for_all2 (fun (_, k) (_, k0) -> k == k0) r r0))
+        rest
   | [] -> Alcotest.fail "no domains"
 
 (* ------------------------------------------------------------------ *)
@@ -211,6 +278,105 @@ let test_valence_ident_agrees () =
         (Vset.equal (Valence.vals v_str ~depth:3 x) (Valence.vals v_int ~depth:3 x)))
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
+(* The identity invariants on all five engines, over random walks: ids
+   partition states exactly as keys do, and every meta's part vector is
+   the pool image of the state's freshly rendered parts. *)
+type 's subject = {
+  initials : n:int -> 's list;
+  actions : 's -> (unit -> 's) list;
+  key : 's -> string;
+  ident : 's -> int;
+  parts : 's -> int array;
+  pooled : 's -> int array;
+}
+
+let subject_holds (type s) (e : s subject) (n, rounds, picks) =
+  let picks = Array.of_list (if picks = [] then [ 0 ] else picks) in
+  let states =
+    List.concat_map
+      (walk ~rounds ~picks ~actions:e.actions ~apply:(fun _ step -> step ()))
+      (e.initials ~n)
+    |> Array.of_list
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun i x ->
+      if e.parts x <> e.pooled x then ok := false;
+      for j = i to Array.length states - 1 do
+        let y = states.(j) in
+        if (e.ident x = e.ident y) <> String.equal (e.key x) (e.key y) then ok := false
+      done)
+    states;
+  !ok
+
+let values = [ Value.zero; Value.one ]
+
+module IP = (val Layered_protocols.Full_info.iis ~horizon:2)
+module IE = Layered_iis.Engine.Make (IP)
+module SP = (val Layered_protocols.Sm_voting.make ~horizon:2)
+module SE = Layered_async_sm.Engine.Make (SP)
+module MP = (val Layered_protocols.Full_info.message_passing ~horizon:2)
+module ME = Layered_async_mp.Engine.Make (MP)
+
+let thunks apply x acts = List.map (fun a () -> apply x a) acts
+
+let sync_subject =
+  {
+    initials = (fun ~n -> E.initial_states ~n ~values);
+    actions = (fun x -> thunks (E.apply ~record_failures:true) x (E.st_actions ~t:1 x));
+    key = E.key;
+    ident = E.ident;
+    parts = (fun x -> (Intern.memo E.intern_table x.E.interned x).Intern.parts);
+    pooled = Intern.part_ids E.intern_table;
+  }
+
+let iis_subject =
+  {
+    initials = (fun ~n -> IE.initial_states ~n ~values);
+    actions = (fun x -> thunks IE.apply x (Layered_iis.Engine.partitions ~n:(IE.n_of x)));
+    key = IE.key;
+    ident = IE.ident;
+    parts = (fun x -> (Intern.memo IE.intern_table x.IE.interned x).Intern.parts);
+    pooled = Intern.part_ids IE.intern_table;
+  }
+
+let sm_subject =
+  {
+    initials = (fun ~n -> SE.initial_states ~n ~values);
+    actions = (fun x -> thunks SE.apply x (SE.actions ~n:(SE.n_of x)));
+    key = SE.key;
+    ident = SE.ident;
+    parts = (fun x -> (Intern.memo SE.intern_table x.SE.interned x).Intern.parts);
+    pooled = Intern.part_ids SE.intern_table;
+  }
+
+let mp_subject =
+  {
+    initials = (fun ~n -> ME.initial_states ~n:(min n 3) ~values);
+    actions = (fun x -> thunks ME.apply x (ME.schedules ~n:(ME.n_of x)));
+    key = ME.key;
+    ident = ME.ident;
+    parts = (fun x -> (Intern.memo ME.intern_table x.ME.interned x).Intern.parts);
+    pooled = Intern.part_ids ME.intern_table;
+  }
+
+let smp_subject =
+  {
+    initials = (fun ~n -> SMP.initial_states ~n:(min n 3) ~values);
+    actions = (fun x -> thunks SMP.apply x (SMP.actions ~n:(SMP.n_of x)));
+    key = SMP.key;
+    ident = SMP.ident;
+    parts = (fun x -> (Intern.memo SMP.intern_table x.SMP.interned x).Intern.parts);
+    pooled = Intern.part_ids SMP.intern_table;
+  }
+
+let prop_engine_identity =
+  QCheck.Test.make ~name:"intern: ident iff key, parts pooled (five engines)" ~count:25
+    schedule_arb (fun case ->
+      subject_holds sync_subject case && subject_holds iis_subject case
+      && subject_holds sm_subject case && subject_holds mp_subject case
+      && subject_holds smp_subject case)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "intern"
@@ -220,6 +386,9 @@ let () =
           Alcotest.test_case "dense ids" `Quick test_intern_dense_ids;
           Alcotest.test_case "rehash" `Quick test_intern_rehash;
           Alcotest.test_case "meta fields" `Quick test_intern_meta_fields;
+          Alcotest.test_case "key-equal structures share a meta" `Quick
+            test_intern_key_equal_structures;
+          Alcotest.test_case "keys rendered on demand" `Quick test_intern_keys_on_demand;
           Alcotest.test_case "memo survives marshal" `Quick test_intern_memo_marshal;
           Alcotest.test_case "domain-safe" `Quick test_intern_domains;
         ] );
@@ -235,5 +404,6 @@ let () =
           Alcotest.test_case "agree_modulo matches similar" `Quick
             test_agree_modulo_matches_similar;
           Alcotest.test_case "valence keying agrees" `Quick test_valence_ident_agrees;
+          qt prop_engine_identity;
         ] );
     ]
