@@ -516,26 +516,15 @@ module Sim_E = (val make_sync_engine ~t:1)
 let simgraph_states =
   lazy
     (let spec = { Explore.succ = Sim_E.st ~t:1; key = Sim_E.key } in
-     let seen = Hashtbl.create 4096 in
-     List.filter
-       (fun x ->
-         let k = Sim_E.ident x in
-         if Hashtbl.mem seen k then false
-         else begin
-           Hashtbl.add seen k ();
-           true
-         end)
+     Sim_E.dedup
        (List.concat_map
           (fun x0 -> Explore.reachable spec ~depth:2 x0)
           (Sim_E.initial_states ~n:4 ~values)))
 
 let simgraph_pairwise () =
-  ignore
-    (Sim_E.similarity_graph ~builder:Simgraph.Pairwise (Lazy.force simgraph_states))
+  ignore (Simgraph.pairwise ~rel:Sim_E.similar (Lazy.force simgraph_states))
 
-let simgraph_bucketed () =
-  ignore
-    (Sim_E.similarity_graph ~builder:Simgraph.Bucketed (Lazy.force simgraph_states))
+let simgraph_bucketed () = ignore (Sim_E.similarity_graph (Lazy.force simgraph_states))
 
 (* Valence cache keying: the same cold (4,1) classification with the
    memo table keyed by canonical key strings vs the dense intern id.
@@ -575,21 +564,15 @@ let valence_interned () =
    sym kernel must materialise strictly fewer states than its
    unreduced twin. *)
 
-let with_symmetry sym f =
-  Canon.set_enabled sym;
-  Fun.protect ~finally:(fun () -> Canon.set_enabled false) f
-
 let symmetry_sweep ~sym () =
-  with_symmetry sym (fun () ->
-      ignore
-        (Layered_analysis.Sweep.run ~budget:(bench_budget ()) ~model:"iis" ~n:4
-           ~t:2 ~depth:4 ()))
+  ignore
+    (Layered_analysis.Sweep.run ~budget:(bench_budget ()) ~symmetry:sym ~model:"iis"
+       ~n:4 ~t:2 ~depth:4 ())
 
 let oocore_iis ~sym jobs () =
-  with_symmetry sym (fun () ->
-      ignore
-        (Layered_analysis.Sweep.run ~pool:(pool jobs)
-           ~budget:(bench_budget ()) ~model:"iis" ~n:5 ~t:1 ~depth:2 ()))
+  ignore
+    (Layered_analysis.Sweep.run ~pool:(pool jobs) ~budget:(bench_budget ())
+       ~symmetry:sym ~model:"iis" ~n:5 ~t:1 ~depth:2 ())
 
 
 (* ------------------------------------------------------------------ *)

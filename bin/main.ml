@@ -60,8 +60,7 @@ let ckpt_hint budget c =
       Format.eprintf "checkpoint: resumable snapshots in %s (rerun with --resume)@." dir
   | _ -> ()
 
-let run_experiments ids markdown jobs stats budget ckpt simgraph =
-  Simgraph.set_default simgraph;
+let run_experiments ids markdown jobs stats budget ckpt =
   let experiments =
     match ids with
     | [] -> Registry.all
@@ -150,22 +149,6 @@ let stats_arg =
   Arg.(
     value & flag
     & info [ "stats" ] ~doc:"Print the runtime counter snapshot to stderr when done.")
-
-(* Ablation switch for the similarity-graph construction: the bucketed
-   builder is the default; the all-pairs reference stays reachable so a
-   regression can be bisected from the CLI (stdout is byte-identical
-   either way — asserted in CI). *)
-let simgraph_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("bucketed", Simgraph.Bucketed); ("pairwise", Simgraph.Pairwise) ])
-        Simgraph.Bucketed
-    & info [ "simgraph" ] ~docv:"BUILDER"
-        ~doc:
-          "Similarity-graph builder: $(b,bucketed) (signature bucketing, the \
-           default) or $(b,pairwise) (the all-pairs reference, for ablation). \
-           Output is identical; only construction cost differs.")
 
 (* Symmetry reduction is an opt-in because it changes which states are
    materialised (orbit representatives) even though the printed report
@@ -288,20 +271,20 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run_experiments $ ids $ markdown $ jobs_arg $ stats_arg $ budget_term
-      $ ckpt_term $ simgraph_arg)
+      $ ckpt_term)
 
 let all_cmd =
   let doc = "Run every experiment." in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
       const run_experiments $ const [] $ markdown $ jobs_arg $ stats_arg $ budget_term
-      $ ckpt_term $ simgraph_arg)
+      $ ckpt_term)
 
 let n_arg =
   Arg.(
     value
-    & opt (bounded_int ~min:1 ~what:"n") 3
-    & info [ "n" ] ~docv:"N" ~doc:"Number of processes (at least 1).")
+    & opt (bounded_int ~min:2 ~what:"n") 3
+    & info [ "n" ] ~docv:"N" ~doc:"Number of processes (at least 2).")
 
 let t_arg =
   Arg.(
@@ -419,11 +402,10 @@ let layers_cmd =
             { Frontier.spill_dir = dir; spill_mode = Frontier.Pressure })
           spill_dir
       in
-      Canon.set_enabled symmetry;
       Stats.reset ();
       match
         Pool.with_pool ~jobs ~budget (fun pool ->
-            Sweep.run ~pool ~budget ?checkpoint ?spill ~model ~n ~t ~depth ())
+            Sweep.run ~pool ~budget ?checkpoint ?spill ~symmetry ~model ~n ~t ~depth ())
       with
       | exception Layered_runtime.Checkpoint.Symmetry_mismatch
             { saved; requested } ->

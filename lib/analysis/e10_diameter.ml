@@ -1,17 +1,5 @@
 open Layered_core
 
-let dedup_by key states =
-  let seen = Hashtbl.create 256 in
-  List.filter
-    (fun x ->
-      let k = key x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    states
-
 let run_one ~n ~t ~levels =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
@@ -29,7 +17,7 @@ let run_one ~n ~t ~levels =
           (fun acc d -> match (acc, d) with Some a, Some b -> Some (max a b) | _ -> None)
           (Some 0) layer_diameters
       in
-      let next = dedup_by E.ident (List.concat layers) in
+      let next = E.dedup (List.concat layers) in
       let dnext = Connectivity.diameter_via ~graph:E.similarity_graph next in
       let params = Printf.sprintf "floodset n=%d t=%d level=%d" n t level in
       let rows =

@@ -544,9 +544,9 @@ let recovery_rollback ~jobs:_ =
           else pass_)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the bucketed similarity-graph builder must produce    *)
-(* exactly the reference all-pairs graph — same node order, same edge  *)
-(* set — on every model.  States mix rounds and schedules so masked    *)
+(* Differential: each engine's bucketed similarity graph must be        *)
+(* exactly the reference all-pairs graph over its [similar] — same node *)
+(* order, same edge set.  States mix rounds and schedules so masked     *)
 (* signatures collide and differ in both directions.                   *)
 
 let graphs_equal (g : Graph.t) (h : Graph.t) =
@@ -555,9 +555,9 @@ let graphs_equal (g : Graph.t) (h : Graph.t) =
        (fun i -> Graph.neighbours g i = Graph.neighbours h i)
        (List.init (Graph.size g) Fun.id)
 
-let simgraph_eq ~similarity_graph states =
-  let _, reference = similarity_graph ~builder:Simgraph.Pairwise states in
-  let _, bucketed = similarity_graph ~builder:Simgraph.Bucketed states in
+let simgraph_eq (type s) (module E : Engine_core.S with type state = s) states =
+  let _, reference = Simgraph.pairwise ~rel:E.similar states in
+  let _, bucketed = E.similarity_graph states in
   if graphs_equal reference bucketed then pass_
   else
     fail
@@ -566,53 +566,35 @@ let simgraph_eq ~similarity_graph states =
 
 let two_values = [ Value.zero; Value.one ]
 
-let dedup_by ident states =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun x ->
-      let k = ident x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    states
-
 let sg_sync ~jobs:_ =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  let layer1 = List.concat_map (E.st ~t:1) initials in
-  simgraph_eq ~similarity_graph:(fun ~builder states -> E.similarity_graph ~builder states)
-    (initials @ dedup_by E.ident layer1)
+  simgraph_eq (module E) (initials @ E.dedup (List.concat_map (E.st ~t:1) initials))
 
 let sg_iis ~jobs:_ =
   let module P = (val Layered_protocols.Iis_voting.make ~horizon:2) in
   let module E = Layered_iis.Engine.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq ~similarity_graph:(fun ~builder states -> E.similarity_graph ~builder states)
-    (initials @ dedup_by E.ident (List.concat_map E.layer initials))
+  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.layer initials))
 
 let sg_sm ~jobs:_ =
   let module P = (val Layered_protocols.Sm_voting.make ~horizon:2) in
   let module E = Layered_async_sm.Engine.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq ~similarity_graph:(fun ~builder states -> E.similarity_graph ~builder states)
-    (initials @ dedup_by E.ident (List.concat_map E.srw initials))
+  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.srw initials))
 
 let sg_mp ~jobs:_ =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon:2) in
   let module E = Layered_async_mp.Engine.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq ~similarity_graph:(fun ~builder states -> E.similarity_graph ~builder states)
-    (initials @ dedup_by E.ident (List.concat_map E.sper initials))
+  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.sper initials))
 
 let sg_smp ~jobs:_ =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_async_mp.Synchronic.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq ~similarity_graph:(fun ~builder states -> E.similarity_graph ~builder states)
-    (initials @ dedup_by E.ident (List.concat_map E.smp initials))
+  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.smp initials))
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-core spill: the disk tier must never change the traversal's  *)
@@ -827,15 +809,11 @@ let sym_orbit_eq ~jobs =
 
 let sym_report_eq ~jobs =
   Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-      let leg sym =
-        Canon.set_enabled sym;
-        Fun.protect
-          ~finally:(fun () -> Canon.set_enabled false)
-          (fun () ->
-            let before = RStats.snapshot () in
-            let sweep = Sweep.run ~pool ~model:"iis" ~n:4 ~t:1 ~depth:2 () in
-            let d = RStats.diff (RStats.snapshot ()) before in
-            (Format.asprintf "%a" Sweep.pp sweep, sweep, d.RStats.states_expanded))
+      let leg symmetry =
+        let before = RStats.snapshot () in
+        let sweep = Sweep.run ~pool ~symmetry ~model:"iis" ~n:4 ~t:1 ~depth:2 () in
+        let d = RStats.diff (RStats.snapshot ()) before in
+        (Format.asprintf "%a" Sweep.pp sweep, sweep, d.RStats.states_expanded)
       in
       let off_render, _, off_states = leg false in
       let on_render, on_sweep, on_states = leg true in

@@ -194,7 +194,7 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
    domains. *)
 let serial_pool = lazy (Layered_runtime.Pool.create ~jobs:1 ())
 
-let run ?pool ?budget ?checkpoint ?spill ~model ~n ~t ~depth () =
+let run ?pool ?budget ?checkpoint ?spill ?(symmetry = false) ~model ~n ~t ~depth () =
   let pool = match pool with Some p -> p | None -> Lazy.force serial_pool in
   let name = checkpoint_name ~model ~n ~t ~depth in
   let sweep_generic ?canon ?size ?symmetry ~succ ~key ~x0 ~depth () =
@@ -215,7 +215,7 @@ let run ?pool ?budget ?checkpoint ?spill ~model ~n ~t ~depth () =
      embed pids in their parts, where the part permutation is not even
      the renaming action.  [--symmetry] is a documented no-op for all of
      them (see Canon's docs and DESIGN §6). *)
-  let sym_for_model = Canon.enabled () && model = "iis" in
+  let sym_for_model = symmetry && model = "iis" in
   let orbit_canon (type s) ~(canon : roles:int array -> s -> Intern.canon) ~inputs =
     if not sym_for_model then (None, None, false)
     else begin

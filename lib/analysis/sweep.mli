@@ -48,13 +48,19 @@ val checkpoint_name : model:string -> n:int -> t:int -> depth:int -> string
     segments, backpressure) before [--max-mem] can trip — output bytes
     are unchanged (see {!Layered_runtime.Frontier}); a lost spill
     segment restarts the sweep in-core with its accumulators rewound to
-    the resume point.  Raises [Invalid_argument] on an unknown model
-    name. *)
+    the resume point.  With [~symmetry:true] (default [false]) the
+    ["iis"] sweep is quotiented by role-respecting process renamings:
+    one representative per orbit is expanded, rows are orbit-weighted
+    and so byte-identical, and the setting is stamped into checkpoint
+    meta.  It is a no-op for every other model, whose parts carry pids
+    or whose actions are not renaming-closed ({!Layered_core.Canon}).
+    Raises [Invalid_argument] on an unknown model name. *)
 val run :
   ?pool:Layered_runtime.Pool.t ->
   ?budget:Layered_runtime.Budget.t ->
   ?checkpoint:checkpoint ->
   ?spill:Layered_runtime.Frontier.spill ->
+  ?symmetry:bool ->
   model:string ->
   n:int ->
   t:int ->

@@ -139,7 +139,7 @@ module Make (P : Protocol.S) = struct
        permutations of the dropped element; pairs are canonicalised). *)
     List.sort_uniq compare (full @ drop_last @ with_pair)
 
-  let key x =
+  let raw_key x =
     let buf = Buffer.create 64 in
     Buffer.add_string buf (string_of_int x.round);
     Array.iter
@@ -185,13 +185,27 @@ module Make (P : Protocol.S) = struct
           Buffer.contents buf
         end)
 
-  let intern_table =
-    Intern.create ~view:(fun x -> (x.round, x.mail, x.locals)) ~key ~parts:raw_parts ()
+  (* Messages addressed to [j] are part of [j]'s interface with the
+     environment: if [j] crashes they are never observed, so "agree
+     modulo j" compares the mailboxes of every process except [j] —
+     which is why part [i] bundles mailbox and local of process [i]. *)
+  module Core = Engine_core.Make (struct
+    type nonrec state = state
+    type local = P.local
 
-  let meta x = Intern.memo intern_table x.interned x
-  let key x = Intern.key intern_table (meta x) x
-  let ident x = (meta x).Intern.id
-  let equal x y = ident x = ident y
+    let slot x = x.interned
+
+    type view = int * (Pid.t * P.msg) list array * P.local array
+
+    let view x = (x.round, x.mail, x.locals)
+    let key = raw_key
+    let parts = raw_parts
+    let locals x = x.locals
+    let decision = P.decision
+    let failed = None
+  end)
+
+  include (Core : Engine_core.S with type state := state)
 
   let sper =
     let table = Hashtbl.create 4 in
@@ -205,54 +219,11 @@ module Make (P : Protocol.S) = struct
             Hashtbl.add table n ss;
             ss
       in
-      let seen = Hashtbl.create 64 in
-      List.filter_map
-        (fun s ->
-          let y = apply x s in
-          let k = ident y in
-          if Hashtbl.mem seen k then None
-          else begin
-            Hashtbl.add seen k ();
-            Some y
-          end)
-        ss
+      dedup_map (apply x) ss
 
-  let decisions x = Array.map P.decision x.locals
-
-  let decided_vset x =
-    Array.fold_left
-      (fun acc l -> match P.decision l with Some v -> Vset.add v acc | None -> acc)
-      Vset.empty x.locals
-
-  let terminal x = Array.for_all (fun l -> P.decision l <> None) x.locals
   let in_transit x = Array.fold_left (fun acc box -> acc + List.length box) 0 x.mail
 
-  (* Messages addressed to [j] are part of [j]'s interface with the
-     environment: if [j] crashes they are never observed, so "agree modulo
-     j" compares the mailboxes of every process except [j].  Part [i]
-     bundles mailbox and local of process [i], so the masked part-id
-     comparison is exactly the old field-by-field check. *)
-  let agree_modulo x y j =
-    Simgraph.masked_equal (meta x).Intern.parts (meta y).Intern.parts j
-
-  let similar x y = List.exists (agree_modulo x y) (Pid.all (n_of x))
-
-  let sim_adapter =
-    { Simgraph.parts = (fun x -> (meta x).Intern.parts); witness = (fun _ _ _ -> true) }
-
-  let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
-
-  let similarity_graph ?builder states =
-    Simgraph.Incremental.build ?builder sim_inc states
-
-  (* Symmetry: the mailbox entries inside the parts carry sender pids,
-     so permuting the part array is *not* the renaming action on states
-     in this model — [canon] is exposed for uniformity but quotienting
-     a traversal by it is unsound here (see {!Layered_core.Canon}). *)
-  let canon ~roles x = Intern.canon intern_table ~roles x
-
   let explore_spec = { Explore.succ = sper; key }
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;
@@ -262,13 +233,7 @@ module Make (P : Protocol.S) = struct
           (String.concat ", "
              (List.map (fun (s, m) -> Printf.sprintf "%d:%s" s (P.msg_key m)) box)))
       x.mail;
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end
 

@@ -59,43 +59,20 @@ module Make (P : Protocol.S) : sig
   (** The permutation layering: de-duplicated [apply x] over {!schedules}. *)
   val sper : state -> state list
 
-  (** Canonical encoding, rendered once per distinct state on demand. *)
-  val key : state -> string
-
-  (** Dense {!Intern} id (O(1) equality; renders no key). *)
-  val ident : state -> int
-
-  (** The engine's identity table (for tests). *)
-  val intern_table : state Intern.t
-
-  val equal : state -> state -> bool
-  val decisions : state -> Value.t option array
-  val decided_vset : state -> Vset.t
-  val terminal : state -> bool
+  (** Identity, similarity and valence wiring ({!Engine_core}).  Part
+      [i] bundles process [i]'s mailbox and local state, so
+      [agree_modulo x y j] means rounds equal and, for every [i <> j],
+      both [i]'s local state and [i]'s mailbox equal.  Messages
+      addressed to [j] may differ: if [j] crashes they are never
+      observed, so the crash-indistinguishability argument of Lemma 3.3
+      is unaffected.  {b [canon] is unsound to quotient traversals by in
+      this model}: mailbox entries carry sender pids. *)
+  include Engine_core.S with type state := state
 
   (** Total number of in-transit messages (conservation checks). *)
   val in_transit : state -> int
 
-  (** [agree_modulo x y j]: rounds equal, and for every [i <> j] both
-      [i]'s local state and [i]'s mailbox equal.  Messages addressed to
-      [j] may differ: if [j] crashes they are never observed, so the
-      crash-indistinguishability argument of Lemma 3.3 is unaffected. *)
-  val agree_modulo : state -> state -> Pid.t -> bool
-
-  val similar : state -> state -> bool
-
-  (** Similarity graph over [states]; see {!Simgraph.build}. *)
-  val similarity_graph :
-    ?builder:Simgraph.builder -> state list -> state array * Graph.t
-
-  (** Orbit data for the canonical-form machinery.  {b Unsound to
-      quotient traversals by in this model}: mailbox entries carry
-      sender pids, so the part permutation is not the renaming action.
-      Exposed for uniformity and testing only. *)
-  val canon : roles:int array -> state -> Intern.canon
-
   val explore_spec : state Explore.spec
-  val valence_spec : succ:(state -> state list) -> state Valence.spec
   val pp : Format.formatter -> state -> unit
 end
 

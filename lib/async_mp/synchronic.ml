@@ -90,7 +90,7 @@ module Make (P : Layered_sync.Protocol.S) = struct
 
   let packet_key p = Printf.sprintf "%d>%d@%d:%s" p.src p.dst p.sent (P.msg_key p.msg)
 
-  let key x =
+  let raw_key x =
     let buf = Buffer.create 64 in
     Buffer.add_string buf (string_of_int x.round);
     List.iter
@@ -127,70 +127,31 @@ module Make (P : Layered_sync.Protocol.S) = struct
         end
         else P.key x.locals.(i - 1))
 
-  let intern_table =
-    Intern.create ~view:(fun x -> (x.round, x.transit, x.locals)) ~key ~parts:raw_parts ()
+  module Core = Engine_core.Make (struct
+    type nonrec state = state
+    type local = P.local
 
-  let meta x = Intern.memo intern_table x.interned x
-  let key x = Intern.key intern_table (meta x) x
-  let ident x = (meta x).Intern.id
-  let equal x y = ident x = ident y
+    let slot x = x.interned
 
-  let smp x =
-    let seen = Hashtbl.create 64 in
-    List.filter_map
-      (fun a ->
-        let y = apply x a in
-        let k = ident y in
-        if Hashtbl.mem seen k then None
-        else begin
-          Hashtbl.add seen k ();
-          Some y
-        end)
-      (actions ~n:(n_of x))
+    type view = int * packet list * P.local array
 
-  let decisions x = Array.map P.decision x.locals
+    let view x = (x.round, x.transit, x.locals)
+    let key = raw_key
+    let parts = raw_parts
+    let locals x = x.locals
+    let decision = P.decision
+    let failed = None
+  end)
 
-  let decided_vset x =
-    Array.fold_left
-      (fun acc l -> match P.decision l with Some v -> Vset.add v acc | None -> acc)
-      Vset.empty x.locals
+  include (Core : Engine_core.S with type state := state)
 
-  let terminal x = Array.for_all (fun l -> P.decision l <> None) x.locals
+  let smp x = dedup_map (apply x) (actions ~n:(n_of x))
   let in_transit x = List.length x.transit
-
-  (* Masked part-id equality: round and the transit list live in the
-     header part (compared unmasked), locals of every [i <> j] in the
-     remaining parts. *)
-  let agree_modulo x y j =
-    Simgraph.masked_equal (meta x).Intern.parts (meta y).Intern.parts j
-
-  let similar x y = List.exists (agree_modulo x y) (Pid.all (n_of x))
-
-  let sim_adapter =
-    { Simgraph.parts = (fun x -> (meta x).Intern.parts); witness = (fun _ _ _ -> true) }
-
-  let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
-
-  let similarity_graph ?builder states =
-    Simgraph.Incremental.build ?builder sim_inc states
-
-  (* Symmetry: transit packets in the header carry src/dst pids, so
-     quotienting by the part permutation is unsound in this model —
-     exposed for uniformity only. *)
-  let canon ~roles x = Intern.canon intern_table ~roles x
-
   let explore_spec = { Explore.succ = smp; key }
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d, %d in transit@," x.round (in_transit x);
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end
 

@@ -47,35 +47,14 @@ module Make (P : Layered_sync.Protocol.S) : sig
   (** The synchronic layering: de-duplicated [apply x] over {!actions}. *)
   val smp : state -> state list
 
-  (** Canonical encoding, rendered once per distinct state on demand. *)
-  val key : state -> string
+  (** Identity, similarity and valence wiring ({!Engine_core}).  Round
+      and the whole transit list form the header part, compared
+      unmasked.  {b [canon] is unsound to quotient traversals by in this
+      model}: transit packets in the header carry src/dst pids. *)
+  include Engine_core.S with type state := state
 
-  (** Dense {!Intern} id (O(1) equality; renders no key). *)
-  val ident : state -> int
-
-  (** The engine's identity table (for tests). *)
-  val intern_table : state Intern.t
-
-  val equal : state -> state -> bool
-  val decisions : state -> Value.t option array
-  val decided_vset : state -> Vset.t
-  val terminal : state -> bool
   val in_transit : state -> int
-  val agree_modulo : state -> state -> Pid.t -> bool
-  val similar : state -> state -> bool
-
-  (** Similarity graph over [states]; see {!Simgraph.build}. *)
-  val similarity_graph :
-    ?builder:Simgraph.builder -> state list -> state array * Graph.t
-
-  (** Orbit data for the canonical-form machinery.  {b Unsound to
-      quotient traversals by in this model}: transit packets in the
-      header part carry src/dst pids.  Exposed for uniformity and
-      testing only. *)
-  val canon : roles:int array -> state -> Intern.canon
-
   val explore_spec : state Explore.spec
-  val valence_spec : succ:(state -> state list) -> state Valence.spec
   val pp : Format.formatter -> state -> unit
 end
 

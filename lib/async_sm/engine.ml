@@ -87,7 +87,7 @@ module Make (P : Protocol.S) = struct
             end)
       events
 
-  let key x =
+  let raw_key x =
     let buf = Buffer.create 64 in
     Buffer.add_string buf (string_of_int x.phase);
     Array.iter
@@ -129,62 +129,29 @@ module Make (P : Protocol.S) = struct
         end
         else P.key x.locals.(i - 1))
 
-  let intern_table =
-    Intern.create ~view:(fun x -> (x.phase, x.regs, x.locals)) ~key ~parts:raw_parts ()
+  module Core = Engine_core.Make (struct
+    type nonrec state = state
+    type local = P.local
 
-  let meta x = Intern.memo intern_table x.interned x
-  let key x = Intern.key intern_table (meta x) x
-  let ident x = (meta x).Intern.id
-  let equal x y = ident x = ident y
-  let decisions x = Array.map P.decision x.locals
+    let slot x = x.interned
 
-  let decided_vset x =
-    Array.fold_left
-      (fun acc l -> match P.decision l with Some v -> Vset.add v acc | None -> acc)
-      Vset.empty x.locals
+    type view = int * P.reg option array * P.local array
 
-  let terminal x = Array.for_all (fun l -> P.decision l <> None) x.locals
+    let view x = (x.phase, x.regs, x.locals)
+    let key = raw_key
+    let parts = raw_parts
+    let locals x = x.locals
+    let decision = P.decision
 
-  (* Masked part-id equality: phase and the register vector live in the
-     header part (compared unmasked), locals of every [i <> j] in the
-     remaining parts — the old field-by-field comparison as O(n) int
-     compares on interned ids. *)
-  let agree_modulo x y j =
-    Simgraph.masked_equal (meta x).Intern.parts (meta y).Intern.parts j
+    (* No finite failure in this model. *)
+    let failed = None
+  end)
 
-  (* No finite failure in this model, so the "other non-failed process"
-     condition of Definition 3.1 is automatic (n >= 2). *)
-  let similar x y = List.exists (agree_modulo x y) (Pid.all (n_of x))
-
-  let sim_adapter =
-    { Simgraph.parts = (fun x -> (meta x).Intern.parts); witness = (fun _ _ _ -> true) }
-
-  let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
-
-  let similarity_graph ?builder states =
-    Simgraph.Incremental.build ?builder sim_inc states
-
-  (* Symmetry: the register vector in the header part is indexed by
-     process, so permuting the per-process parts alone is not the
-     renaming action — exposed for uniformity, unsound to quotient by. *)
-  let canon ~roles x = Intern.canon intern_table ~roles x
-
-  let dedup states =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun x ->
-        let k = ident x in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      states
+  include (Core : Engine_core.S with type state := state)
 
   let srw x = dedup (List.map (apply x) (actions ~n:(n_of x)))
 
   let explore_spec = { Explore.succ = srw; key }
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>phase %d@," x.phase;
@@ -193,13 +160,7 @@ module Make (P : Protocol.S) = struct
         Format.fprintf ppf "  V%d = %s@," (idx + 1)
           (match r with Some r -> P.reg_key r | None -> "_"))
       x.regs;
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end
 

@@ -62,42 +62,19 @@ module Make (P : Protocol.S) : sig
       participating process. *)
   val schedule_legal : event list -> bool
 
-  (** Canonical encoding, rendered once per distinct state on demand. *)
-  val key : state -> string
-
-  (** Dense {!Intern} id (O(1) equality; renders no key). *)
-  val ident : state -> int
-
-  (** The engine's identity table (for tests). *)
-  val intern_table : state Intern.t
-
-  val equal : state -> state -> bool
-  val decisions : state -> Value.t option array
-  val decided_vset : state -> Vset.t
-  val terminal : state -> bool
-
-  (** [agree_modulo x y j]: phases equal, all registers equal, and locals
-      of every [i <> j] equal. *)
-  val agree_modulo : state -> state -> Pid.t -> bool
-
-  val similar : state -> state -> bool
-
-  (** Similarity graph over [states]; see {!Simgraph.build}. *)
-  val similarity_graph :
-    ?builder:Simgraph.builder -> state list -> state array * Graph.t
+  (** Identity, similarity and valence wiring ({!Engine_core}).  Phase
+      and the whole register vector form the header part, so
+      [agree_modulo x y j] means phases equal, all registers equal, and
+      locals of every [i <> j] equal.  {b [canon] is unsound to quotient
+      traversals by in this model}: the register vector in the header
+      is indexed by process. *)
+  include Engine_core.S with type state := state
 
   (** The synchronic layering: [S^rw x] is the de-duplicated set of
       [apply x a] over all actions. *)
   val srw : state -> state list
 
-  (** Orbit data for the canonical-form machinery.  {b Unsound to
-      quotient traversals by in this model}: the register vector in the
-      header part is indexed by process.  Exposed for uniformity and
-      testing only. *)
-  val canon : roles:int array -> state -> Intern.canon
-
   val explore_spec : state Explore.spec
-  val valence_spec : succ:(state -> state list) -> state Valence.spec
   val pp : Format.formatter -> state -> unit
 end
 

@@ -15,13 +15,6 @@
    *is* the group action on states) and whose successor relation is
    equivariant under role-respecting renamings. *)
 
-(* The ablation flag: a process-wide default so the CLI can flip every
-   symmetry-aware traversal at once without threading a parameter
-   through each call site (the [Simgraph.set_default] pattern). *)
-let enabled_flag = Atomic.make false
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
 type witness = int array
 
 let uniform_roles ~len = Array.init len (fun i -> if i = 0 then -1 else 0)

@@ -23,13 +23,6 @@
     disjoint union of full orbits, and its size is the sum of the
     representatives' {!weight}s. *)
 
-(** {1 The [--symmetry] ablation flag} *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool
-
-(** {1 Canonical forms} *)
-
 (** [witness.(i)] is the original index whose part the canonical form
     placed at position [i] — a role-respecting permutation certificate
     ([apply_witness] maps the original parts to the canonical parts). *)

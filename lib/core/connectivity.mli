@@ -39,16 +39,15 @@ val diameter : rel:('a -> 'a -> bool) -> 'a list -> int option
 
 (** {1 Builder-based variants}
 
-    The [~rel] functions above probe all O(m²) pairs.  The [_via]
-    variants take the graph construction itself — typically an engine's
-    [similarity_graph], which dispatches between the all-pairs reference
-    and the {!Simgraph} bucketed builder — so experiments inherit the
-    ablation flag and the O(m·n) construction without repeating the
-    plumbing. *)
+    The [~rel] functions above probe all O(m²) pairs
+    ({!Simgraph.pairwise}).  The [_via] variants take the graph
+    construction itself — typically an engine's [similarity_graph], the
+    {!Simgraph} bucketed builder — so experiments get the O(m·n)
+    construction without repeating the plumbing. *)
 
 (** The shape of an engine's [similarity_graph]: states to (node array,
-    graph), with an optional override of the process-wide builder. *)
-type 'a graph_builder = ?builder:Simgraph.builder -> 'a list -> 'a array * Graph.t
+    graph). *)
+type 'a graph_builder = 'a list -> 'a array * Graph.t
 
 val connected_via : graph:'a graph_builder -> 'a list -> bool
 val components_via : graph:'a graph_builder -> 'a list -> 'a list list

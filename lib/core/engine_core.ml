@@ -1,0 +1,216 @@
+(** The model-independent layer shared by every substrate engine.
+
+    The paper states similarity (Definition 3.1) and valence once, over
+    any model's global states: a model contributes only its states, its
+    layering and its failure record.  {!MODEL} is that contribution (minus
+    the layering, which stays with the engine); {!Make} derives state
+    identity, the similarity relation and graph, the symmetry canon and
+    the valence spec from it, so each engine keeps only model-specific
+    code. *)
+
+(** What one substrate supplies. *)
+module type MODEL = sig
+  type state
+  type local
+
+  (** The state's memo cell for its {!Intern.meta}. *)
+  val slot : state -> Intern.slot
+
+  (** Structural identity: every field [key] reads, never the slot (see
+      {!Intern.create}). *)
+  type view
+
+  val view : state -> view
+
+  (** Canonical encoding, injective on states. *)
+  val key : state -> string
+
+  (** Header at index [0] (round plus environment data compared
+      unmasked), then one component per process: two states agree modulo
+      [j] exactly when their parts agree everywhere except index [j]. *)
+  val parts : state -> string array
+
+  (** Index [i - 1] holds process [i]'s local state. *)
+  val locals : state -> local array
+
+  val decision : local -> Value.t option
+
+  (** The environment's failure record, index [i - 1] for process [i].
+      [None] when the model displays no finite failure: every process's
+      decision then witnesses valence, and Definition 3.1's "some other
+      process non-failed in both" side condition holds automatically
+      (n >= 2). *)
+  val failed : (state -> bool array) option
+end
+
+(** What {!Make} derives. *)
+module type S = sig
+  type state
+
+  (** Canonical encoding, rendered once per distinct state on demand. *)
+  val key : state -> string
+
+  (** Dense {!Intern} id: equal keys have equal ids, so [equal] and
+      memo-table probes are O(1), and computing it renders no key. *)
+  val ident : state -> int
+
+  (** The engine's identity table (tests probe it through
+      {!Intern.memo} and {!Intern.part_ids}). *)
+  val intern_table : state Intern.t
+
+  val equal : state -> state -> bool
+
+  (** [states] without repeated identities, first occurrence kept. *)
+  val dedup : state list -> state list
+
+  (** [dedup_map f xs] is [dedup (List.map f xs)], fused so that a
+      repeated successor is dropped before the next one is built: the
+      form for layerings with hundreds of actions (IIS partitions).  For
+      a few dozen actions (the sync and shared-memory layerings) the
+      two-pass form is as fast. *)
+  val dedup_map : ('a -> state) -> 'a list -> state list
+
+  val decisions : state -> Value.t option array
+
+  (** Values decided by processes non-failed at the state. *)
+  val decided_vset : state -> Vset.t
+
+  (** Every non-failed process has decided. *)
+  val terminal : state -> bool
+
+  (** [agree_modulo x y j]: headers equal and the components of every
+      process [i <> j] equal (masked part-id equality).  What a component
+      holds is the model's choice: the local state, plus the failure bit
+      where failures are recorded, plus the mailbox in asynchronous
+      message passing. *)
+  val agree_modulo : state -> state -> Pid.t -> bool
+
+  (** Similarity [x ~s y] (Definition 3.1): [agree_modulo] for some [j]
+      with some process other than [j] non-failed in both states. *)
+  val similar : state -> state -> bool
+
+  (** The similarity graph over [states]: node array (input order) plus
+      adjacency under {!similar}, built by {!Simgraph.bucketed} through
+      one persistent scratch instance. *)
+  val similarity_graph : state list -> state array * Graph.t
+
+  (** Orbit representative of the state under role-respecting process
+      renamings ({!Intern.canon}).  Sound to quotient a traversal by only
+      when the model's parts are process-id-free and its action set is
+      renaming-closed: the IIS substrate.  The shared-memory, mailbox and
+      synchronic message-passing substrates carry pids in their parts
+      (registers, mail, transit packets), so there it is exposed for
+      uniformity and testing only. *)
+  val canon : roles:int array -> state -> Intern.canon
+
+  val valence_spec : succ:(state -> state list) -> state Valence.spec
+end
+
+module Make (M : MODEL) : S with type state = M.state = struct
+  type state = M.state
+
+  let intern_table = Intern.create ~view:M.view ~key:M.key ~parts:M.parts ()
+  let meta x = Intern.memo intern_table (M.slot x) x
+  let key x = Intern.key intern_table (meta x) x
+  let ident x = (meta x).Intern.id
+  let equal x y = ident x = ident y
+  let parts x = (meta x).Intern.parts
+
+  (* A fresh predicate, true on the first state of each identity. *)
+  let first_seen () =
+    let seen = Hashtbl.create 64 in
+    fun x ->
+      let k = ident x in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end
+
+  let dedup states = List.filter (first_seen ()) states
+
+  (* A layer can have hundreds of actions (541 IIS partitions at n = 5);
+     holding every successor for a separate dedup pass pushes them out
+     of the minor heap. *)
+  let dedup_map f xs =
+    let keep = first_seen () in
+    List.filter_map
+      (fun a ->
+        let x = f a in
+        if keep x then Some x else None)
+      xs
+
+  let decisions x = Array.map M.decision (M.locals x)
+
+  (* [decided_vset] and [terminal] run on every valence node, the witness
+     on every bucketed similarity candidate: pick the failure-free or the
+     failure-aware form once, here, rather than testing [M.failed] per
+     call.  The loops allocate nothing. *)
+  let decided_vset, terminal, witness =
+    match M.failed with
+    | None ->
+        ( (fun x ->
+            let locals = M.locals x and s = ref Vset.empty in
+            for i = 0 to Array.length locals - 1 do
+              match M.decision locals.(i) with Some v -> s := Vset.add v !s | None -> ()
+            done;
+            !s),
+          (fun x ->
+            let locals = M.locals x and ok = ref true in
+            for i = 0 to Array.length locals - 1 do
+              match M.decision locals.(i) with Some _ -> () | None -> ok := false
+            done;
+            !ok),
+          fun _ _ _ -> true )
+    | Some failed ->
+        ( (fun x ->
+            let f = failed x and locals = M.locals x and s = ref Vset.empty in
+            for i = 0 to Array.length locals - 1 do
+              if not f.(i) then
+                match M.decision locals.(i) with Some v -> s := Vset.add v !s | None -> ()
+            done;
+            !s),
+          (fun x ->
+            let f = failed x and locals = M.locals x and ok = ref true in
+            for i = 0 to Array.length locals - 1 do
+              if not f.(i) then
+                match M.decision locals.(i) with Some _ -> () | None -> ok := false
+            done;
+            !ok),
+          (* Definition 3.1's side condition: some process other than the
+             masked [j] is non-failed in both states. *)
+          fun x y j ->
+            let fx = failed x and fy = failed y and found = ref false in
+            for i = 0 to Array.length fx - 1 do
+              if i + 1 <> j && (not fx.(i)) && not fy.(i) then found := true
+            done;
+            !found )
+
+  let agree_modulo x y j = Simgraph.masked_equal (parts x) (parts y) j
+
+  let similar x y =
+    let p = parts x and q = parts y in
+    let found = ref false in
+    if Array.length p = Array.length q then
+      for j = 1 to Array.length p - 1 do
+        if (not !found) && Simgraph.masked_equal p q j && witness x y j then found := true
+      done;
+    !found
+
+  let sim_inc = Simgraph.Incremental.create { Simgraph.parts; witness }
+  let similarity_graph states = Simgraph.Incremental.build sim_inc states
+  let canon ~roles x = Intern.canon intern_table ~roles x
+  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
+end
+
+(** [pp_locals pp decision] prints one line per process, its local state
+    and, once it has decided, its decision — the body every engine's
+    [pp] shares. *)
+let pp_locals pp decision ppf locals =
+  Array.iteri
+    (fun idx l ->
+      Format.fprintf ppf "  p%d: %a%s@," (idx + 1) pp l
+        (match decision l with
+        | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
+        | None -> ""))
+    locals

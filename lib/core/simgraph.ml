@@ -1,16 +1,5 @@
 module Stats = Layered_runtime.Stats
 
-type builder = Pairwise | Bucketed
-
-let builder_name = function Pairwise -> "pairwise" | Bucketed -> "bucketed"
-
-(* The ablation flag: a process-wide default so the CLI can flip every
-   similarity-graph construction at once without threading a parameter
-   through each experiment. *)
-let default_builder = Atomic.make Bucketed
-let set_default b = Atomic.set default_builder b
-let default () = Atomic.get default_builder
-
 type 'a adapter = {
   parts : 'a -> int array;
   witness : 'a -> 'a -> int -> bool;
@@ -110,32 +99,19 @@ let bucketed ?scratch:sc ad states =
   Stats.add_simgraph_candidates !candidates;
   (arr, Graph.of_edges ~size:m !edges)
 
-let build ?builder ~rel ad states =
-  match (match builder with Some b -> b | None -> default ()) with
-  | Pairwise -> pairwise ~rel states
-  | Bucketed -> bucketed ad states
-
 (* A persistent builder instance: the engine holds one and routes every
    per-level graph construction through it, so consecutive levels reuse
    the same scratch tables instead of rebuilding them per layer.  The
    mutex makes concurrent builds safe (they serialize; builds from pool
    workers are rare and short). *)
 module Incremental = struct
-  type 'a t = {
-    ad : 'a adapter;
-    rel : 'a -> 'a -> bool;
-    lock : Mutex.t;
-    sc : scratch;
-  }
+  type 'a t = { ad : 'a adapter; lock : Mutex.t; sc : scratch }
 
-  let create ~rel ad = { ad; rel; lock = Mutex.create (); sc = scratch () }
+  let create ad = { ad; lock = Mutex.create (); sc = scratch () }
 
-  let build ?builder t states =
-    match (match builder with Some b -> b | None -> default ()) with
-    | Pairwise -> pairwise ~rel:t.rel states
-    | Bucketed ->
-        Mutex.lock t.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.lock)
-          (fun () -> bucketed ~scratch:t.sc t.ad states)
+  let build t states =
+    Mutex.lock t.lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.lock)
+      (fun () -> bucketed ~scratch:t.sc t.ad states)
 end

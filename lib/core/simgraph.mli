@@ -8,21 +8,9 @@
     module instead buckets the states n times by their {!Intern} part
     signature with position [j] masked — only bucket-mates can be
     related — which is O(m·n) hashing plus output-sensitive exact
-    verification.  The two builders produce identical graphs (asserted
-    by the [simgraph-eq] oracles and a QCheck property). *)
-
-type builder =
-  | Pairwise  (** reference: query [rel] on every unordered pair *)
-  | Bucketed  (** signature bucketing over interned part ids *)
-
-val builder_name : builder -> string
-
-(** Process-wide default builder used when [build] is called without an
-    explicit [?builder] — the CLI's [--simgraph] ablation flag.
-    Initially [Bucketed]. *)
-val set_default : builder -> unit
-
-val default : unit -> builder
+    verification.  It produces exactly the graph of the all-pairs
+    reference {!pairwise} (asserted by the [simgraph-eq] oracles and a
+    QCheck property over all five engines). *)
 
 (** How a model exposes its states to the bucketed builder. *)
 type 'a adapter = {
@@ -41,8 +29,9 @@ type 'a adapter = {
     [agree_modulo] from their part signatures. *)
 val masked_equal : int array -> int array -> int -> bool
 
-(** The reference all-pairs construction ([Graph.of_pred] over [rel]).
-    Returns the states as an array (graph nodes are its indices). *)
+(** The reference all-pairs construction ([Graph.of_pred] over [rel],
+    queried once per unordered pair).  Returns the states as an array
+    (graph nodes are its indices). *)
 val pairwise : rel:('a -> 'a -> bool) -> 'a list -> 'a array * Graph.t
 
 (** Reusable scratch tables for the bucketed builder (one bucket table
@@ -57,18 +46,14 @@ val scratch : unit -> scratch
     [?scratch], reuses the given tables instead of allocating. *)
 val bucketed : ?scratch:scratch -> 'a adapter -> 'a list -> 'a array * Graph.t
 
-(** Dispatch on [builder], defaulting to {!default}. *)
-val build :
-  ?builder:builder -> rel:('a -> 'a -> bool) -> 'a adapter -> 'a list -> 'a array * Graph.t
-
 (** A persistent builder: an engine holds one instance and routes every
     per-level similarity graph through it, so a layered traversal
     reuses one set of scratch tables across BFS levels rather than
-    rebuilding them per layer.  Identical output to {!build}
+    rebuilding them per layer.  Identical output to {!bucketed}
     (mutex-guarded, safe from pool workers). *)
 module Incremental : sig
   type 'a t
 
-  val create : rel:('a -> 'a -> bool) -> 'a adapter -> 'a t
-  val build : ?builder:builder -> 'a t -> 'a list -> 'a array * Graph.t
+  val create : 'a adapter -> 'a t
+  val build : 'a t -> 'a list -> 'a array * Graph.t
 end

@@ -109,80 +109,40 @@ module Make (P : Protocol.S) = struct
     Array.init (n + 1) (fun i ->
         if i = 0 then string_of_int x.round else P.key x.locals.(i - 1))
 
-  let intern_table =
-    Intern.create ~view:(fun x -> (x.round, x.locals)) ~key:raw_key ~parts:raw_parts ()
+  module Core = Engine_core.Make (struct
+    type nonrec state = state
+    type local = P.local
 
-  let meta x = Intern.memo intern_table x.interned x
-  let key x = Intern.key intern_table (meta x) x
-  let ident x = (meta x).Intern.id
-  let equal x y = ident x = ident y
+    let slot x = x.interned
 
-  let layer =
+    type view = int * P.local array
+
+    let view x = (x.round, x.locals)
+    let key = raw_key
+    let parts = raw_parts
+    let locals x = x.locals
+    let decision = P.decision
+    let failed = None
+  end)
+
+  include (Core : Engine_core.S with type state := state)
+
+  let partitions_of =
     let table = Hashtbl.create 4 in
-    fun x ->
-      let n = n_of x in
-      let parts =
-        match Hashtbl.find_opt table n with
-        | Some ps -> ps
-        | None ->
-            let ps = partitions ~n in
-            Hashtbl.add table n ps;
-            ps
-      in
-      let seen = Hashtbl.create 64 in
-      List.filter_map
-        (fun p ->
-          let y = apply x p in
-          let k = ident y in
-          if Hashtbl.mem seen k then None
-          else begin
-            Hashtbl.add seen k ();
-            Some y
-          end)
-        parts
+    fun n ->
+      match Hashtbl.find_opt table n with
+      | Some ps -> ps
+      | None ->
+          let ps = partitions ~n in
+          Hashtbl.add table n ps;
+          ps
 
-  let decisions x = Array.map P.decision x.locals
-
-  let decided_vset x =
-    Array.fold_left
-      (fun acc l -> match P.decision l with Some v -> Vset.add v acc | None -> acc)
-      Vset.empty x.locals
-
-  let terminal x = Array.for_all (fun l -> P.decision l <> None) x.locals
-
-  (* Masked part-id equality: rounds (header part) and locals of every
-     [i <> j], as before, but O(n) int compares on interned ids. *)
-  let agree_modulo x y j =
-    Simgraph.masked_equal (meta x).Intern.parts (meta y).Intern.parts j
-
-  let similar x y = List.exists (agree_modulo x y) (Pid.all (n_of x))
-
-  (* Definition 3.1's witness condition is vacuous here: no process ever
-     fails in the IIS model. *)
-  let sim_adapter =
-    { Simgraph.parts = (fun x -> (meta x).Intern.parts); witness = (fun _ _ _ -> true) }
-
-  let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
-
-  let similarity_graph ?builder states =
-    Simgraph.Incremental.build ?builder sim_inc states
-
-  (* Symmetry: sound whenever the protocol's local keys are pid-free
-     (header = round, part i = local key). *)
-  let canon ~roles x = Intern.canon intern_table ~roles x
-
+  let layer x = dedup_map (apply x) (partitions_of (n_of x))
   let explore_spec = { Explore.succ = layer; key }
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end
 

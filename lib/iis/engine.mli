@@ -50,37 +50,14 @@ module Make (P : Protocol.S) : sig
       partitions. *)
   val layer : state -> state list
 
-  (** Canonical encoding, rendered once per distinct state on demand. *)
-  val key : state -> string
-
-  (** Dense {!Intern} id (O(1) equality; renders no key). *)
-  val ident : state -> int
-
-  (** The engine's identity table (for tests). *)
-  val intern_table : state Intern.t
-
-  val equal : state -> state -> bool
-  val decisions : state -> Value.t option array
-  val decided_vset : state -> Vset.t
-  val terminal : state -> bool
-
-  (** [agree_modulo x y j]: rounds equal and locals of every [i <> j]
-      equal (the environment is empty in this model). *)
-  val agree_modulo : state -> state -> Pid.t -> bool
-
-  val similar : state -> state -> bool
-
-  (** Similarity graph over [states]; see {!Simgraph.build}. *)
-  val similarity_graph :
-    ?builder:Simgraph.builder -> state list -> state array * Graph.t
-
-  (** Orbit data under role-respecting process renamings: sound to
-      quotient by whenever the protocol's local keys are pid-free
-      (header = round, part i = local key).  See {!Layered_core.Canon}. *)
-  val canon : roles:int array -> state -> Intern.canon
+  (** Identity, similarity and valence wiring ({!Engine_core}).  The
+      environment carries nothing across rounds, so a process's
+      component is just its local key; no process ever fails, so
+      similarity needs no witness; and [canon] is sound to quotient by
+      whenever the protocol's local keys are pid-free. *)
+  include Engine_core.S with type state := state
 
   val explore_spec : state Explore.spec
-  val valence_spec : succ:(state -> state list) -> state Valence.spec
   val pp : Format.formatter -> state -> unit
 end
 

@@ -53,20 +53,21 @@ let make_meta ?budget ?(symmetry = false) ~progress () =
 
 (* ---- CRC-32 (IEEE 802.3, table-driven; no external deps) ------------- *)
 
+(* Built eagerly: forcing a [lazy] table from two domains at once (a
+   parallel [--resume] loading its first checkpoints) raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xffffffff in
   String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   !c lxor 0xffffffff
 

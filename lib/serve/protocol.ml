@@ -109,7 +109,7 @@ let model_params obj : (string * int * int * int) decode =
             (String.concat ", " Sweep_a.models) )
   in
   let* n = get_int obj "n" in
-  let* n = in_range ~what:"n" ~lo:1 ~hi:max_n n in
+  let* n = in_range ~what:"n" ~lo:2 ~hi:max_n n in
   let* t = get_int obj "t" in
   let* t = in_range ~what:"t" ~lo:0 ~hi:max_t t in
   let* depth = get_int obj "depth" in

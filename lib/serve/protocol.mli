@@ -28,7 +28,7 @@
     by the per-request budget.
 
     Parameter validation applies the same lower bounds the CLI enforces
-    at parse time ([n >= 1], [t >= 0], [depth >= 0]) plus serve-side
+    at parse time ([n >= 2], [t >= 0], [depth >= 0]) plus serve-side
     upper caps ({!max_n}, {!max_t}, {!max_depth}) — a daemon answers
     strangers, so unlike the CLI it also refuses queries sized to hog
     the process. *)

@@ -101,77 +101,37 @@ module Make (P : Protocol.S) = struct
   (* Component signature for interning: header = round, part i = process
      i's failure bit + local key — exactly the data [agree_modulo]
      compares outside the masked position (the bit prefix has fixed
-     width, so the encoding stays injective). *)
+     width, so the encoding stays injective).  Symmetry: sound whenever
+     the protocol's local keys are process-id-free, since permuting the
+     part array is then the renaming action. *)
   let raw_parts x =
     let n = n_of x in
     Array.init (n + 1) (fun i ->
         if i = 0 then string_of_int x.round
         else (if x.failed.(i - 1) then "1" else "0") ^ P.key x.locals.(i - 1))
 
-  let intern_table =
-    Intern.create
-      ~view:(fun x -> (x.round, x.failed, x.locals))
-      ~key:raw_key ~parts:raw_parts ()
+  module Core = Engine_core.Make (struct
+    type nonrec state = state
+    type nonrec local = local
 
-  let meta x = Intern.memo intern_table x.interned x
-  let key x = Intern.key intern_table (meta x) x
-  let ident x = (meta x).Intern.id
-  let equal x y = ident x = ident y
-  let decisions x = Array.map P.decision x.locals
+    let slot x = x.interned
 
-  let decided_vset x =
-    let s = ref Vset.empty in
-    Array.iteri
-      (fun idx l ->
-        if not x.failed.(idx) then
-          match P.decision l with Some v -> s := Vset.add v !s | None -> ())
-      x.locals;
-    !s
+    type view = int * bool array * local array
 
-  let terminal x =
-    let ok = ref true in
-    Array.iteri
-      (fun idx l -> if (not x.failed.(idx)) && P.decision l = None then ok := false)
-      x.locals;
-    !ok
+    let view x = (x.round, x.failed, x.locals)
+    let key = raw_key
+    let parts = raw_parts
+    let locals x = x.locals
+    let decision = P.decision
+    let failed = Some (fun x -> x.failed)
+  end)
+
+  include (Core : Engine_core.S with type state := state)
 
   let failed_count x = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 x.failed
 
   let nonfailed x =
     List.filter (fun i -> not (x.failed.(i - 1))) (Pid.all (n_of x))
-
-  (* Masked part-id equality covers rounds (header part), local keys and
-     failure bits of every i <> j — byte-for-byte the old per-local
-     string comparison, now O(n) int compares on interned ids. *)
-  let agree_modulo x y j = Simgraph.masked_equal (meta x).Intern.parts (meta y).Intern.parts j
-
-  (* Definition 3.1's side condition: some process other than the masked
-     one is non-failed in both states. *)
-  let witness x y j =
-    List.exists (fun i -> (not x.failed.(i - 1)) && not y.failed.(i - 1)) (Pid.others (n_of x) j)
-
-  let similar x y =
-    let n = n_of x in
-    n = n_of y && List.exists (fun j -> agree_modulo x y j && witness x y j) (Pid.all n)
-
-  let sim_adapter = { Simgraph.parts = (fun x -> (meta x).Intern.parts); witness }
-  let sim_inc = Simgraph.Incremental.create ~rel:similar sim_adapter
-  let similarity_graph ?builder states = Simgraph.Incremental.build ?builder sim_inc states
-
-  (* Symmetry: orbit representative under role-respecting renamings. *)
-  let canon ~roles x = Intern.canon intern_table ~roles x
-
-  let dedup states =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun x ->
-        let k = ident x in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      states
 
   let jk_action n j k = [ { sender = j; blocked = List.filter (fun d -> d <= k) (Pid.all n) } ]
 
@@ -278,20 +238,12 @@ module Make (P : Protocol.S) = struct
   let explore_spec ~record_failures =
     { Explore.succ = s1 ~record_failures; key }
 
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
-
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d, failed {%s}@," x.round
       (String.concat ","
          (List.filter_map
             (fun i -> if x.failed.(i - 1) then Some (string_of_int i) else None)
             (Pid.all (n_of x))));
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end

@@ -37,45 +37,16 @@ module type S = sig
       prefix [{1, ..., k}]. *)
   val apply_jk : record_failures:bool -> state -> Pid.t -> int -> state
 
-  (** Canonical encoding, rendered once per distinct state on demand. *)
-  val key : state -> string
-
-  (** Dense {!Intern} id: equal keys have equal ids, so [equal] and
-      memo-table probes are O(1), and computing it renders no key. *)
-  val ident : state -> int
-
-  (** The engine's identity table (tests probe it through
-      {!Intern.memo} and {!Intern.part_ids}). *)
-  val intern_table : state Intern.t
-
-  val equal : state -> state -> bool
-  val decisions : state -> Value.t option array
-
-  (** Values decided by processes non-failed at the state. *)
-  val decided_vset : state -> Vset.t
-
-  (** Every non-failed process has decided. *)
-  val terminal : state -> bool
+  (** Identity, similarity and valence wiring ({!Engine_core}).  A
+      process's component is its failure bit plus local key, so
+      [agree_modulo x y j] also compares failure records except at [j]
+      (the "version for this model" refinement — see DESIGN.md), and
+      [canon] is sound whenever the protocol's local keys are
+      process-id-free. *)
+  include Engine_core.S with type state := state
 
   val failed_count : state -> int
   val nonfailed : state -> Pid.t list
-
-  (** [agree_modulo x y j]: rounds equal, locals of every [i <> j] equal,
-      and failure records equal except possibly at [j] (the "version for
-      this model" refinement — see DESIGN.md). *)
-  val agree_modulo : state -> state -> Pid.t -> bool
-
-  (** Similarity [x ~s y] (Definition 3.1): [agree_modulo] for some [j]
-      with some other process non-failed in both states. *)
-  val similar : state -> state -> bool
-
-  (** The similarity graph over [states]: node array (input order) plus
-      adjacency under {!similar}.  Dispatches on [builder] (default: the
-      process-wide {!Simgraph.default}) between the all-pairs reference
-      and the signature-bucketed O(m·n) construction; both return the
-      same canonical graph. *)
-  val similarity_graph :
-    ?builder:Simgraph.builder -> state list -> state array * Graph.t
 
   (** {1 Layerings} *)
 
@@ -123,19 +94,6 @@ module type S = sig
       failure-free action. *)
   val all_actions : max_new:int -> remaining_failures:int -> state -> action list
 
-  (** {1 Symmetry}
-
-      Orbit representative of the state under role-respecting process
-      permutations ({!Intern.canon}).  Sound for this engine
-      whenever the protocol's local keys are process-id-free: part [i]
-      is the failure bit + local key, the header is the round, so
-      permuting the part array is exactly the renaming action. *)
-
-  val canon : roles:int array -> state -> Intern.canon
-
-  (** {1 Specs for the generic engines} *)
-
   val explore_spec : record_failures:bool -> state Explore.spec
-  val valence_spec : succ:(state -> state list) -> state Valence.spec
   val pp : Format.formatter -> state -> unit
 end

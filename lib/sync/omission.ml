@@ -134,12 +134,6 @@ module Make (P : Protocol.S) = struct
          (List.filter_map
             (fun i -> if x.faulty.(i - 1) then Some (string_of_int i) else None)
             (Pid.all (n_of x))));
-    Array.iteri
-      (fun idx l ->
-        Format.fprintf ppf "  p%d: %a%s@," (idx + 1) P.pp l
-          (match P.decision l with
-          | Some v -> Printf.sprintf "  [decided %s]" (Value.to_string v)
-          | None -> ""))
-      x.locals;
+    Engine_core.pp_locals P.pp P.decision ppf x.locals;
     Format.fprintf ppf "@]"
 end

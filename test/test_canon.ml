@@ -127,18 +127,13 @@ let prop_canon_weight_is_orbit_size =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the quotiented IIS sweep is report-equivalent.          *)
 
-let with_symmetry sym f =
-  Canon.set_enabled sym;
-  Fun.protect ~finally:(fun () -> Canon.set_enabled false) f
-
 let render sweep = Format.asprintf "%a" Sweep.pp sweep
 
 let sweep_leg ~pool ?checkpoint ~sym () =
-  with_symmetry sym (fun () ->
-      let before = Stats.snapshot () in
-      let s = Sweep.run ~pool ?checkpoint ~model:"iis" ~n:4 ~t:1 ~depth:2 () in
-      let d = Stats.diff (Stats.snapshot ()) before in
-      (render s, d.Stats.states_expanded))
+  let before = Stats.snapshot () in
+  let s = Sweep.run ~pool ?checkpoint ~symmetry:sym ~model:"iis" ~n:4 ~t:1 ~depth:2 () in
+  let d = Stats.diff (Stats.snapshot ()) before in
+  (render s, d.Stats.states_expanded)
 
 let test_symmetry_report_identical () =
   List.iter
@@ -161,11 +156,10 @@ let test_orbit_hits_pinned () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          let leg sym =
-            with_symmetry sym (fun () ->
-                let before = Stats.snapshot () in
-                ignore (Sweep.run ~pool ~model:"iis" ~n:5 ~t:1 ~depth:2 ());
-                Stats.diff (Stats.snapshot ()) before)
+          let leg symmetry =
+            let before = Stats.snapshot () in
+            ignore (Sweep.run ~pool ~symmetry ~model:"iis" ~n:5 ~t:1 ~depth:2 ());
+            Stats.diff (Stats.snapshot ()) before
           in
           let off = leg false and on = leg true in
           let int = Alcotest.(check int) in
@@ -179,12 +173,11 @@ let test_symmetry_noop_on_sync () =
   (* Prefix-blocked omissions leave partial orbits reachable, so the
      sync substrate must ignore the flag entirely. *)
   Pool.with_pool ~jobs:1 (fun pool ->
-      let leg sym =
-        with_symmetry sym (fun () ->
-            let before = Stats.snapshot () in
-            let s = Sweep.run ~pool ~model:"sync" ~n:3 ~t:1 ~depth:2 () in
-            let d = Stats.diff (Stats.snapshot ()) before in
-            (render s, d.Stats.states_expanded))
+      let leg symmetry =
+        let before = Stats.snapshot () in
+        let s = Sweep.run ~pool ~symmetry ~model:"sync" ~n:3 ~t:1 ~depth:2 () in
+        let d = Stats.diff (Stats.snapshot ()) before in
+        (render s, d.Stats.states_expanded)
       in
       let off, off_states = leg false in
       let on, on_states = leg true in

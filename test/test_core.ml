@@ -374,6 +374,68 @@ let test_report () =
   check "markdown mentions FAIL" true (contains md "FAIL");
   check "markdown mentions info" true (contains md "info")
 
+(* ------------------------------------------------------------------ *)
+(* Engine_core over a toy failure-recording model: process i's part is *)
+(* its failure bit plus its decision, as in the sync engine.            *)
+
+type toy = { decided : Value.t option array; down : bool array; slot : Intern.slot }
+
+module Toy = Engine_core.Make (struct
+  type state = toy
+  type local = Value.t option
+
+  let slot x = x.slot
+
+  type view = Value.t option array * bool array
+
+  let view x = (x.decided, x.down)
+  let local_key = function Some v -> Value.to_string v | None -> "_"
+
+  let parts x =
+    Array.init
+      (Array.length x.decided + 1)
+      (fun i ->
+        if i = 0 then ""
+        else (if x.down.(i - 1) then "1" else "0") ^ local_key x.decided.(i - 1))
+
+  let key x = String.concat "|" (Array.to_list (parts x))
+  let locals x = x.decided
+  let decision l = l
+  let failed = Some (fun x -> x.down)
+end)
+
+let toy ~down decided = { decided; down; slot = Intern.fresh_slot () }
+let v0 = Some Value.zero
+let v1 = Some Value.one
+
+(* Two states differing only at process 3 agree modulo 3 alone, so
+   Definition 3.1 needs process 1 or 2 non-failed in both. *)
+let test_core_failed_witness () =
+  let pair down = (toy ~down [| v0; v0; v0 |], toy ~down [| v0; v0; v1 |]) in
+  let x, y = pair [| true; true; false |] in
+  check "agree modulo 3" true (Toy.agree_modulo x y 3);
+  check "not modulo 1" false (Toy.agree_modulo x y 1);
+  check "no live witness: not similar" false (Toy.similar x y);
+  check_int "no live witness: no edge" 0 (Graph.edge_count (snd (Toy.similarity_graph [ x; y ])));
+  List.iter
+    (fun down ->
+      let x, y = pair down in
+      check "a live witness: similar" true (Toy.similar x y);
+      Alcotest.(check (list int))
+        "a live witness: one edge" [ 1 ]
+        (Graph.neighbours (snd (Toy.similarity_graph [ x; y ])) 0))
+    [ [| false; true; false |]; [| true; false; false |] ]
+
+let test_core_failed_valence () =
+  let down = [| true; false; false |] in
+  let z = toy ~down [| v1; v0; v0 |] in
+  check "failed decision left out" true
+    (Vset.equal (Toy.decided_vset z) (Vset.singleton Value.zero));
+  check "decisions still reports it" true (Toy.decisions z = [| v1; v0; v0 |]);
+  check "failed undecided does not block terminal" true
+    (Toy.terminal (toy ~down [| None; v0; v1 |]));
+  check "live undecided blocks terminal" false (Toy.terminal (toy ~down [| v1; v0; None |]))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "layered_core"
@@ -422,4 +484,10 @@ let () =
           Alcotest.test_case "labelled chain" `Quick test_labelled_chain;
         ] );
       ("report", [ Alcotest.test_case "rows and markdown" `Quick test_report ]);
+      ( "engine-core",
+        [
+          Alcotest.test_case "failed processes: similarity witness" `Quick
+            test_core_failed_witness;
+          Alcotest.test_case "failed processes: valence" `Quick test_core_failed_valence;
+        ] );
     ]

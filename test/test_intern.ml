@@ -1,9 +1,10 @@
 (* Tests for state identity (Intern) and the bucketed similarity-graph
    construction (Simgraph): id determinism and density, rehash,
    structurally different but key-equal states, on-demand key rendering,
-   marshal-safe memo slots, domain-safety, the ident/key/parts invariants
-   over random walks on all five engines, and pairwise/bucketed builder
-   equivalence over randomized omission schedules. *)
+   marshal-safe memo slots, domain-safety, and — over random walks on
+   all five engines, with dedicated sync omission and synchronic-mp
+   slow-process schedules — the ident/key/parts invariants and the
+   bucketed similarity graph's equality with the all-pairs reference. *)
 
 open Layered_core
 
@@ -211,8 +212,8 @@ let prop_sync_builders_agree =
           (E.initial_states ~n ~values:[ Value.zero; Value.one ])
         |> dedup_by E.ident
       in
-      let _, gp = E.similarity_graph ~builder:Simgraph.Pairwise states in
-      let _, gb = E.similarity_graph ~builder:Simgraph.Bucketed states in
+      let _, gp = Simgraph.pairwise ~rel:E.similar states in
+      let _, gb = E.similarity_graph states in
       graphs_equal gp gb)
 
 let prop_smp_builders_agree =
@@ -229,8 +230,8 @@ let prop_smp_builders_agree =
           (SMP.initial_states ~n ~values:[ Value.zero; Value.one ])
         |> dedup_by SMP.ident
       in
-      let _, gp = SMP.similarity_graph ~builder:Simgraph.Pairwise states in
-      let _, gb = SMP.similarity_graph ~builder:Simgraph.Bucketed states in
+      let _, gp = Simgraph.pairwise ~rel:SMP.similar states in
+      let _, gb = SMP.similarity_graph states in
       graphs_equal gp gb)
 
 (* ------------------------------------------------------------------ *)
@@ -288,16 +289,18 @@ type 's subject = {
   ident : 's -> int;
   parts : 's -> int array;
   pooled : 's -> int array;
+  similar : 's -> 's -> bool;
+  similarity_graph : 's list -> 's array * Graph.t;
 }
 
-let subject_holds (type s) (e : s subject) (n, rounds, picks) =
+let walk_states e (n, rounds, picks) =
   let picks = Array.of_list (if picks = [] then [ 0 ] else picks) in
-  let states =
-    List.concat_map
-      (walk ~rounds ~picks ~actions:e.actions ~apply:(fun _ step -> step ()))
-      (e.initials ~n)
-    |> Array.of_list
-  in
+  List.concat_map
+    (walk ~rounds ~picks ~actions:e.actions ~apply:(fun _ step -> step ()))
+    (e.initials ~n)
+
+let subject_holds (type s) (e : s subject) case =
+  let states = Array.of_list (walk_states e case) in
   let ok = ref true in
   Array.iteri
     (fun i x ->
@@ -308,6 +311,12 @@ let subject_holds (type s) (e : s subject) (n, rounds, picks) =
       done)
     states;
   !ok
+
+let subject_simgraph_agrees (type s) (e : s subject) case =
+  let states = dedup_by e.ident (walk_states e case) in
+  let _, gp = Simgraph.pairwise ~rel:e.similar states in
+  let _, gb = e.similarity_graph states in
+  graphs_equal gp gb
 
 let values = [ Value.zero; Value.one ]
 
@@ -328,6 +337,8 @@ let sync_subject =
     ident = E.ident;
     parts = (fun x -> (Intern.memo E.intern_table x.E.interned x).Intern.parts);
     pooled = Intern.part_ids E.intern_table;
+    similar = E.similar;
+    similarity_graph = E.similarity_graph;
   }
 
 let iis_subject =
@@ -338,6 +349,8 @@ let iis_subject =
     ident = IE.ident;
     parts = (fun x -> (Intern.memo IE.intern_table x.IE.interned x).Intern.parts);
     pooled = Intern.part_ids IE.intern_table;
+    similar = IE.similar;
+    similarity_graph = IE.similarity_graph;
   }
 
 let sm_subject =
@@ -348,6 +361,8 @@ let sm_subject =
     ident = SE.ident;
     parts = (fun x -> (Intern.memo SE.intern_table x.SE.interned x).Intern.parts);
     pooled = Intern.part_ids SE.intern_table;
+    similar = SE.similar;
+    similarity_graph = SE.similarity_graph;
   }
 
 let mp_subject =
@@ -358,6 +373,8 @@ let mp_subject =
     ident = ME.ident;
     parts = (fun x -> (Intern.memo ME.intern_table x.ME.interned x).Intern.parts);
     pooled = Intern.part_ids ME.intern_table;
+    similar = ME.similar;
+    similarity_graph = ME.similarity_graph;
   }
 
 let smp_subject =
@@ -368,6 +385,8 @@ let smp_subject =
     ident = SMP.ident;
     parts = (fun x -> (Intern.memo SMP.intern_table x.SMP.interned x).Intern.parts);
     pooled = Intern.part_ids SMP.intern_table;
+    similar = SMP.similar;
+    similarity_graph = SMP.similarity_graph;
   }
 
 let prop_engine_identity =
@@ -376,6 +395,13 @@ let prop_engine_identity =
       subject_holds sync_subject case && subject_holds iis_subject case
       && subject_holds sm_subject case && subject_holds mp_subject case
       && subject_holds smp_subject case)
+
+let prop_engine_simgraph =
+  QCheck.Test.make ~name:"simgraph: bucketed = pairwise (five engines)" ~count:30
+    schedule_arb (fun case ->
+      subject_simgraph_agrees sync_subject case && subject_simgraph_agrees iis_subject case
+      && subject_simgraph_agrees sm_subject case && subject_simgraph_agrees mp_subject case
+      && subject_simgraph_agrees smp_subject case)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -397,6 +423,7 @@ let () =
           Alcotest.test_case "masked_equal" `Quick test_masked_equal;
           qt prop_sync_builders_agree;
           qt prop_smp_builders_agree;
+          qt prop_engine_simgraph;
         ] );
       ( "engine",
         [

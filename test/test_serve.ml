@@ -178,6 +178,8 @@ let test_request_rejections () =
   expect_error ~id:5 Protocol.Out_of_range
     "{\"id\":5,\"op\":\"sweep\",\"model\":\"sync\",\"n\":0,\"t\":1,\"depth\":2}";
   expect_error ~id:5 Protocol.Out_of_range
+    "{\"id\":5,\"op\":\"classify-valence\",\"model\":\"sync\",\"n\":1,\"t\":1,\"depth\":2}";
+  expect_error ~id:5 Protocol.Out_of_range
     "{\"id\":5,\"op\":\"sweep\",\"model\":\"sync\",\"n\":3,\"t\":-1,\"depth\":2}";
   expect_error ~id:5 Protocol.Out_of_range
     "{\"id\":5,\"op\":\"sweep\",\"model\":\"sync\",\"n\":3,\"t\":1,\"depth\":-1}";
