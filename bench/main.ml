@@ -57,7 +57,7 @@ let shutdown_pools () =
 let e1_classify_initials () =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.st ~t:1 in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   List.iter
     (fun x -> ignore (Valence.classify v ~depth:3 x))
     (E.initial_states ~n:3 ~values)
@@ -78,14 +78,14 @@ let e3_layer_valence () =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.s1 ~record_failures:false in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   ignore (Connectivity.valence_connected ~vals:(Valence.vals v ~depth:3) (succ x))
 
 (* E4: the full ever-bivalent chain construction in M^mf. *)
 let e4_bivalent_chain () =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.s1 ~record_failures:false in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify v ~depth:3 x in
   let x0 =
     Option.get (Layering.find_bivalent ~classify (E.initial_states ~n:3 ~values))
@@ -149,7 +149,7 @@ let e7_verify_floodset () =
 let e7_lower_bound_chain () =
   let module E = (val make_sync_engine ~t:2) in
   let succ = E.st ~t:2 in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify v ~depth:4 x in
   let x0 =
     Option.get (Layering.find_bivalent ~classify (E.initial_states ~n:4 ~values))
@@ -163,7 +163,7 @@ let e7_lower_bound_chain () =
 let e8_clean_round () =
   let module E = (val sync_engine (Layered_protocols.Sync_early.make ~t:1)) in
   let succ = E.st ~t:1 in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let spec = { Explore.succ; key = E.key } in
   List.iter
     (fun x0 ->
@@ -235,14 +235,9 @@ let e12_covering_classify () =
            else match decs.(i - 1) with Some v -> Some (i, v) | None -> None)
          all)
   in
-  let engine =
-    Layered_topology.Covering.create
-      { Layered_topology.Covering.succ; key = E.key; terminal = E.terminal; output }
-      cover
-  in
-  ignore
-    (Layered_topology.Covering.classify engine ~depth:3
-       (E.initial ~inputs:[| 1; 2; 2 |]))
+  let spec = Layered_topology.Covering.valence_spec cover ~output (E.valence_spec ~succ) in
+  let v = Valence.create spec in
+  ignore (Valence.classify v ~depth:3 (E.initial ~inputs:[| 1; 2; 2 |]))
 
 (* E13: expand one IIS layer (13 ordered partitions at n = 3). *)
 let e13_iis_layer =
@@ -255,7 +250,7 @@ let e13_iis_layer =
 let e14_full_info_classify () =
   let module E = (val sync_engine (Layered_protocols.Full_info.sync ~horizon:2)) in
   let succ = E.s1 ~record_failures:false in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   ignore (Valence.classify v ~depth:3 (E.initial ~inputs:[| 0; 1; 1 |]))
 
 (* E15: build the Kripke structure and one common-belief fixpoint.
@@ -320,14 +315,14 @@ let e18_omission_verify () =
 let ablation_valence_cold () =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.st ~t:1 in
-  let v = Valence.create ~budget:(bench_budget ()) ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create ~budget:(bench_budget ()) (E.valence_spec ~succ) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   ignore (Valence.classify v ~depth:3 x)
 
 let ablation_valence_warm =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.st ~t:1 in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   ignore (Valence.classify v ~depth:3 x);
   fun () -> ignore (Valence.classify v ~depth:3 x)
@@ -383,7 +378,7 @@ let ablation_e1_pool jobs =
   fun () ->
     Pool.parallel_iter (pool jobs)
       (fun x ->
-        let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+        let v = Valence.create (E.valence_spec ~succ) in
         ignore (Valence.classify v ~depth:3 x))
       initials
 
@@ -526,30 +521,16 @@ let simgraph_pairwise () =
 
 let simgraph_bucketed () = ignore (Sim_E.similarity_graph (Lazy.force simgraph_states))
 
-(* Valence cache keying: the same cold (4,1) classification with the
-   memo table keyed by canonical key strings vs the dense intern id.
-   Each round is a fresh analysis (its own valence cache) over one
-   shared engine — the registry's usage pattern.  Both legs recompute
-   every successor list; the string-key leg demands each state's key
-   and hashes it per probe, the interned leg hashes one int — CI
-   asserts the crossover (interned strictly faster). *)
+(* Valence memo: the same cold (4,1) classification, each round a
+   fresh analysis (its own memo keyed by the dense intern id) over one
+   shared engine — the registry's usage pattern. *)
 let valence_rounds = 5
-
-let valence_string_key () =
-  let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
-  for _ = 1 to valence_rounds do
-    let v = Valence.create (E.valence_spec ~succ) in
-    List.iter
-      (fun x -> ignore (Valence.classify v ~depth:4 x))
-      (E.initial_states ~n:4 ~values)
-  done
 
 let valence_interned () =
   let module E = (val make_sync_engine ~t:1) in
   let succ = E.st ~t:1 in
   for _ = 1 to valence_rounds do
-    let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+    let v = Valence.create (E.valence_spec ~succ) in
     List.iter
       (fun x -> ignore (Valence.classify v ~depth:4 x))
       (E.initial_states ~n:4 ~values)
@@ -593,12 +574,12 @@ let serve_valence_warm =
   ignore (Valence_query.run ~cache ~model:"sync" ~n:3 ~t:1 ~depth:3 ());
   fun () -> ignore (Valence_query.run ~cache ~model:"sync" ~n:3 ~t:1 ~depth:3 ())
 
-(* Warm-after-restart: the crash-recovery payoff.  Setup warms a
-   spillable cache pair and spills it to disk once; the kernel then
-   plays a freshly respawned daemon — empty caches, reload the spill,
-   answer the same query.  The reload (checkpoint read + lazy memo
-   promotion) must beat serve/cold-valence's recomputation, or warm
-   recovery would be pointless. *)
+(* Warm-after-restart: the crash-recovery payoff.  Setup warms a cache
+   pair and spills it to disk once; the kernel then plays a freshly
+   respawned daemon — empty caches, reload the spill, answer the same
+   query.  The reload (checkpoint read + part-string adoption into the
+   fresh identity table) must beat serve/cold-valence's recomputation,
+   or warm recovery would be pointless. *)
 let serve_spill_dir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "lsrv-bench-%d" (Unix.getpid ()))
@@ -608,7 +589,7 @@ let serve_spill_dir =
 let serve_spill_fixture =
   lazy
     (let rcache = Layered_serve.Cache.create () in
-     let vcache = Valence_query.create_cache ~spill:true () in
+     let vcache = Valence_query.create_cache () in
      ignore (Valence_query.run ~cache:vcache ~model:"sync" ~n:3 ~t:1 ~depth:3 ());
      match Layered_serve.Spill.save ~dir:serve_spill_dir ~rcache ~vcache () with
      | Ok _ -> ()
@@ -617,7 +598,7 @@ let serve_spill_fixture =
 let serve_warm_after_restart () =
   Lazy.force serve_spill_fixture;
   let rcache = Layered_serve.Cache.create () in
-  let vcache = Valence_query.create_cache ~spill:true () in
+  let vcache = Valence_query.create_cache () in
   ignore (Layered_serve.Spill.load ~dir:serve_spill_dir ~rcache ~vcache : int);
   ignore (Valence_query.run ~cache:vcache ~model:"sync" ~n:3 ~t:1 ~depth:3 ())
 
@@ -792,7 +773,6 @@ let kernels =
     { name = "ablation/e1-pool-jobs4"; n = 3; t = 1; depth = 3; fn = ablation_e1_pool 4 };
     { name = "simgraph/pairwise"; n = 4; t = 1; depth = 2; fn = simgraph_pairwise };
     { name = "simgraph/bucketed"; n = 4; t = 1; depth = 2; fn = simgraph_bucketed };
-    { name = "valence/string-key"; n = 4; t = 1; depth = 4; fn = valence_string_key };
     { name = "valence/interned"; n = 4; t = 1; depth = 4; fn = valence_interned };
     { name = "checkpoint/write"; n = 4; t = 1; depth = 2; fn = checkpoint_write };
     { name = "checkpoint/restore"; n = 4; t = 1; depth = 2; fn = checkpoint_restore };

@@ -39,7 +39,7 @@ let run ~model ~n ~t ~length =
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
       let valence =
-        Valence.create ~ident:E.ident (E.valence_spec ~succ:(E.s1 ~record_failures:false))
+        Valence.create (E.valence_spec ~succ:(E.s1 ~record_failures:false))
       in
       let succ_labelled x =
         List.map
@@ -59,7 +59,7 @@ let run ~model ~n ~t ~length =
   | "sync" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:(E.st ~t)) in
+      let valence = Valence.create (E.valence_spec ~succ:(E.st ~t)) in
       let succ_labelled x =
         List.map
           (fun a -> (Format.asprintf "%a" E.pp_action a, E.apply ~record_failures:true x a))
@@ -74,7 +74,7 @@ let run ~model ~n ~t ~length =
   | "sm" ->
       let module P = (val Layered_protocols.Sm_voting.make ~horizon) in
       let module E = Layered_async_sm.Engine.Make (P) in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.srw) in
+      let valence = Valence.create (E.valence_spec ~succ:E.srw) in
       let succ_labelled x =
         List.map
           (fun a -> (Format.asprintf "%a" Layered_async_sm.Engine.pp_action a, E.apply x a))
@@ -88,7 +88,7 @@ let run ~model ~n ~t ~length =
   | "mp" ->
       let module P = (val Layered_protocols.Mp_floodset.make ~horizon) in
       let module E = Layered_async_mp.Engine.Make (P) in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.sper) in
+      let valence = Valence.create (E.valence_spec ~succ:E.sper) in
       let succ_labelled x =
         List.map
           (fun s -> (Format.asprintf "%a" Layered_async_mp.Engine.pp_schedule s, E.apply x s))
@@ -102,7 +102,7 @@ let run ~model ~n ~t ~length =
   | "smp" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_async_mp.Synchronic.Make (P) in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.smp) in
+      let valence = Valence.create (E.valence_spec ~succ:E.smp) in
       let succ_labelled x =
         List.map
           (fun a ->
@@ -117,7 +117,7 @@ let run ~model ~n ~t ~length =
   | "iis" ->
       let module P = (val Layered_protocols.Iis_voting.make ~horizon) in
       let module E = Layered_iis.Engine.Make (P) in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.layer) in
+      let valence = Valence.create (E.valence_spec ~succ:E.layer) in
       let succ_labelled x =
         List.map
           (fun p -> (Format.asprintf "%a" Layered_iis.Engine.pp_partition p, E.apply x p))

@@ -25,12 +25,12 @@ let run_one ~n ~t =
            else match decs.(i - 1) with Some v -> Some (i, v) | None -> None)
          all)
   in
-  let engine =
-    Covering.create { Covering.succ; key = E.key; terminal = E.terminal; output } cover
+  let valence =
+    Valence.create (Covering.valence_spec cover ~output (E.valence_spec ~succ))
   in
   let depth = t + 2 in
-  let classify x = Covering.classify engine ~depth x in
-  let cvals x = (Covering.outcome engine ~depth x).Covering.vals in
+  let classify x = Valence.classify valence ~depth x in
+  let cvals x = Valence.vals valence ~depth x in
   let initials = E.initial_states ~n ~values in
   let params = Printf.sprintf "floodset n=%d t=%d |V|=3" n t in
   match Layering.find_bivalent ~classify initials with

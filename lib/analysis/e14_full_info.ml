@@ -6,7 +6,7 @@ let mobile ~n ~horizon ~length =
   let module P = (val Layered_protocols.Full_info.sync ~horizon) in
   let module E = Layered_sync.Engine.Make (P) in
   let succ = E.s1 ~record_failures:false in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let classify x = Valence.classify valence ~depth x in
@@ -35,7 +35,7 @@ let shared_memory ~n ~horizon =
   let module P = (val Layered_protocols.Full_info.shared_memory ~horizon) in
   let module E = Layered_async_sm.Engine.Make (P) in
   let open Layered_async_sm.Engine in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.srw) in
+  let valence = Valence.create (E.valence_spec ~succ:E.srw) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let initials = E.initial_states ~n ~values in
@@ -72,7 +72,7 @@ let shared_memory ~n ~horizon =
 let message_passing ~n ~horizon =
   let module P = (val Layered_protocols.Full_info.message_passing ~horizon) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.sper) in
+  let valence = Valence.create (E.valence_spec ~succ:E.sper) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let initials = E.initial_states ~n ~values in

@@ -17,7 +17,7 @@ let run_one ~n ~horizon ~length =
   List.concat_map
     (fun k ->
       let succ = E.s_multi ~omitters:k in
-      let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+      let valence = Valence.create (E.valence_spec ~succ) in
       let depth = horizon + 1 in
       let vals x = Valence.vals valence ~depth x in
       let classify x = Valence.classify valence ~depth x in

@@ -42,7 +42,7 @@ let mobile ~n ~horizon =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_sync.Engine.Make (P) in
   let succ = E.s1 ~record_failures:false in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   probe
     ~initials:(E.initial_states ~n ~values:[ Value.zero; Value.one ])
@@ -53,7 +53,7 @@ let tresilient ~n ~t =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
   let succ = E.st ~t in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let v = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   probe
     ~initials:(E.initial_states ~n ~values:[ Value.zero; Value.one ])
@@ -63,7 +63,7 @@ let tresilient ~n ~t =
 let shared_memory ~n ~horizon =
   let module P = (val Layered_protocols.Sm_voting.make ~horizon) in
   let module E = Layered_async_sm.Engine.Make (P) in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.srw) in
+  let v = Valence.create (E.valence_spec ~succ:E.srw) in
   let depth = horizon + 1 in
   probe
     ~initials:(E.initial_states ~n ~values:[ Value.zero; Value.one ])
@@ -73,7 +73,7 @@ let shared_memory ~n ~horizon =
 let message_passing ~n ~horizon =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.sper) in
+  let v = Valence.create (E.valence_spec ~succ:E.sper) in
   let depth = horizon + 1 in
   probe
     ~initials:(E.initial_states ~n ~values:[ Value.zero; Value.one ])
@@ -83,7 +83,7 @@ let message_passing ~n ~horizon =
 let synchronic_mp ~n ~horizon =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_async_mp.Synchronic.Make (P) in
-  let v = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.smp) in
+  let v = Valence.create (E.valence_spec ~succ:E.smp) in
   let depth = horizon + 2 in
   probe
     ~initials:(E.initial_states ~n ~values:[ Value.zero; Value.one ])

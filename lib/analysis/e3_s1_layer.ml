@@ -11,7 +11,7 @@ let run_one ~n ~horizon =
   let module E = Layered_sync.Engine.Make (P) in
   let record_failures = false in
   let succ = E.s1 ~record_failures in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let classify x = Valence.classify valence ~depth x in

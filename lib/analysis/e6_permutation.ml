@@ -10,7 +10,7 @@ let run_one ~n ~horizon ~length =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon) in
   let module E = Mp.Engine.Make (P) in
   let succ = E.sper in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let classify x = Valence.classify valence ~depth x in

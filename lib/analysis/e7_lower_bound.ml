@@ -12,7 +12,7 @@ let run_one ?(decision_round = 0) ?(uniform = false) ~pname ~protocol ~n ~t ~max
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
   let succ = E.st ~t in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let valence = Valence.create (E.valence_spec ~succ) in
   let depth = decision_round + 1 in
   let classify x = Valence.classify valence ~depth x in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in

@@ -4,7 +4,7 @@ let run_one ~pname ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
   let succ = E.st ~t in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ) in
+  let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   let classify x = Valence.classify valence ~depth x in
   let spec = { Explore.succ; key = E.key } in

@@ -54,12 +54,9 @@ let covering_agreement ~n ~horizon =
          (fun i -> match decs.(i - 1) with Some v -> Some (i, v) | None -> None)
          all)
   in
-  let engine =
-    Covering.create
-      { Covering.succ = E.sper; key = E.key; terminal = E.terminal; output }
-      cover
-  in
-  let valence = Valence.create ~ident:E.ident (E.valence_spec ~succ:E.sper) in
+  let spec = E.valence_spec ~succ:E.sper in
+  let covering = Valence.create (Covering.valence_spec cover ~output spec) in
+  let valence = Valence.create spec in
   let depth = horizon + 1 in
   let ok = ref true and checked = ref 0 in
   let rec vectors acc i =
@@ -71,7 +68,7 @@ let covering_agreement ~n ~horizon =
     (fun inputs ->
       incr checked;
       let x0 = E.initial ~inputs:(Array.of_list inputs) in
-      let generalized = (Covering.outcome engine ~depth x0).Covering.vals in
+      let generalized = Valence.vals covering ~depth x0 in
       let binary = Valence.vals valence ~depth x0 in
       let expected = Vset.singleton (List.fold_left min (List.hd inputs) inputs) in
       if not (Vset.equal generalized expected) then ok := false;

@@ -13,24 +13,26 @@ let models = Sweep.models
 (* A classifier owns one engine instantiation: its valence memo is the
    warm state worth keeping between calls.  Complete memo entries are
    depth-monotone (see Valence), so one classifier serves every depth.
-   The export/import pair round-trips the engine's spillbook (empty
-   unless the classifier was built spillable) so a daemon restart can
-   rehydrate the memo from disk.
+   The export/import pair carries the memo under part strings, so a
+   daemon restart can rehydrate it from disk.
 
    Each classifier carries its own mutex (captured by the closures):
    the serve dispatcher runs requests on pool workers concurrently, and
    the engine's memo tables are plain [Hashtbl]s.  The lock also
    serialises the [set_budget]/classify/reset window, scoping one walk
    to the requesting client's per-request fault domain. *)
+type memo = (string array * (int * Valence.outcome)) list
+
 type classifier = {
   classify : ?budget:Layered_runtime.Budget.t -> depth:int -> unit ->
     (string * Valence.verdict) list;
-  export_memo : unit -> (string * (int * Valence.outcome)) list;
-  import_memo : (string * (int * Valence.outcome)) list -> unit;
+  export_memo : unit -> memo;
+  import_memo : memo -> unit;
 }
 
-let classifier (type a) (valence : a Valence.t) ~(key : a -> string)
+let classifier (type a) (module E : Engine_core.S with type state = a) ~succ
     (initials : a list) =
+  let valence = Valence.create (E.valence_spec ~succ) in
   let lock = Mutex.create () in
   let locked f =
     Mutex.lock lock;
@@ -45,69 +47,49 @@ let classifier (type a) (valence : a Valence.t) ~(key : a -> string)
               ~finally:(fun () -> Valence.set_budget valence None)
               (fun () ->
                 List.map
-                  (fun x -> (key x, Valence.classify valence ~depth x))
+                  (fun x -> (E.key x, Valence.classify valence ~depth x))
                   initials)));
-    export_memo = (fun () -> locked (fun () -> Valence.export valence));
+    export_memo = (fun () -> locked (fun () -> E.export_memo valence));
     import_memo =
-      (fun entries -> locked (fun () -> Valence.import valence entries));
+      (fun entries -> locked (fun () -> E.import_memo valence entries));
   }
 
-let make_classifier ?(spill = false) ~model ~n ~t () =
+let make_classifier ~model ~n ~t =
   let values = [ Value.zero; Value.one ] in
   match model with
   | "mobile" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill
-          (E.valence_spec ~succ:(E.s1 ~record_failures:false))
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:(E.s1 ~record_failures:false)
+        (E.initial_states ~n ~values)
   | "sync" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill (E.valence_spec ~succ:(E.st ~t))
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:(E.st ~t) (E.initial_states ~n ~values)
   | "sm" ->
       let module P = (val Layered_protocols.Sm_voting.make ~horizon:(t + 1)) in
       let module E = Layered_async_sm.Engine.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill (E.valence_spec ~succ:E.srw)
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:E.srw (E.initial_states ~n ~values)
   | "mp" ->
       let module P = (val Layered_protocols.Mp_floodset.make ~horizon:(t + 1)) in
       let module E = Layered_async_mp.Engine.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill (E.valence_spec ~succ:E.sper)
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:E.sper (E.initial_states ~n ~values)
   | "smp" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_async_mp.Synchronic.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill (E.valence_spec ~succ:E.smp)
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:E.smp (E.initial_states ~n ~values)
   | "iis" ->
       let module P = (val Layered_protocols.Iis_voting.make ~horizon:(t + 1)) in
       let module E = Layered_iis.Engine.Make (P) in
-      let valence =
-        Valence.create ~ident:E.ident ~spill (E.valence_spec ~succ:E.layer)
-      in
-      classifier valence ~key:E.key (E.initial_states ~n ~values)
+      classifier (module E) ~succ:E.layer (E.initial_states ~n ~values)
   | other -> invalid_arg (Printf.sprintf "Valence_query: unknown model %S" other)
 
 type cache = {
   tbl : (string * int * int, classifier) Hashtbl.t;
-  spill : bool;  (** build spillable classifiers, so the cache exports *)
   lock : Mutex.t;  (** guards [tbl]; per-classifier state has its own *)
 }
 
-let create_cache ?(spill = false) () : cache =
-  { tbl = Hashtbl.create 16; spill; lock = Mutex.create () }
+let create_cache () : cache = { tbl = Hashtbl.create 16; lock = Mutex.create () }
 
 let with_cache_lock (c : cache) f =
   Mutex.lock c.lock;
@@ -122,7 +104,7 @@ let find_classifier cache ~model ~n ~t =
       match Hashtbl.find_opt cache.tbl k with
       | Some cl -> cl
       | None ->
-          let cl = make_classifier ~spill:cache.spill ~model ~n ~t () in
+          let cl = make_classifier ~model ~n ~t in
           Hashtbl.add cache.tbl k cl;
           cl)
 
@@ -131,7 +113,7 @@ let run ?budget ?cache ~model ~n ~t ~depth () =
     invalid_arg (Printf.sprintf "Valence_query: negative depth %d" depth);
   let cl =
     match cache with
-    | None -> make_classifier ~model ~n ~t ()
+    | None -> make_classifier ~model ~n ~t
     | Some cache -> find_classifier cache ~model ~n ~t
   in
   { model; n; t; depth; verdicts = cl.classify ?budget ~depth () }
@@ -139,7 +121,7 @@ let run ?budget ?cache ~model ~n ~t ~depth () =
 (* ------------------------------------------------------------------ *)
 (* Spill                                                              *)
 
-type spill = ((string * int * int) * (string * (int * Valence.outcome)) list) list
+type spill = ((string * int * int) * memo) list
 
 let export_spill (c : cache) : spill =
   (* snapshot the classifier list under the cache lock, then export each

@@ -35,12 +35,9 @@ val models : string list
     before they ever contend. *)
 type cache
 
-(** [create_cache ?spill ()] — with [spill], classifiers shadow their
-    valence memo under stable canonical keys so the whole cache can be
-    {!export_spill}ed across a process restart (the serve daemon's
-    warm-cache durability).  Costs one key render per computed state;
-    warm probes are unaffected. *)
-val create_cache : ?spill:bool -> unit -> cache
+(** An empty cache.  Every cache can be {!export_spill}ed across a
+    process restart (the serve daemon's warm-cache durability). *)
+val create_cache : unit -> cache
 
 (** Number of distinct (model, n, t) classifiers the cache holds. *)
 val cache_entries : cache -> int
@@ -60,15 +57,17 @@ val run :
 (** {1 Spill}
 
     A [Marshal]-safe image of every classifier's valence memo, keyed by
-    (model, n, t) and sorted, so spilled bytes are identical across
-    jobs counts.  [export_spill] is empty for a cache created without
-    [~spill:true]; [import_spill] lazily rehydrates — entries are
-    promoted into the live memo on first probe, so importing is cheap
-    and verdicts stay identical to a cold computation. *)
+    (model, n, t) and sorted, with each memoised state given by its part
+    strings ({!Layered_core.Engine_core.S.export_memo}) — stable across
+    processes, unlike intern ids, and sorted too, so spilled bytes are
+    identical across jobs counts.  [import_spill] adopts the parts into
+    each classifier's identity table and loads the memo, so a reloaded
+    query is answered from it with verdicts identical to a cold
+    computation. *)
 
 type spill =
   ((string * int * int)
-  * (string * (int * Layered_core.Valence.outcome)) list)
+  * (string array * (int * Layered_core.Valence.outcome)) list)
   list
 
 val export_spill : cache -> spill

@@ -103,7 +103,22 @@ module type S = sig
       uniformity and testing only. *)
   val canon : roles:int array -> state -> Intern.canon
 
+  (** The valence spec of [succ]: memo keyed by {!ident}, valence
+      witnessed by {!decided_vset}, exploration stopping at {!terminal}. *)
   val valence_spec : succ:(state -> state list) -> state Valence.spec
+
+  (** [export_memo v] is [v]'s memo with each identity replaced by the
+      state's part strings, which, unlike ids, mean the same in another
+      process.  Sorted by parts, so the bytes do not depend on interning
+      order. *)
+  val export_memo :
+    state Valence.t -> (string array * (int * Valence.outcome)) list
+
+  (** [import_memo v entries] adopts each entry's parts into the
+      identity table ({!Intern.adopt}) and loads the entries into [v]'s
+      memo: a state interned later with those parts finds its outcome. *)
+  val import_memo :
+    state Valence.t -> (string array * (int * Valence.outcome)) list -> unit
 end
 
 module Make (M : MODEL) : S with type state = M.state = struct
@@ -200,7 +215,15 @@ module Make (M : MODEL) : S with type state = M.state = struct
   let sim_inc = Simgraph.Incremental.create { Simgraph.parts; witness }
   let similarity_graph states = Simgraph.Incremental.build sim_inc states
   let canon ~roles x = Intern.canon intern_table ~roles x
-  let valence_spec ~succ = { Valence.succ; key; decided = decided_vset; terminal }
+  let valence_spec ~succ = { Valence.succ; ident; decided = decided_vset; terminal }
+
+  let export_memo v =
+    let parts_of = Intern.parts_of_id intern_table in
+    List.map (fun (id, e) -> (parts_of id, e)) (Valence.export v)
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let import_memo v entries =
+    Valence.import v (List.map (fun (p, e) -> (Intern.adopt intern_table p, e)) entries)
 end
 
 (** [pp_locals pp decision] prints one line per process, its local state

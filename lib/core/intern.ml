@@ -70,10 +70,22 @@ let part_id t s =
       Hashtbl.add t.pool s i;
       i
 
+(* The shared miss path, under [lock]: map part strings through the
+   pool and find or add the id vector in the arena — the canonical
+   fallback that gives structurally different, key-equal states one
+   meta. *)
+let arena_find_or_add t sparts =
+  let ids = Array.map (part_id t) sparts in
+  match Arena.find_opt t.arena ids with
+  | Some m -> (m, false)
+  | None ->
+      let id = Arena.length t.arena in
+      let m = { id; parts = ids; rendered = Atomic.make None } in
+      Arena.add t.arena ids m;
+      (m, true)
+
 (* Hit: one structural probe, nothing rendered.  Miss: render the parts
-   outside the lock (protocol code), then map them through the pool and
-   look the id vector up in the arena — the canonical fallback that
-   gives structurally different, key-equal states one meta. *)
+   outside the lock (protocol code), then take the shared miss path. *)
 let intern t x =
   match Mutex.protect t.lock (fun () -> t.find x) with
   | Some m ->
@@ -83,21 +95,27 @@ let intern t x =
       let sparts = t.parts x in
       let m, fresh =
         Mutex.protect t.lock (fun () ->
-            let ids = Array.map (part_id t) sparts in
-            let found =
-              match Arena.find_opt t.arena ids with
-              | Some m -> (m, false)
-              | None ->
-                  let id = Arena.length t.arena in
-                  let m = { id; parts = ids; rendered = Atomic.make None } in
-                  Arena.add t.arena ids m;
-                  (m, true)
-            in
+            let found = arena_find_or_add t sparts in
             t.remember x (fst found);
             found)
       in
       Stats.record_intern ~fresh;
       m
+
+let adopt t sparts =
+  (fst (Mutex.protect t.lock (fun () -> arena_find_or_add t sparts))).id
+
+let parts_of_id t =
+  let strings, vectors =
+    Mutex.protect t.lock (fun () ->
+        let strings = Array.make (Hashtbl.length t.pool) "" in
+        Hashtbl.iter (fun s i -> strings.(i) <- s) t.pool;
+        let vectors = Array.make (Arena.length t.arena) [||] in
+        Arena.iter (fun _ m -> vectors.(m.id) <- m.parts) t.arena;
+        (strings, vectors))
+  in
+  (* one string per part id, so equal parts stay physically shared *)
+  fun id -> Array.map (fun i -> strings.(i)) vectors.(id)
 
 let memo t slot x =
   match Atomic.get slot with

@@ -17,8 +17,10 @@
       first-seen order.
 
     The full key string is never needed for identity.  It is rendered at
-    most once per meta, on first demand ({!key}: output, string-keyed
-    dedup, the valence spillbook).
+    most once per meta, on first demand ({!key}: output and string-keyed
+    dedup).  Part strings, unlike ids, are stable across processes: a
+    persisted table entry travels as its parts ({!parts_of_id}) and is
+    re-identified on load ({!adopt}).
 
     The part ids are the basis of the bucketed similarity-graph
     construction in {!Simgraph}: two states agree modulo process [j]
@@ -102,6 +104,18 @@ val canon : 'a t -> roles:int array -> 'a -> canon
     part pool, without probing the structural table or the arena — what
     an interned meta's [parts] must equal. *)
 val part_ids : 'a t -> 'a -> int array
+
+(** [adopt t parts] interns a part-string vector that has no state and
+    returns its id: the id an existing meta with those parts already
+    has, or a fresh one that a state interned later with those parts
+    receives.  Not counted in {!Layered_runtime.Stats}. *)
+val adopt : 'a t -> string array -> int
+
+(** [parts_of_id t] snapshots the part pool and the arena; the result
+    maps an interned id to its part strings.  Equal parts of different
+    ids are physically one string, so [Marshal] writes each once.
+    Raises [Invalid_argument] on an id interned after the snapshot. *)
+val parts_of_id : 'a t -> int -> string array
 
 (** Number of distinct states interned so far (the arena population). *)
 val size : 'a t -> int

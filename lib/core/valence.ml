@@ -13,46 +13,24 @@ let pp_verdict ppf = function
 
 type 'a spec = {
   succ : 'a -> 'a list;
-  key : 'a -> string;
+  ident : 'a -> int;
   decided : 'a -> Vset.t;
   terminal : 'a -> bool;
 }
 
 type outcome = { vals : Vset.t; complete : bool }
 
-(* Entries are (depth explored, outcome at that depth).  A [complete]
-   outcome is valid for every depth >= the cached one; an incomplete
-   outcome is only reused for exactly the cached depth.  The cache is
-   keyed by the canonical key string, or — when the engine supplies an
-   intern identity — by the dense intern id, skipping key (re)builds on
-   every probe. *)
-type 'a cache =
-  | By_key of (string, int * outcome) Hashtbl.t
-  | By_ident of ('a -> int) * (int, int * outcome) Hashtbl.t
-
+(* The memo maps a state's identity to (depth explored, outcome at that
+   depth).  A [complete] outcome is valid for every depth >= the cached
+   one; an incomplete outcome is only reused for exactly the cached
+   depth. *)
 type 'a t = {
   spec : 'a spec;
   mutable budget : Layered_runtime.Budget.t option;
-  cache : 'a cache;
-  (* The spillbook: a canonical-key shadow of the memo, maintained only
-     when the engine was created with [~spill:true].  Intern ids are
-     process-local, so a [By_ident] memo cannot survive a restart; the
-     spillbook records every computed entry under the stable [spec.key]
-     encoding instead, making the memo exportable.  It is written on the
-     cold path only (one [spec.key] per computed state) and probed only
-     on a primary-cache miss, so the warm intern-id fast path is
-     untouched. *)
-  spillbook : (string, int * outcome) Hashtbl.t option;
+  memo : (int, int * outcome) Hashtbl.t;
 }
 
-let create ?budget ?ident ?(spill = false) spec =
-  let cache =
-    match ident with
-    | None -> By_key (Hashtbl.create 4096)
-    | Some ident -> By_ident (ident, Hashtbl.create 4096)
-  in
-  let spillbook = if spill then Some (Hashtbl.create 4096) else None in
-  { spec; budget; cache; spillbook }
+let create ?budget spec = { spec; budget; memo = Hashtbl.create 4096 }
 
 (* Swap the budget consulted by [compute].  Not synchronised: callers
    that share an engine across domains (the serve dispatcher) must hold
@@ -61,47 +39,8 @@ let create ?budget ?ident ?(spill = false) spec =
    exactly as it found it. *)
 let set_budget t budget = t.budget <- budget
 
-let cache_find t x =
-  let primary =
-    match t.cache with
-    | By_key h -> Hashtbl.find_opt h (t.spec.key x)
-    | By_ident (ident, h) -> Hashtbl.find_opt h (ident x)
-  in
-  match (primary, t.spillbook) with
-  | Some _, _ | None, None -> primary
-  | None, Some book -> (
-      (* imported-from-disk entries live only in the spillbook until
-         their first probe promotes them under the fresh intern id *)
-      match Hashtbl.find_opt book (t.spec.key x) with
-      | Some entry as found ->
-          (match t.cache with
-          | By_key h -> Hashtbl.replace h (t.spec.key x) entry
-          | By_ident (ident, h) -> Hashtbl.replace h (ident x) entry);
-          found
-      | None -> None)
-
-let cache_store t x entry =
-  (match t.cache with
-  | By_key h -> Hashtbl.replace h (t.spec.key x) entry
-  | By_ident (ident, h) -> Hashtbl.replace h (ident x) entry);
-  match t.spillbook with
-  | Some book -> Hashtbl.replace book (t.spec.key x) entry
-  | None -> ()
-
-(* Sorted, so spilled bytes do not depend on hash-bucket order and a
-   spill written at --jobs 4 equals one written at --jobs 1. *)
-let export t =
-  match t.spillbook with
-  | None -> []
-  | Some book ->
-      Hashtbl.fold (fun k e acc -> (k, e) :: acc) book []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let import t entries =
-  match t.spillbook with
-  | None -> ()
-  | Some book ->
-      List.iter (fun (k, e) -> Hashtbl.replace book k e) entries
+let export t = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.memo []
+let import t entries = List.iter (fun (id, e) -> Hashtbl.replace t.memo id e) entries
 
 let rec compute t ~depth x =
   let spec = t.spec in
@@ -114,7 +53,8 @@ let rec compute t ~depth x =
        the budget's fault, not the depth's. *)
     { vals = spec.decided x; complete = false }
   else begin
-    match cache_find t x with
+    let id = spec.ident x in
+    match Hashtbl.find_opt t.memo id with
     | Some (d, res) when (res.complete && d <= depth) || d = depth ->
         Layered_runtime.Stats.record_valence_lookup ~hit:true;
         res
@@ -139,7 +79,7 @@ let rec compute t ~depth x =
            results may enter the memo, or one walk's cancellation would
            leak Unknown verdicts into every later walk at this depth. *)
         if Layered_runtime.Budget.exceeded_opt t.budget = None then
-          cache_store t x (depth, res);
+          Hashtbl.replace t.memo id (depth, res);
         res
   end
 
@@ -177,5 +117,4 @@ let is_bivalent t ~depth x =
 
 let vals t ~depth x = (outcome t ~depth x).vals
 
-let cache_entries t =
-  match t.cache with By_key h -> Hashtbl.length h | By_ident (_, h) -> Hashtbl.length h
+let cache_entries t = Hashtbl.length t.memo

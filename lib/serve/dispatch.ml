@@ -1,7 +1,6 @@
 open Layered_analysis
 module Budget = Layered_runtime.Budget
 module Pool = Layered_runtime.Pool
-module Stats = Layered_runtime.Stats
 module Fault = Layered_runtime.Fault
 module Report = Layered_core.Report
 
@@ -13,10 +12,10 @@ type ctx = {
   stop : bool Atomic.t;
 }
 
-let create_ctx ?(spill = false) ~pool ~admission () =
+let create_ctx ~pool ~admission () =
   {
     pool;
-    vcache = Valence_query.create_cache ~spill ();
+    vcache = Valence_query.create_cache ();
     rcache = Cache.create ();
     admission;
     stop = Atomic.make false;
@@ -50,24 +49,20 @@ let classify_output ?cache ?budget ~model ~n ~t ~depth () =
       Format.fprintf ppf "%a" Valence_query.pp q;
       0)
 
-let sweep_output ?pool ?budget ~model ~n ~t ~depth () =
+let sweep_output ?budget ~model ~n ~t ~depth () =
   with_buffer (fun ppf ->
-      let sweep = Sweep.run ?pool ?budget ~model ~n ~t ~depth () in
+      let sweep = Sweep.run ?budget ~model ~n ~t ~depth () in
       Format.fprintf ppf "%a" Sweep.pp sweep;
       match sweep.Sweep.status with Budget.Complete -> 0 | _ -> exit_trunc)
 
-let run_experiment_output ?pool ?budget ~id () =
+let run_experiment_output ?budget ~id () =
   let e =
     match Registry.find id with
     | Some e -> e
     | None -> invalid_arg ("Dispatch: unknown experiment " ^ id)
   in
   with_buffer (fun ppf ->
-      let results =
-        match pool with
-        | Some pool -> Registry.run_all ~pool ?budget [ e ]
-        | None -> Registry.run_all ?budget [ e ]
-      in
+      let results = Registry.run_all ?budget [ e ] in
       let rows =
         List.concat_map
           (fun ((e : Registry.experiment), rows) ->
@@ -98,21 +93,6 @@ let run_experiment_output ?pool ?budget ~id () =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
 
-let execute ctx ~budget req =
-  (* The chaos harness arms this site to prove per-request containment:
-     the raise must surface as an [internal] error response — and as a
-     failing serve oracle — never as a dead daemon. *)
-  if Fault.point Fault.Serve_handler_raise then
-    raise (Fault.Injected Fault.Serve_handler_raise);
-  match req with
-  | Protocol.Classify_valence { model; n; t; depth } ->
-      classify_output ~cache:ctx.vcache ~model ~n ~t ~depth ()
-  | Protocol.Sweep { model; n; t; depth } ->
-      sweep_output ~pool:ctx.pool ~budget ~model ~n ~t ~depth ()
-  | Protocol.Run_experiment { id } ->
-      run_experiment_output ~pool:ctx.pool ~budget ~id ()
-  | Protocol.Stats_query | Protocol.Shutdown -> assert false
-
 (* Task body for the concurrent dispatcher: runs on a pool worker, so
    inner parallelism is disabled (Pool combinators must not be nested
    on the same pool; serial and pooled renderings are byte-identical by
@@ -135,43 +115,3 @@ let execute_concurrent ctx ~budget req =
       sweep_output ~budget ~model ~n ~t ~depth ()
   | Protocol.Run_experiment { id } -> run_experiment_output ~budget ~id ()
   | Protocol.Stats_query | Protocol.Shutdown -> assert false
-
-let handle ctx ~pending line =
-  match Protocol.decode_request line with
-  | Error (id, code, message) -> Protocol.Resp_error { id; code; message }
-  | Ok (id, Protocol.Stats_query) ->
-      (* Control requests bypass admission, the result cache, and the
-         fault site: stats must answer even when compute is shedding. *)
-      let output = Format.asprintf "%a" Stats.pp (Stats.snapshot ()) in
-      Protocol.Resp_ok { id; exit_code = 0; output }
-  | Ok (id, Protocol.Shutdown) ->
-      Atomic.set ctx.stop true;
-      Protocol.Resp_ok { id; exit_code = 0; output = "shutting down\n" }
-  | Ok (id, req) -> (
-      match Admission.decide ctx.admission ~pending ~client_pending:0 with
-      | Admission.Shed { reason; retry_after_s } ->
-          Protocol.Resp_overloaded { id; reason; retry_after_s = Some retry_after_s }
-      | Admission.Admit budget -> (
-          let key = Protocol.cache_key req in
-          let cached = Option.map (Cache.find ctx.rcache) key in
-          match cached with
-          | Some (Some { Cache.exit_code; output }) ->
-              Protocol.Resp_ok { id; exit_code; output }
-          | _ -> (
-              match execute ctx ~budget req with
-              | exit_code, output ->
-                  (* A truncated (exit 3) result reflects this request's
-                     deadline luck; replaying it would make later answers
-                     depend on arrival order, so it is never cached. *)
-                  if exit_code <> exit_trunc then
-                    Option.iter
-                      (fun k -> Cache.add ctx.rcache k { Cache.exit_code; output })
-                      key;
-                  Protocol.Resp_ok { id; exit_code; output }
-              | exception e ->
-                  Protocol.Resp_error
-                    {
-                      id;
-                      code = Protocol.Internal;
-                      message = Printexc.to_string e;
-                    })))

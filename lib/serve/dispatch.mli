@@ -1,13 +1,11 @@
-(** Request execution: one decoded request in, one response out.
+(** Request execution: one decoded request in, one rendered output out.
 
-    Two execution paths share these renderers: the sequential {!handle}
-    (one request at a time on the calling thread, pool parallelism
-    {e inside} queries) and {!execute_concurrent}, the task body the
-    concurrent {!Dispatcher} posts to pool workers (whole requests in
-    parallel, no inner pool nesting).  Per-request containment either
-    way: any exception out of a handler (including an injected
-    {!Layered_runtime.Fault} one) becomes an [internal] error response
-    for that request only; the daemon keeps serving.
+    {!execute_concurrent} is the task body the {!Dispatcher} runs for
+    every compute request, on a pool worker (whole requests in
+    parallel, no inner pool nesting) or, at one job, inline.  The
+    dispatcher contains whatever it raises (including an injected
+    {!Layered_runtime.Fault}): the exception becomes an [internal] error
+    response for that request only, and the daemon keeps serving.
 
     {b Byte-identity.}  The [output] field of an [ok] response is
     rendered by the same pretty-printers the one-shot CLI drives
@@ -26,25 +24,15 @@ type ctx = {
   stop : bool Atomic.t;  (** set by a [shutdown] request or a signal *)
 }
 
-(** [create_ctx ?spill ~pool ~admission ()] — with [spill], the valence
-    cache is built exportable (see {!Layered_analysis.Valence_query})
-    so {!Spill} can persist it across daemon restarts. *)
+(** [create_ctx ~pool ~admission ()] — fresh, empty caches; {!Spill}
+    can persist both across daemon restarts. *)
 val create_ctx :
-  ?spill:bool ->
   pool:Layered_runtime.Pool.t -> admission:Admission.config -> unit -> ctx
 
 (** The CLI exit code for a budget-truncated result (3).  Truncated
     results are never cached — they reflect one request's deadline
     luck, not the query's answer. *)
 val exit_trunc : int
-
-(** [handle ctx ~pending line] decodes, validates, admits and executes
-    one request line, sequentially on the calling thread.  [pending] is
-    the number of requests queued behind this one (admission's
-    queue-depth signal; the per-client gate is not consulted).  Never
-    raises.  This is the reference path — the concurrent {!Dispatcher}
-    must be byte-equivalent to it per connection. *)
-val handle : ctx -> pending:int -> string -> Protocol.response
 
 (** [execute_concurrent ctx ~budget req] renders one compute request on
     the calling (pool-worker) thread: no inner pool parallelism, and
@@ -67,10 +55,8 @@ val classify_output :
   model:string -> n:int -> t:int -> depth:int -> unit -> int * string
 
 val sweep_output :
-  ?pool:Layered_runtime.Pool.t ->
   ?budget:Layered_runtime.Budget.t ->
   model:string -> n:int -> t:int -> depth:int -> unit -> int * string
 
 val run_experiment_output :
-  ?pool:Layered_runtime.Pool.t ->
   ?budget:Layered_runtime.Budget.t -> id:string -> unit -> int * string

@@ -74,7 +74,7 @@ let create ~ctx ~on_commit () =
     on_commit;
     (* the select loop owns slot 0; compute runs on the workers.  A
        one-slot pool has no workers: requests then run inline at
-       submission, reproducing the sequential dispatch exactly. *)
+       submission, one at a time in arrival order. *)
     slots = max 1 (Pool.jobs ctx.Dispatch.pool - 1);
     running = 0;
     backlog = Admission.Backlog.create ();

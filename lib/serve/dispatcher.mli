@@ -45,8 +45,8 @@ type conn
     response, {e before} the crash-before-reply fault site and the
     write: the server hooks its served-counter and spill cadence here.
     Concurrency is [jobs - 1] pool workers (the select loop owns the
-    caller slot); at [jobs = 1] requests run inline at submission,
-    reproducing sequential dispatch exactly. *)
+    caller slot); at [jobs = 1] requests run inline at submission, one
+    at a time in arrival order. *)
 val create : ctx:Dispatch.ctx -> on_commit:(unit -> unit) -> unit -> t
 
 (** The read end of the completion self-pipe: add it to the select read

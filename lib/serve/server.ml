@@ -147,11 +147,7 @@ let run cfg =
           per_client_cap = cfg.per_client_cap;
         }
       in
-      let ctx =
-        Dispatch.create_ctx
-          ~spill:(cfg.spill_dir <> None)
-          ~pool ~admission ()
-      in
+      let ctx = Dispatch.create_ctx ~pool ~admission () in
       (* Warm-cache recovery: rehydrate both shared caches from the
          newest intact spill before the first request arrives. *)
       (match cfg.spill_dir with

@@ -4,9 +4,9 @@
     Single accept/read loop on [Unix.select]; decoded requests are
     handed to the concurrent {!Dispatcher}, which runs whole requests
     in parallel on the shared domain {!Layered_runtime.Pool} (at
-    [jobs = 1] they run inline, reproducing sequential dispatch
-    exactly).  Shared across requests: the valence classifier cache
-    (warm memo), the keyed result cache, and the process-wide
+    [jobs = 1] they run inline, one at a time in arrival order).
+    Shared across requests: the valence classifier cache (warm memo),
+    the keyed result cache, and the process-wide
     {!Layered_runtime.Stats}.
 
     {b Isolation.}  Each connection owns a {!Layered_runtime.Budget}

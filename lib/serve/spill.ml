@@ -6,8 +6,9 @@ let keep_generations = 2
 
 (* Bumped when the payload shape changes: Marshal does not check types,
    so a version guard is the only thing standing between an old spill
-   file and a segfault-grade misread. *)
-let payload_version = 1
+   file and a segfault-grade misread.  Version 1 keyed valence entries
+   by key string; version 2 by part strings. *)
+let payload_version = 2
 
 type payload = {
   version : int;

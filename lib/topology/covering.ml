@@ -5,37 +5,16 @@ type t = { label : string; mem0 : Simplex.t -> bool; mem1 : Simplex.t -> bool }
 let of_complexes ?(label = "covering") c0 c1 =
   { label; mem0 = (fun s -> Complex.mem s c0); mem1 = (fun s -> Complex.mem s c1) }
 
-type 'a spec = {
-  succ : 'a -> 'a list;
-  key : 'a -> string;
-  terminal : 'a -> bool;
-  output : 'a -> Simplex.t;
-}
-
-type outcome = { vals : Vset.t; complete : bool }
-
-type 'a engine = { valence : 'a Valence.t }
-
-let create spec cover =
+let valence_spec cover ~output (spec : 'a Valence.spec) =
   let decided x =
     if spec.terminal x then begin
-      let out = spec.output x in
+      let out = output x in
       let s = if cover.mem0 out then Vset.singleton Value.zero else Vset.empty in
       if cover.mem1 out then Vset.add Value.one s else s
     end
     else Vset.empty
   in
-  {
-    valence =
-      Valence.create
-        { Valence.succ = spec.succ; key = spec.key; decided; terminal = spec.terminal };
-  }
-
-let outcome t ~depth x =
-  let o = Valence.outcome t.valence ~depth x in
-  { vals = o.Valence.vals; complete = o.Valence.complete }
-
-let classify t ~depth x = Valence.classify t.valence ~depth x
+  { spec with decided }
 
 let is_covering cover outputs =
   match outputs with

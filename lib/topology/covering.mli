@@ -17,27 +17,14 @@ type t = {
 
 val of_complexes : ?label:string -> Complex.t -> Complex.t -> t
 
-(** Generalized-valence exploration over a submodel, in the style of
-    {!Layered_core.Valence} but with covering membership as the decision
-    observation. *)
-type 'a spec = {
-  succ : 'a -> 'a list;
-  key : 'a -> string;
-  terminal : 'a -> bool;  (** all relevant processes have decided *)
-  output : 'a -> Simplex.t;
-      (** decisions of the non-failed processes at this state *)
-}
-
-type outcome = {
-  vals : Vset.t;  (** subset of [{0, 1}]: coverings reachable in a future *)
-  complete : bool;
-}
-
-type 'a engine
-
-val create : 'a spec -> t -> 'a engine
-val outcome : 'a engine -> depth:int -> 'a -> outcome
-val classify : 'a engine -> depth:int -> 'a -> Valence.verdict
+(** [valence_spec cover ~output spec] is [spec] with covering membership
+    as the decision observation: a terminal state witnesses [0] when its
+    [output] simplex (the decisions of its non-failed processes) lies in
+    [O0] and [1] when it lies in [O1]; a non-terminal state witnesses
+    nothing.  Run it through {!Layered_core.Valence} as usual: [vals]
+    is then the set of covering sides reachable in a future. *)
+val valence_spec :
+  t -> output:('a -> Simplex.t) -> 'a Valence.spec -> 'a Valence.spec
 
 (** [is_covering cover outputs] checks the two covering conditions against
     a finite set of decided output simplexes. *)

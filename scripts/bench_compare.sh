@@ -38,23 +38,3 @@ join -j 1 <(extract "$base") <(extract "$cur") |
         exit 1
       }
     }'
-
-# Crossover assertion on the CURRENT snapshot: the packed-id valence
-# cache must beat the string-keyed one.  Single-core runners time too
-# noisily for a strict inequality, so the gate only arms on >= 2 cores.
-if [ "$(nproc 2>/dev/null || echo 1)" -ge 2 ]; then
-  extract "$cur" | awk '
-    $1 == "valence/string-key" { str = $2 }
-    $1 == "valence/interned"   { intern = $2 }
-    END {
-      if (str == "" || intern == "") {
-        print "bench_compare: valence kernels missing from current snapshot" | "cat >&2"
-        exit 1
-      }
-      if (intern >= str) {
-        printf "bench_compare: valence/interned (%d ns) did not beat valence/string-key (%d ns)\n", intern, str | "cat >&2"
-        exit 1
-      }
-      printf "valence crossover ok: interned %d ns < string-key %d ns\n", intern, str
-    }'
-fi

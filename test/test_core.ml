@@ -180,7 +180,7 @@ let toy_spec =
     | _ -> Vset.empty
   in
   let terminal i = i = 3 || i = 4 in
-  { Valence.succ; key = string_of_int; decided; terminal }
+  { Valence.succ; ident = Fun.id; decided; terminal }
 
 let test_valence_toy () =
   let v = Valence.create toy_spec in
@@ -215,7 +215,7 @@ let dag_spec dag =
   in
   let terminal i = succ i = [] in
   let decided i = if terminal i then Vset.singleton (snd dag.(i)) else Vset.empty in
-  { Valence.succ; key = string_of_int; decided; terminal }
+  { Valence.succ; ident = Fun.id; decided; terminal }
 
 let prop_valence_monotone_depth =
   QCheck.Test.make ~name:"valence: vals monotone in depth" ~count:200
@@ -234,7 +234,9 @@ let prop_valence_exhaustive_is_exact =
       let v = Valence.create spec in
       let n = Array.length dag in
       (* Brute force: reachable terminal decisions from 0. *)
-      let reach = Explore.reachable { Explore.succ = spec.Valence.succ; key = spec.Valence.key } ~depth:n 0 in
+      let reach =
+        Explore.reachable { Explore.succ = spec.Valence.succ; key = string_of_int } ~depth:n 0
+      in
       let brute =
         List.fold_left (fun acc i -> Vset.union acc (spec.Valence.decided i)) Vset.empty reach
       in

@@ -267,22 +267,39 @@ let test_agree_modulo_matches_similar () =
         arr)
     arr
 
-(* The valence cache must answer identically whether keyed by rebuilt
-   canonical strings or by dense intern ids. *)
+(* Valence by its definition, walked afresh at every node: no memo, no
+   identity, nothing shared with the engine but the spec. *)
+let rec reference_outcome (spec : 'a Valence.spec) ~depth x =
+  if spec.terminal x then { Valence.vals = spec.decided x; complete = true }
+  else if depth = 0 then { Valence.vals = spec.decided x; complete = false }
+  else
+    match spec.succ x with
+    | [] -> { Valence.vals = spec.decided x; complete = false }
+    | children ->
+        List.fold_left
+          (fun (acc : Valence.outcome) y ->
+            let o = reference_outcome spec ~depth:(depth - 1) y in
+            { vals = Vset.union acc.vals o.vals; complete = acc.complete && o.complete })
+          { Valence.vals = spec.decided x; complete = true }
+          children
+
+(* The id-keyed memo must answer exactly as the memo-free walk does. *)
 let test_valence_ident_agrees () =
   let spec = E.valence_spec ~succ:(E.st ~t:1) in
-  let v_str = Valence.create spec in
-  let v_int = Valence.create ~ident:E.ident spec in
+  let v = Valence.create spec in
   List.iter
     (fun x ->
-      check "string-keyed and interned verdicts agree" true
-        (Vset.equal (Valence.vals v_str ~depth:3 x) (Valence.vals v_int ~depth:3 x)))
+      let o = Valence.outcome v ~depth:3 x and r = reference_outcome spec ~depth:3 x in
+      check "memoised vals = reference" true (Vset.equal o.vals r.vals);
+      check "memoised completeness = reference" true (o.complete = r.complete))
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
 (* The identity invariants on all five engines, over random walks: ids
-   partition states exactly as keys do, and every meta's part vector is
-   the pool image of the state's freshly rendered parts. *)
+   partition states exactly as keys do, every meta's part vector is the
+   pool image of the state's freshly rendered parts, and adopting an
+   id's part strings gives back that id without growing the table. *)
 type 's subject = {
+  table : 's Intern.t;
   initials : n:int -> 's list;
   actions : 's -> (unit -> 's) list;
   key : 's -> string;
@@ -310,7 +327,12 @@ let subject_holds (type s) (e : s subject) case =
         if (e.ident x = e.ident y) <> String.equal (e.key x) (e.key y) then ok := false
       done)
     states;
-  !ok
+  let parts_of = Intern.parts_of_id e.table and size = Intern.size e.table in
+  Array.iter
+    (fun x ->
+      if Intern.adopt e.table (parts_of (e.ident x)) <> e.ident x then ok := false)
+    states;
+  !ok && Intern.size e.table = size
 
 let subject_simgraph_agrees (type s) (e : s subject) case =
   let states = dedup_by e.ident (walk_states e case) in
@@ -333,6 +355,7 @@ let sync_subject =
   {
     initials = (fun ~n -> E.initial_states ~n ~values);
     actions = (fun x -> thunks (E.apply ~record_failures:true) x (E.st_actions ~t:1 x));
+    table = E.intern_table;
     key = E.key;
     ident = E.ident;
     parts = (fun x -> (Intern.memo E.intern_table x.E.interned x).Intern.parts);
@@ -345,6 +368,7 @@ let iis_subject =
   {
     initials = (fun ~n -> IE.initial_states ~n ~values);
     actions = (fun x -> thunks IE.apply x (Layered_iis.Engine.partitions ~n:(IE.n_of x)));
+    table = IE.intern_table;
     key = IE.key;
     ident = IE.ident;
     parts = (fun x -> (Intern.memo IE.intern_table x.IE.interned x).Intern.parts);
@@ -357,6 +381,7 @@ let sm_subject =
   {
     initials = (fun ~n -> SE.initial_states ~n ~values);
     actions = (fun x -> thunks SE.apply x (SE.actions ~n:(SE.n_of x)));
+    table = SE.intern_table;
     key = SE.key;
     ident = SE.ident;
     parts = (fun x -> (Intern.memo SE.intern_table x.SE.interned x).Intern.parts);
@@ -369,6 +394,7 @@ let mp_subject =
   {
     initials = (fun ~n -> ME.initial_states ~n:(min n 3) ~values);
     actions = (fun x -> thunks ME.apply x (ME.schedules ~n:(ME.n_of x)));
+    table = ME.intern_table;
     key = ME.key;
     ident = ME.ident;
     parts = (fun x -> (Intern.memo ME.intern_table x.ME.interned x).Intern.parts);
@@ -381,6 +407,7 @@ let smp_subject =
   {
     initials = (fun ~n -> SMP.initial_states ~n:(min n 3) ~values);
     actions = (fun x -> thunks SMP.apply x (SMP.actions ~n:(SMP.n_of x)));
+    table = SMP.intern_table;
     key = SMP.key;
     ident = SMP.ident;
     parts = (fun x -> (Intern.memo SMP.intern_table x.SMP.interned x).Intern.parts);

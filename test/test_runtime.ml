@@ -309,7 +309,7 @@ let test_stats_monotone_and_reset () =
   let vspec =
     {
       Valence.succ;
-      key = string_of_int;
+      ident = Fun.id;
       decided = (fun x -> if x = 3 then Vset.singleton 1 else Vset.empty);
       terminal = (fun x -> x = 3);
     }
@@ -392,7 +392,7 @@ let test_valence_no_memo_when_tripped () =
   let vspec =
     {
       Valence.succ = (fun x -> if x < 3 then [ x + 1 ] else []);
-      key = string_of_int;
+      ident = Fun.id;
       decided = (fun x -> if x = 3 then Vset.singleton 1 else Vset.empty);
       terminal = (fun x -> x = 3);
     }

@@ -7,6 +7,7 @@
 open Layered_serve
 module Stats = Layered_runtime.Stats
 module Fault = Layered_runtime.Fault
+module Valence_query = Layered_analysis.Valence_query
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -408,25 +409,44 @@ let test_backlog_fair_share () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher: byte-identity with the renderers, containment, caching *)
 
-let with_ctx f =
+(* One connection on a one-job dispatcher, where every request runs
+   inline: [send] submits a line, drains, and returns its response. *)
+let with_dispatcher ?(queue_cap = 64) f =
   Layered_runtime.Pool.with_pool ~jobs:1 (fun pool ->
-      f
-        (Dispatch.create_ctx ~pool
-           ~admission:
-             {
-               Admission.queue_cap = 64;
-               max_heap_mb = 1_000_000;
-               request_timeout_s = 0.;
-               per_client_cap = 0;
-             }
-           ()))
+      let ctx =
+        Dispatch.create_ctx ~pool
+          ~admission:
+            {
+              Admission.queue_cap;
+              max_heap_mb = 1_000_000;
+              request_timeout_s = 0.;
+              per_client_cap = 0;
+            }
+          ()
+      in
+      let d = Dispatcher.create ~ctx ~on_commit:ignore () in
+      let replies = Queue.create () in
+      let conn =
+        Dispatcher.add_conn d
+          ~write:(fun r ->
+            Queue.push r replies;
+            true)
+          ~on_dead:ignore
+      in
+      let send line =
+        Dispatcher.submit d conn line;
+        Dispatcher.drain d;
+        Queue.pop replies
+      in
+      (* a one-job pool has no workers, so the pipe can close first *)
+      Fun.protect ~finally:(fun () -> Dispatcher.close d) (fun () -> f send))
 
 let classify_line ~id = Protocol.encode_request ~id
     (Protocol.Classify_valence { model = "sync"; n = 3; t = 1; depth = 3 })
 
 let test_dispatch_matches_renderer () =
-  with_ctx (fun ctx ->
-      match Dispatch.handle ctx ~pending:0 (classify_line ~id:1) with
+  with_dispatcher (fun send ->
+      match send (classify_line ~id:1) with
       | Protocol.Resp_ok { id = Some 1; exit_code; output } ->
           let ref_code, ref_out =
             Dispatch.classify_output ~model:"sync" ~n:3 ~t:1 ~depth:3 ()
@@ -436,16 +456,16 @@ let test_dispatch_matches_renderer () =
       | _ -> Alcotest.fail "classify did not answer ok")
 
 let test_dispatch_cache_replay () =
-  with_ctx (fun ctx ->
+  with_dispatcher (fun send ->
       Stats.reset ();
-      let first = Dispatch.handle ctx ~pending:0 (classify_line ~id:1) in
-      let second = Dispatch.handle ctx ~pending:0 (classify_line ~id:1) in
+      let first = send (classify_line ~id:1) in
+      let second = send (classify_line ~id:1) in
       check "replay is byte-identical" true (first = second);
       let s = Stats.snapshot () in
       check_int "second answer came from the cache" 1 s.Stats.result_cache_hits)
 
 let test_dispatch_containment () =
-  with_ctx (fun ctx ->
+  with_dispatcher (fun send ->
       (* the armed handler fault fires within the first three computes;
          the dispatcher must answer an internal error, then keep serving *)
       Fault.arm ~seed:7 Fault.Serve_handler_raise;
@@ -453,7 +473,7 @@ let test_dispatch_containment () =
         Fun.protect ~finally:Fault.disarm (fun () ->
             List.map
               (fun depth ->
-                Dispatch.handle ctx ~pending:0
+                send
                   (Protocol.encode_request ~id:depth
                      (Protocol.Classify_valence
                         { model = "sync"; n = 3; t = 1; depth })))
@@ -469,21 +489,19 @@ let test_dispatch_containment () =
              responses)
       in
       check_int "exactly one request poisoned" 1 internals;
-      match Dispatch.handle ctx ~pending:0 (classify_line ~id:9) with
+      match send (classify_line ~id:9) with
       | Protocol.Resp_ok _ -> ()
       | _ -> Alcotest.fail "dispatcher dead after a contained raise")
 
 let test_dispatch_shed () =
-  with_ctx (fun ctx ->
-      (match Dispatch.handle ctx ~pending:1000 (classify_line ~id:1) with
+  (* a negative queue cap sheds every compute request *)
+  with_dispatcher ~queue_cap:(-1) (fun send ->
+      (match send (classify_line ~id:1) with
       | Protocol.Resp_overloaded
           { id = Some 1; reason = `Queue; retry_after_s = Some s } ->
           check "shed response carries the retry hint" true (s > 0.)
       | _ -> Alcotest.fail "queue overload not shed");
-      match
-        Dispatch.handle ctx ~pending:1000
-          (Protocol.encode_request Protocol.Stats_query)
-      with
+      match send (Protocol.encode_request Protocol.Stats_query) with
       | Protocol.Resp_ok _ -> ()
       | _ -> Alcotest.fail "stats must bypass admission")
 
@@ -865,31 +883,45 @@ let with_tmp_dir f =
   in
   Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
+(* The valence memo survives a restart: after [Spill.load] into fresh
+   caches, the same queries give the cold verdicts without a single
+   valence miss, and the reloaded memo exports the very bytes that were
+   spilled. *)
+let spill_queries = [ ("sync", 3, 1, 3); ("mp", 3, 1, 3); ("iis", 3, 1, 2) ]
+
+let run_queries vcache =
+  List.map
+    (fun (model, n, t, depth) ->
+      (Valence_query.run ~cache:vcache ~model ~n ~t ~depth ()).Valence_query.verdicts)
+    spill_queries
+
 let test_spill_roundtrip () =
   with_tmp_dir (fun dir ->
       let rcache = Cache.create () in
       Cache.add rcache "k1" { Cache.exit_code = 0; output = "first\n" };
       Cache.add rcache "k2" { Cache.exit_code = 3; output = "" };
-      let vcache = Layered_analysis.Valence_query.create_cache ~spill:true () in
-      (* populate the classifier memo through a real query *)
-      ignore
-        (Layered_analysis.Valence_query.run ~cache:vcache ~model:"sync" ~n:3
-           ~t:1 ~depth:2 ());
+      let vcache = Valence_query.create_cache () in
+      (* populate the classifier memos through real queries *)
+      let cold = run_queries vcache in
+      let saved = Marshal.to_string (Valence_query.export_spill vcache) [] in
       (match Spill.save ~dir ~rcache ~vcache () with
       | Ok n -> check "spill saved some entries" true (n > 0)
       | Error e -> Alcotest.fail ("spill save: " ^ e));
       (* a fresh process's caches: reload and compare *)
       let rcache' = Cache.create () in
-      let vcache' = Layered_analysis.Valence_query.create_cache ~spill:true () in
+      let vcache' = Valence_query.create_cache () in
       let restored = Spill.load ~dir ~rcache:rcache' ~vcache:vcache' in
       check "entries restored" true (restored > 0);
       (match Cache.find rcache' "k1" with
       | Some { Cache.exit_code = 0; output = "first\n" } -> ()
       | _ -> Alcotest.fail "result-cache entry lost in the spill roundtrip");
-      check "valence memo restored" true
-        (Layered_analysis.Valence_query.(
-           spill_entries (export_spill vcache'))
-        > 0);
+      Stats.reset ();
+      let warm = run_queries vcache' in
+      check "reloaded verdicts equal the cold ones" true (warm = cold);
+      check_int "reloaded memo answers without a miss" 0
+        (Stats.snapshot ()).Stats.valence_cache_misses;
+      check_str "reloaded memo exports the spilled bytes" saved
+        (Marshal.to_string (Valence_query.export_spill vcache') []);
       (* generations are pruned: repeated spills do not accumulate *)
       List.iter
         (fun _ -> ignore (Spill.save ~dir ~rcache ~vcache ()))
@@ -899,7 +931,40 @@ let test_spill_roundtrip () =
       (* an unreadable spill is a cold start, not a crash *)
       check_int "missing dir loads cold" 0
         (Spill.load ~dir:"/nonexistent/lsrv" ~rcache:(Cache.create ())
-           ~vcache:(Layered_analysis.Valence_query.create_cache ~spill:true ())))
+           ~vcache:(Valence_query.create_cache ())))
+
+(* A spill in the version-1 payload shape, which keyed valence entries
+   by key string.  [Marshal] cannot tell it from version 2's part-string
+   vectors, so only the version guard keeps it from being misread. *)
+type v1_payload = {
+  v1_version : int;
+  v1_rcache : (string * Cache.entry) list;
+  v1_vcache :
+    ((string * int * int) * (string * (int * Layered_core.Valence.outcome)) list) list;
+}
+
+let test_spill_version_guard () =
+  with_tmp_dir (fun dir ->
+      let outcome =
+        { Layered_core.Valence.vals = Layered_core.Vset.empty; complete = true }
+      in
+      let old =
+        {
+          v1_version = 1;
+          v1_rcache = [ ("k", { Cache.exit_code = 0; output = "x\n" }) ];
+          v1_vcache = [ (("sync", 3, 1), [ ("r0|0|1|1", (3, outcome)) ]) ];
+        }
+      in
+      let module Checkpoint = Layered_runtime.Checkpoint in
+      ignore
+        (Checkpoint.save ~dir ~name:"serve-cache"
+           ~meta:(Checkpoint.make_meta ~progress:2 ())
+           ~payload:(Marshal.to_string old [])
+          : Checkpoint.saved);
+      let rcache = Cache.create () and vcache = Valence_query.create_cache () in
+      check_int "a version-1 spill loads cold" 0 (Spill.load ~dir ~rcache ~vcache);
+      check_int "result cache untouched" 0 (Cache.entries rcache);
+      check_int "no classifier built" 0 (Valence_query.cache_entries vcache))
 
 (* The retention depth is a parameter now (--spill-keep on the CLI):
    keep=1 must leave at most one generation on disk, and that survivor
@@ -908,7 +973,7 @@ let test_spill_keep () =
   with_tmp_dir (fun dir ->
       let rcache = Cache.create () in
       Cache.add rcache "k" { Cache.exit_code = 0; output = "x\n" };
-      let vcache = Layered_analysis.Valence_query.create_cache ~spill:true () in
+      let vcache = Valence_query.create_cache () in
       List.iter
         (fun _ ->
           match Spill.save ~keep:1 ~dir ~rcache ~vcache () with
@@ -919,7 +984,7 @@ let test_spill_keep () =
         (Array.length (Sys.readdir dir) <= 1);
       check "the surviving generation still loads" true
         (Spill.load ~dir ~rcache:(Cache.create ())
-           ~vcache:(Layered_analysis.Valence_query.create_cache ~spill:true ())
+           ~vcache:(Valence_query.create_cache ())
         > 0))
 
 (* ------------------------------------------------------------------ *)
@@ -1156,6 +1221,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_spill_roundtrip;
           Alcotest.test_case "retention depth" `Quick test_spill_keep;
+          Alcotest.test_case "version-1 spill loads cold" `Quick
+            test_spill_version_guard;
         ] );
       ( "recovery",
         [

@@ -204,19 +204,18 @@ let test_covering_engine_toy () =
   let outputs = [| Simplex.empty; triangle 0; triangle 1 |] in
   let succ = function 0 -> [ 1; 2 ] | i -> [ i ] in
   let terminal i = i > 0 in
-  let spec =
-    { Covering.succ; key = string_of_int; terminal; output = (fun i -> outputs.(i)) }
-  in
+  let spec = { Valence.succ; ident = Fun.id; decided = (fun _ -> Vset.empty); terminal } in
   let cover =
     Covering.of_complexes
       (Complex.of_simplexes [ triangle 0 ])
       (Complex.of_simplexes [ triangle 1 ])
   in
-  let engine = Covering.create spec cover in
+  let output i = outputs.(i) in
+  let v = Valence.create (Covering.valence_spec cover ~output spec) in
   check "root covering-bivalent" true
-    (Valence.verdict_equal (Covering.classify engine ~depth:2 0) Valence.Bivalent);
+    (Valence.verdict_equal (Valence.classify v ~depth:2 0) Valence.Bivalent);
   check "leaf univalent" true
-    (Valence.verdict_equal (Covering.classify engine ~depth:2 1)
+    (Valence.verdict_equal (Valence.classify v ~depth:2 1)
        (Valence.Univalent Value.zero))
 
 let () =
