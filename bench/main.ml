@@ -56,7 +56,7 @@ let shutdown_pools () =
    valence engine. *)
 let e1_classify_initials () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let v = Valence.create (E.valence_spec ~succ) in
   List.iter
     (fun x -> ignore (Valence.classify v ~depth:3 x))
@@ -71,12 +71,12 @@ let e2_con0_similarity () =
 let e3_s1_layer =
   let module E = (val make_sync_engine ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
-  fun () -> ignore (E.s1 ~record_failures:false x)
+  fun () -> ignore (E.layer E.s1 x)
 
 (* E3: valence connectivity of that layer, cold engine. *)
 let e3_layer_valence () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   let v = Valence.create (E.valence_spec ~succ) in
   ignore (Connectivity.valence_connected ~vals:(Valence.vals v ~depth:3) (succ x))
@@ -84,7 +84,7 @@ let e3_layer_valence () =
 (* E4: the full ever-bivalent chain construction in M^mf. *)
 let e4_bivalent_chain () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let v = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify v ~depth:3 x in
   let x0 =
@@ -143,12 +143,13 @@ let e7_verify_floodset () =
   ignore
     (Layered_analysis.Consensus_check.check
        ~protocol:(Layered_protocols.Sync_floodset.make ~t:1)
-       ~n:3 ~t:1 ~rounds:3 ~budget:(bench_budget ()) ())
+       ~failures:Layered_analysis.Consensus_check.Crash ~n:3 ~t:1 ~rounds:3
+       ~budget:(bench_budget ()) ())
 
 (* E7: the Lemma 6.1 chain plus the Lemma 6.2 round-t scan, (4,2). *)
 let e7_lower_bound_chain () =
   let module E = (val make_sync_engine ~t:2) in
-  let succ = E.st ~t:2 in
+  let succ = E.layer (E.st ~t:2) in
   let v = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify v ~depth:4 x in
   let x0 =
@@ -162,7 +163,7 @@ let e7_lower_bound_chain () =
 (* E8: the clean-round univalence sweep, (3,1). *)
 let e8_clean_round () =
   let module E = (val sync_engine (Layered_protocols.Sync_early.make ~t:1)) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let v = Valence.create (E.valence_spec ~succ) in
   let spec = { Explore.succ; key = E.key } in
   List.iter
@@ -170,7 +171,7 @@ let e8_clean_round () =
       List.iter
         (fun x ->
           if x.E.round <= 1 then
-            ignore (Valence.classify v ~depth:3 (E.apply ~record_failures:true x [])))
+            ignore (Valence.classify v ~depth:3 (E.apply E.Crash x (E.omit []))))
         (Explore.reachable spec ~depth:1 x0))
     (E.initial_states ~n:3 ~values)
 
@@ -190,7 +191,7 @@ let e9_thick_kset () =
 (* E10: level-1 similarity diameter of the (4,1) S^t image. *)
 let e10_diameter () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let layers = List.concat_map succ (E.initial_states ~n:4 ~values) in
   let seen = Hashtbl.create 256 in
   let x1 =
@@ -216,7 +217,7 @@ let e11_kset_explore () =
 (* E12: one covering-valence classification over three-valued inputs. *)
 let e12_covering_classify () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let all = Pid.all 3 in
   let unanimous v =
     Layered_topology.Simplex.of_assoc (List.map (fun p -> (p, v)) all)
@@ -249,7 +250,7 @@ let e13_iis_layer =
 (* E14: a full-information valence classification (views, not digests). *)
 let e14_full_info_classify () =
   let module E = (val sync_engine (Layered_protocols.Full_info.sync ~horizon:2)) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let v = Valence.create (E.valence_spec ~succ) in
   ignore (Valence.classify v ~depth:3 (E.initial ~inputs:[| 0; 1; 1 |]))
 
@@ -260,19 +261,10 @@ let e15_common_belief () =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let worlds = ref [] in
-  let seen = Hashtbl.create 1024 in
-  let rec explore x =
-    let k = E.key x in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      worlds := x :: !worlds;
-      if x.E.round < 3 then
-        List.iter
-          (fun a -> explore (E.apply ~record_failures:true x a))
-          (E.all_actions ~max_new:2 ~remaining_failures:(1 - E.failed_count x) x)
-    end
-  in
-  List.iter explore (E.initial_states ~n:3 ~values);
+  ignore
+    (E.walk (E.crash ~max_new:2 ~t:1) ~rounds:3
+       ~visit:(fun x -> worlds := x :: !worlds)
+       (E.initial_states ~n:3 ~values));
   let module Kripke = Layered_knowledge.Kripke in
   let kr =
     Kripke.create ~n:3 ~key:E.key
@@ -292,20 +284,22 @@ let e16_clean_verify () =
   ignore
     (Layered_analysis.Consensus_check.check
        ~protocol:(Layered_protocols.Sync_clean.make ~t:1)
-       ~n:3 ~t:1 ~rounds:3 ~budget:(bench_budget ()) ())
+       ~failures:Layered_analysis.Consensus_check.Crash ~n:3 ~t:1 ~rounds:3
+       ~budget:(bench_budget ()) ())
 
 (* E17: expand one two-omitter mobile layer. *)
 let e17_multi_layer =
   let module E = (val make_sync_engine ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
-  fun () -> ignore (E.s_multi ~omitters:2 x)
+  fun () -> ignore (E.layer (E.s_multi ~omitters:2) x)
 
 (* E18: exhaustive verification of the coordinator under send-omission. *)
 let e18_omission_verify () =
   ignore
-    (Layered_analysis.Omission_check.check
+    (Layered_analysis.Consensus_check.check
        ~protocol:(Layered_protocols.Sync_coordinator.make ~t:1)
-       ~n:3 ~t:1 ~rounds:7 ~budget:(bench_budget ()) ())
+       ~failures:Layered_analysis.Consensus_check.Omission ~n:3 ~t:1 ~rounds:7 ~max_new:1
+       ~budget:(bench_budget ()) ())
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
@@ -314,14 +308,14 @@ let e18_omission_verify () =
    engine is budgeted, measuring the probe overhead on the miss path. *)
 let ablation_valence_cold () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let v = Valence.create ~budget:(bench_budget ()) (E.valence_spec ~succ) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   ignore (Valence.classify v ~depth:3 x)
 
 let ablation_valence_warm =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let v = Valence.create (E.valence_spec ~succ) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   ignore (Valence.classify v ~depth:3 x);
@@ -331,7 +325,7 @@ let ablation_valence_warm =
    budgeted entry point, measuring the budget probes too). *)
 let ablation_growth_sync () =
   let module E = (val make_sync_engine ~t:1) in
-  let spec = { Explore.succ = E.st ~t:1; key = E.key } in
+  let spec = { Explore.succ = E.layer (E.st ~t:1); key = E.key } in
   ignore
     (Explore.count_reachable_outcome ~budget:(bench_budget ()) spec ~depth:2
        (E.initial ~inputs:[| 0; 1; 1 |]))
@@ -356,13 +350,13 @@ let ablation_growth_mp () =
    level-synchronous Frontier at 1/2/4 domains, same (4,1) S^t image. *)
 let ablation_frontier_serial =
   let module E = (val make_sync_engine ~t:1) in
-  let spec = { Explore.succ = E.st ~t:1; key = E.key } in
+  let spec = { Explore.succ = E.layer (E.st ~t:1); key = E.key } in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
   fun () -> ignore (Explore.count_reachable spec ~depth:2 x)
 
 let ablation_frontier jobs =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
   fun () ->
     ignore
@@ -373,7 +367,7 @@ let ablation_frontier jobs =
    engine per state, fanned across the pool. *)
 let ablation_e1_pool jobs =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let initials = E.initial_states ~n:3 ~values in
   fun () ->
     Pool.parallel_iter (pool jobs)
@@ -407,7 +401,7 @@ let rm_ckpt_dir dir =
 
 let checkpoint_write =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
   let dir = ckpt_bench_dir "write" in
   fun () ->
@@ -427,7 +421,7 @@ let checkpoint_write =
 
 let checkpoint_restore =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
   let dir = ckpt_bench_dir "restore" in
   (* Fixture: one mid-run generation (levels 0-1 delivered, level 2
@@ -510,7 +504,7 @@ module Sim_E = (val make_sync_engine ~t:1)
 
 let simgraph_states =
   lazy
-    (let spec = { Explore.succ = Sim_E.st ~t:1; key = Sim_E.key } in
+    (let spec = { Explore.succ = Sim_E.layer (Sim_E.st ~t:1); key = Sim_E.key } in
      Sim_E.dedup
        (List.concat_map
           (fun x0 -> Explore.reachable spec ~depth:2 x0)
@@ -528,7 +522,7 @@ let valence_rounds = 5
 
 let valence_interned () =
   let module E = (val make_sync_engine ~t:1) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   for _ = 1 to valence_rounds do
     let v = Valence.create (E.valence_spec ~succ) in
     List.iter

@@ -310,21 +310,30 @@ let verify_cmd =
       & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
           ~doc:"floodset | eig | early | clean | uniform | coordinator")
   in
-  let model =
+  let failures =
     Arg.(
       value
-      & opt (enum [ ("crash", `Crash); ("omission", `Omission); ("general", `General) ]) `Crash
+      & opt
+          (enum
+             [
+               ("crash", Consensus_check.Crash); ("omission", Consensus_check.Omission);
+               ("general", Consensus_check.General_omission);
+             ])
+          Consensus_check.Crash
       & info [ "model" ] ~docv:"MODEL" ~doc:"crash | omission | general (omission)")
   in
   let rounds =
-    Arg.(value & opt (some int) None & info [ "r"; "rounds" ] ~docv:"R"
-           ~doc:"Rounds to explore (default: the protocol's decision round + 1).")
+    Arg.(value & opt (some (bounded_int ~min:0 ~what:"rounds")) None
+         & info [ "r"; "rounds" ] ~docv:"R"
+             ~doc:"Rounds to explore (default: the protocol's decision round + 1).")
   in
   let max_new =
-    Arg.(value & opt int 2 & info [ "m"; "max-new" ] ~docv:"M"
-           ~doc:"Maximum fresh failures per round.")
+    Arg.(
+      value
+      & opt (bounded_int ~min:0 ~what:"max-new") 2
+      & info [ "m"; "max-new" ] ~docv:"M" ~doc:"Maximum fresh failures per round (at least 0).")
   in
-  let f protocol model n t rounds max_new budget =
+  let f protocol failures n t rounds max_new budget =
     let protocol, default_rounds =
       match protocol with
       | `Floodset -> (Layered_protocols.Sync_floodset.make ~t, t + 2)
@@ -335,29 +344,16 @@ let verify_cmd =
       | `Coordinator -> (Layered_protocols.Sync_coordinator.make ~t, (3 * (t + 1)) + 1)
     in
     let rounds = Option.value rounds ~default:default_rounds in
-    let ok, status =
+    let r =
       Budget.with_sigint budget (fun () ->
-          match model with
-          | `Crash ->
-              let r = Consensus_check.check ~protocol ~n ~t ~rounds ~max_new ~budget () in
-              Format.printf "%a@." Consensus_check.pp_result r;
-              ( r.Consensus_check.agreement_ok && r.Consensus_check.validity_ok
-                && r.Consensus_check.termination_ok,
-                r.Consensus_check.status )
-          | `Omission | `General ->
-              let general = model = `General in
-              let r =
-                Omission_check.check ~protocol ~n ~t ~rounds ~max_new ~general ~budget ()
-              in
-              Format.printf "%a@." Omission_check.pp_result r;
-              ( r.Omission_check.agreement_ok && r.Omission_check.validity_ok
-                && r.Omission_check.termination_ok,
-                r.Omission_check.status ))
+          Consensus_check.check ~protocol ~failures ~n ~t ~rounds ~max_new ~budget ())
     in
-    if not ok then 1 else match status with Budget.Complete -> 0 | _ -> exit_trunc
+    Format.printf "%a@." Consensus_check.pp_result r;
+    if not (r.agreement_ok && r.validity_ok && r.termination_ok) then 1
+    else match r.status with Budget.Complete -> 0 | _ -> exit_trunc
   in
   Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const f $ protocol $ model $ n_arg $ t_arg $ rounds $ max_new $ budget_term)
+    Term.(const f $ protocol $ failures $ n_arg $ t_arg $ rounds $ max_new $ budget_term)
 
 let layers_cmd =
   let doc = "Sweep a substrate: reachable states and layer sizes per depth." in

@@ -24,19 +24,10 @@ let () =
 
   (* Collect every reachable state under every crash adversary. *)
   let worlds = ref [] in
-  let seen = Hashtbl.create 1024 in
-  let rec explore x =
-    let k = E.key x in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      worlds := x :: !worlds;
-      if x.E.round < t + 2 then
-        List.iter
-          (fun a -> explore (E.apply ~record_failures:true x a))
-          (E.all_actions ~max_new:2 ~remaining_failures:(t - E.failed_count x) x)
-    end
-  in
-  List.iter explore (E.initial_states ~n ~values:[ Value.zero; Value.one ]);
+  ignore
+    (E.walk (E.crash ~max_new:2 ~t) ~rounds:(t + 2)
+       ~visit:(fun x -> worlds := x :: !worlds)
+       (E.initial_states ~n ~values:[ Value.zero; Value.one ]));
   let worlds = !worlds in
   Format.printf "Explored %d distinct global states.@.@." (List.length worlds);
 

@@ -14,13 +14,14 @@ let demonstrate ~pname ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
   Format.printf "=== %s, n=%d t=%d ===@.@." pname n t;
-  let succ = E.st ~t in
+  let adv = E.st ~t in
+  let succ = E.layer adv in
   let valence = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify valence ~depth:(t + 2) x in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let x0 = Option.get (Layering.find_bivalent ~classify initials) in
   let succ_labelled x =
-    List.map (fun a -> (a, E.apply ~record_failures:true x a)) (E.st_actions ~t x)
+    List.map (fun a -> (a, E.apply adv.discipline x a)) (adv.actions x)
   in
   let chain = Layering.bivalent_chain_labelled ~classify ~succ:succ_labelled ~length:t x0 in
   Format.printf "Lemma 6.1 -- the adversary keeps the run bivalent:@.";
@@ -45,7 +46,8 @@ let demonstrate ~pname ~protocol ~n ~t =
     t worst;
   Format.printf "so some run cannot decide before round %d.@." (t + 1);
   let result =
-    Layered_analysis.Consensus_check.check ~protocol ~n ~t ~rounds:(t + 2) ()
+    Layered_analysis.Consensus_check.check ~protocol
+      ~failures:Layered_analysis.Consensus_check.Crash ~n ~t ~rounds:(t + 2) ()
   in
   Format.printf "Tightness -- exhaustive check over all crash adversaries: %a@.@."
     Layered_analysis.Consensus_check.pp_result result
@@ -62,7 +64,7 @@ let () =
   let module P = (val Layered_protocols.Sync_early.make ~t:2) in
   let module E = Layered_sync.Engine.Make (P) in
   let x = E.initial ~inputs:[| 0; 1; 1; 1 |] in
-  let y = E.apply ~record_failures:true x [] in
+  let y = E.apply E.Crash x (E.omit []) in
   Format.printf
     "Early decider on a clean run: everyone decided after round 1? %b (t+1 = 3)@."
     (E.terminal y)

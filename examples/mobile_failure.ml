@@ -22,16 +22,14 @@ let () =
 
   (* In M^mf nothing is ever recorded: the same process can be hit in one
      round and heard in the next. *)
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let valence = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify valence ~depth:(horizon + 1) x in
 
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let x0 = Option.get (Layering.find_bivalent ~classify initials) in
 
-  let succ_labelled x =
-    List.map (fun a -> (a, E.apply ~record_failures:false x a)) (E.s1_actions x)
-  in
+  let succ_labelled x = List.map (fun a -> (a, E.apply E.Mobile x a)) (E.s1.actions x) in
   let chain = Layering.bivalent_chain_labelled ~classify ~succ:succ_labelled ~length:8 x0 in
   assert chain.Layering.complete_l;
 
@@ -50,7 +48,7 @@ let () =
     (fun (action, x) ->
       (* In M^mf nothing is recorded, so an omission with no blocked
          destination is simply a clean round. *)
-      let action = List.filter (fun o -> o.E.blocked <> []) action in
+      let action = E.omit (List.filter (fun o -> o.E.blocked <> []) action.E.drops) in
       Format.printf "round %d: %-12s %s@." x.E.round
         (Format.asprintf "%a" E.pp_action action)
         (describe x))

@@ -16,13 +16,15 @@ open Layered_core
 let () =
   Format.printf "=== FloodSet under send-omission (n=3, t=1) ===@.@.";
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
-  let module E = Layered_sync.Omission.Make (P) in
+  let module E = Layered_sync.Engine.Make (P) in
   (* Inputs 0,1,1; the adversary marks p3... here the injector is p1
-     itself holding the minimum.  Round 1: p1 faulty, sends to nobody.
-     Round 2 (decision round): p1 delivers only to p2. *)
+     itself holding the minimum.  Round 1: p1 marked faulty, sends to
+     nobody.  Round 2 (decision round): p1 delivers only to p2. *)
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
-  let y = E.apply x { E.corrupt = [ 1 ]; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] } in
-  let z = E.apply y { E.corrupt = []; drops = [ (1, [ 3 ]) ]; rdrops = [] } in
+  let y = E.apply E.Omission x (E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ]) in
+  let z =
+    E.apply E.Omission y { E.marks = []; drops = [ { E.sender = 1; blocked = [ 3 ] } ] }
+  in
   Format.printf "%a@." E.pp z;
   Format.printf
     "p2 received the late 0 and decided it; p3 never saw it.  Both are correct:@.";
@@ -33,21 +35,22 @@ let () =
 
   Format.printf "=== The rotating coordinator absorbs it (n=3, t=1) ===@.@.";
   let module C = (val Layered_protocols.Sync_coordinator.make ~t:1) in
-  let module EC = Layered_sync.Omission.Make (C) in
+  let module EC = Layered_sync.Engine.Make (C) in
   (* Same adversarial idea, against the coordinator: p1 faulty, hides its
      0 early and reveals it late. *)
   let x = EC.initial ~inputs:[| 0; 1; 1 |] in
+  let drop blocked = { EC.marks = []; drops = [ { EC.sender = 1; blocked } ] } in
   let steps =
     [
-      { EC.corrupt = [ 1 ]; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] };
-      { EC.corrupt = []; drops = [ (1, [ 3 ]) ]; rdrops = [] };
-      { EC.corrupt = []; drops = [ (1, [ 2 ]) ]; rdrops = [] };
-      { EC.corrupt = []; drops = []; rdrops = [] };
-      { EC.corrupt = []; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] };
-      { EC.corrupt = []; drops = []; rdrops = [] };
+      EC.omit [ { EC.sender = 1; blocked = [ 2; 3 ] } ];
+      drop [ 3 ];
+      drop [ 2 ];
+      EC.omit [];
+      drop [ 2; 3 ];
+      EC.omit [];
     ]
   in
-  let final = List.fold_left EC.apply x steps in
+  let final = List.fold_left (EC.apply EC.Omission) x steps in
   Format.printf "%a@." EC.pp final;
   Format.printf "Non-faulty decisions: %a -- agreement holds.@.@." Vset.pp
     (EC.decided_vset final);

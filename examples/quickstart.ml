@@ -19,7 +19,7 @@ let () =
 
   (* 2. The layering S^t: one fresh crash per layer while the budget
      lasts. *)
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
 
   (* 3. A valence engine over the submodel R_{S^t}.  Depth t+2 covers the
      protocol's decision round, so every verdict is exact. *)
@@ -74,7 +74,8 @@ let () =
      verified against every crash adversary. *)
   let result =
     Layered_analysis.Consensus_check.check
-      ~protocol:(Layered_protocols.Sync_floodset.make ~t) ~n ~t ~rounds:(t + 2) ()
+      ~protocol:(Layered_protocols.Sync_floodset.make ~t)
+      ~failures:Layered_analysis.Consensus_check.Crash ~n ~t ~rounds:(t + 2) ()
   in
   Format.printf "@.Exhaustive verification: %a@." Layered_analysis.Consensus_check.pp_result
     result

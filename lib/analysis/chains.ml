@@ -38,18 +38,17 @@ let run ~model ~n ~t ~length =
   | "mobile" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      let valence =
-        Valence.create (E.valence_spec ~succ:(E.s1 ~record_failures:false))
-      in
+      let adv = E.s1 in
+      let valence = Valence.create (E.valence_spec ~succ:(E.layer adv)) in
       let succ_labelled x =
         List.map
           (fun a ->
             let label =
-              List.filter (fun o -> o.E.blocked <> []) a
+              E.omit (List.filter (fun o -> o.E.blocked <> []) a.E.drops)
               |> Format.asprintf "%a" E.pp_action
             in
-            (label, E.apply ~record_failures:false x a))
-          (E.s1_actions x)
+            (label, E.apply adv.discipline x a))
+          (adv.actions x)
       in
       build ~model ~n ~horizon ~length
         ~initials:(E.initial_states ~n ~values)
@@ -59,11 +58,12 @@ let run ~model ~n ~t ~length =
   | "sync" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      let valence = Valence.create (E.valence_spec ~succ:(E.st ~t)) in
+      let adv = E.st ~t in
+      let valence = Valence.create (E.valence_spec ~succ:(E.layer adv)) in
       let succ_labelled x =
         List.map
-          (fun a -> (Format.asprintf "%a" E.pp_action a, E.apply ~record_failures:true x a))
-          (E.st_actions ~t x)
+          (fun a -> (Format.asprintf "%a" E.pp_action a, E.apply adv.discipline x a))
+          (adv.actions x)
       in
       (* Bivalence survives only through round t - 1 in this model. *)
       build ~model ~n ~horizon ~length:(min length t)

@@ -1,7 +1,10 @@
 open Layered_core
 module Budget = Layered_runtime.Budget
 
+type failures = Crash | Omission | General_omission
+
 type result = {
+  failures : failures;
   agreement_ok : bool;
   uniform_agreement_ok : bool;
   validity_ok : bool;
@@ -11,11 +14,15 @@ type result = {
   status : Budget.status;
 }
 
-exception Cut of Budget.reason * int
-
-let check ~protocol:(module P : Layered_sync.Protocol.S) ~n ~t ~rounds ?(max_new = 2)
-    ?budget () =
+let check ~protocol:(module P : Layered_sync.Protocol.S) ~failures ~n ~t ~rounds
+    ?(max_new = 2) ?budget () =
   let module E = Layered_sync.Engine.Make (P) in
+  let adversary =
+    match failures with
+    | Crash -> E.crash ~max_new ~t
+    | Omission -> E.omission ~general:false ~max_new ~t
+    | General_omission -> E.omission ~general:true ~max_new ~t
+  in
   let agreement_ok = ref true
   and uniform_ok = ref true
   and validity_ok = ref true
@@ -39,39 +46,22 @@ let check ~protocol:(module P : Layered_sync.Protocol.S) ~n ~t ~rounds ?(max_new
       else worst := max !worst (x.E.round + 1)
     end
   in
-  let explore_from allowed x0 =
-    let seen = Hashtbl.create 4096 in
-    let rec explore x =
-      let k = E.key x in
-      if not (Hashtbl.mem seen k) then begin
-        (match Budget.exceeded_opt budget with
-        | Some reason -> raise_notrace (Cut (reason, x.E.round))
-        | None -> ());
-        Budget.charge_opt budget 1;
-        Hashtbl.add seen k ();
-        check_state allowed x;
-        if x.E.round < rounds then
-          List.iter
-            (fun a -> explore (E.apply ~record_failures:true x a))
-            (E.all_actions ~max_new ~remaining_failures:(t - E.failed_count x) x)
-      end
-    in
-    explore x0
-  in
+  (* One walk per input vector: validity is judged against its inputs,
+     and states are counted per vector. *)
   let status =
-    try
-      List.iter
-        (fun inputs ->
-          let allowed = Vset.of_list (Array.to_list inputs) in
-          explore_from allowed (E.initial ~inputs))
-        (Inputs.vectors ~n ~values:[ Value.zero; Value.one ]);
+    List.fold_left
+      (fun status inputs ->
+        match status with
+        | Budget.Truncated _ -> status
+        | Budget.Complete ->
+            let allowed = Vset.of_list (Array.to_list inputs) in
+            E.walk ?budget adversary ~rounds ~visit:(check_state allowed)
+              [ E.initial ~inputs ])
       Budget.Complete
-    with Cut (reason, at_depth) ->
-      (match budget with
-      | Some b -> Budget.truncated b ~reason ~at_depth
-      | None -> assert false)
+      (Inputs.vectors ~n ~values:[ Value.zero; Value.one ])
   in
   {
+    failures;
     agreement_ok = !agreement_ok;
     uniform_agreement_ok = !uniform_ok;
     validity_ok = !validity_ok;
@@ -82,10 +72,12 @@ let check ~protocol:(module P : Layered_sync.Protocol.S) ~n ~t ~rounds ?(max_new
   }
 
 let pp_result ppf r =
-  Format.fprintf ppf
-    "agreement=%b uniform=%b validity=%b termination=%b worst-round=%d states=%d"
-    r.agreement_ok r.uniform_agreement_ok r.validity_ok r.termination_ok
-    r.worst_decision_round r.states_explored;
+  Format.fprintf ppf "agreement=%b" r.agreement_ok;
+  (match r.failures with
+  | Crash -> Format.fprintf ppf " uniform=%b" r.uniform_agreement_ok
+  | Omission | General_omission -> ());
+  Format.fprintf ppf " validity=%b termination=%b worst-round=%d states=%d" r.validity_ok
+    r.termination_ok r.worst_decision_round r.states_explored;
   match r.status with
   | Budget.Complete -> ()
   | Budget.Truncated tr ->

@@ -3,7 +3,7 @@ open Layered_core
 let run_one ~n ~t ~levels =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let rec go rows level xs dx =
     if level > levels then rows

@@ -5,7 +5,7 @@ let run_one ~n ~t =
   let values = [ Value.zero; Value.one; Value.of_int 2 ] in
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let all = Pid.all n in
   let unanimous v = Simplex.of_assoc (List.map (fun p -> (p, v)) all) in
   (* O0: everyone decides 0 or everyone decides 1; O1: everyone decides

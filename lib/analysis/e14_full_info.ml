@@ -5,7 +5,7 @@ let values = [ Value.zero; Value.one ]
 let mobile ~n ~horizon ~length =
   let module P = (val Layered_protocols.Full_info.sync ~horizon) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in

@@ -16,19 +16,10 @@ let measure ~protocol ~n ~t ~decision_round =
   let module E = Layered_sync.Engine.Make (P) in
   let rounds = t + 2 in
   let acc = ref [] in
-  let seen = Hashtbl.create 4096 in
-  let rec explore x =
-    let k = E.key x in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      acc := x :: !acc;
-      if x.E.round < rounds then
-        List.iter
-          (fun a -> explore (E.apply ~record_failures:true x a))
-          (E.all_actions ~max_new:2 ~remaining_failures:(t - E.failed_count x) x)
-    end
-  in
-  List.iter explore (E.initial_states ~n ~values:[ Value.zero; Value.one ]);
+  ignore
+    (E.walk (E.crash ~max_new:2 ~t) ~rounds
+       ~visit:(fun x -> acc := x :: !acc)
+       (E.initial_states ~n ~values:[ Value.zero; Value.one ]));
   let worlds = !acc in
   let local_key i (x : E.state) = P.key x.E.locals.(i - 1) in
   let kr = Kripke.create ~n ~key:E.key ~local_key worlds in

@@ -9,27 +9,16 @@ let worst_decision_with_waste ~protocol ~n ~t ~c =
   let rounds = t + 2 in
   let worst = ref 0 and ok = ref true in
   let first_action =
-    List.map
-      (fun j -> { E.sender = j; blocked = Pid.others n j })
-      (List.init c (fun i -> i + 1))
+    E.omit
+      (List.map
+         (fun j -> { E.sender = j; blocked = Pid.others n j })
+         (List.init c (fun i -> i + 1)))
   in
-  let explore_from x0 =
-    let seen = Hashtbl.create 1024 in
-    let rec explore x =
-      let k = E.key x in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        if not (E.terminal x) then begin
-          if x.E.round >= rounds then ok := false
-          else worst := max !worst (x.E.round + 1)
-        end;
-        if x.E.round < rounds then
-          List.iter
-            (fun a -> explore (E.apply ~record_failures:true x a))
-            (E.all_actions ~max_new:2 ~remaining_failures:(t - E.failed_count x) x)
-      end
-    in
-    explore x0
+  let visit x =
+    if not (E.terminal x) then begin
+      if x.E.round >= rounds then ok := false
+      else worst := max !worst (x.E.round + 1)
+    end
   in
   List.iter
     (fun inputs ->
@@ -37,13 +26,17 @@ let worst_decision_with_waste ~protocol ~n ~t ~c =
       (* The undecided initial state itself shows decision takes >= 1
          round. *)
       if not (E.terminal x0) then worst := max !worst 1;
-      explore_from (E.apply ~record_failures:true x0 first_action))
+      ignore
+        (E.walk (E.crash ~max_new:2 ~t) ~rounds ~visit
+           [ E.apply E.Crash x0 first_action ]))
     (Inputs.vectors ~n ~values:[ Value.zero; Value.one ]);
   if !ok then !worst else rounds + 1
 
 let run_one ~n ~t =
   let protocol = Layered_protocols.Sync_clean.make ~t in
-  let verified = Consensus_check.check ~protocol ~n ~t ~rounds:(t + 2) () in
+  let verified =
+    Consensus_check.check ~protocol ~failures:Crash ~n ~t ~rounds:(t + 2) ()
+  in
   let params = Printf.sprintf "clean-floodset n=%d t=%d" n t in
   let verify_row =
     Report.check ~id:"E16" ~claim:"protocol verified" ~params

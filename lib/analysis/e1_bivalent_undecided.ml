@@ -6,7 +6,7 @@ open Layered_core
 let check_sync ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 3 in
   let spec = { Explore.succ; key = E.key } in

@@ -41,7 +41,7 @@ let row ~model ~n p =
 let mobile ~n ~horizon =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let v = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   probe
@@ -52,7 +52,7 @@ let mobile ~n ~horizon =
 let tresilient ~n ~t =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let v = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   probe

@@ -1,31 +1,17 @@
 open Layered_core
 
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let s = subsets rest in
-      s @ List.map (fun sub -> x :: sub) s
-
 let run_one ~n ~horizon =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_sync.Engine.Make (P) in
-  let record_failures = false in
-  let succ = E.s1 ~record_failures in
+  let succ = E.layer E.s1 in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
   let classify x = Valence.classify valence ~depth x in
   (* The full micro-step relation of M^mf: one round under any action
-     (j, G) with an arbitrary subset G. *)
-  let micro x =
-    let n = E.n_of x in
-    let per_j j =
-      List.map
-        (fun blocked -> E.apply ~record_failures x [ { E.sender = j; blocked } ])
-        (subsets (Pid.others n j))
-    in
-    E.apply ~record_failures x [] :: List.concat_map per_j (Pid.all n)
-  in
+     (j, G) with an arbitrary subset G — the single-crash actions, with
+     nothing recorded. *)
+  let micro x = List.map (E.apply E.Mobile x) ((E.crash ~max_new:1 ~t:1).actions x) in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =
     List.concat_map

@@ -3,7 +3,7 @@ open Layered_core
 let run_one ?(check_clean = true) ~pname ~protocol ~n ~horizon ~length () =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let classify x = Valence.classify valence ~depth x in

@@ -7,11 +7,12 @@ let run_one ?(decision_round = 0) ?(uniform = false) ~pname ~protocol ~n ~t ~max
   let decision_round = if decision_round = 0 then t + 1 else decision_round in
   let params = Printf.sprintf "%s n=%d t=%d" pname n t in
   let verified =
-    Consensus_check.check ~protocol ~n ~t ~rounds:(decision_round + 1) ~max_new ()
+    Consensus_check.check ~protocol ~failures:Crash ~n ~t ~rounds:(decision_round + 1)
+      ~max_new ()
   in
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = decision_round + 1 in
   let classify x = Valence.classify valence ~depth x in

@@ -3,7 +3,7 @@ open Layered_core
 let run_one ~pname ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   let classify x = Valence.classify valence ~depth x in
@@ -15,7 +15,7 @@ let run_one ~pname ~protocol ~n ~t =
       List.iter
         (fun x ->
           if x.E.round <= t then begin
-            let y = E.apply ~record_failures:true x [] in
+            let y = E.apply E.Crash x (E.omit []) in
             incr checked;
             match classify y with
             | Valence.Univalent _ -> ()

@@ -39,7 +39,7 @@ let con0_similarity ~n ~t =
 let st_layer ~n ~t =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t in
+  let succ = E.layer (E.st ~t) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let classify x = Valence.classify valence ~depth:(t + 2) x in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in

@@ -52,12 +52,12 @@ type workload_user = {
 let with_floodset_st ~n ~t { use } =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  use ~succ:(E.st ~t) ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
+  use ~succ:(E.layer (E.st ~t)) ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
 
 let with_floodset_s1 ~n ~t { use } =
   let module P = (val Layered_protocols.Sync_floodset.make ~t) in
   let module E = Layered_sync.Engine.Make (P) in
-  use ~succ:(E.s1 ~record_failures:false) ~key:E.key
+  use ~succ:(E.layer E.s1) ~key:E.key
     ~x0:(E.initial ~inputs:(mixed_inputs n))
 
 (* A synthetic binary tree: no dedup pressure, every state fresh, so a
@@ -144,21 +144,21 @@ let perm_invariant (type a) ~(spec : a Valence.spec) ~depth (states : a list) =
 let vp_floodset ~jobs:_ =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   perm_invariant ~spec:(E.valence_spec ~succ) ~depth:3
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
 let vp_early ~jobs:_ =
   let module P = (val Layered_protocols.Sync_early.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   perm_invariant ~spec:(E.valence_spec ~succ) ~depth:2
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
 let vp_mobile ~jobs:_ =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.s1 ~record_failures:false in
+  let succ = E.layer E.s1 in
   perm_invariant ~spec:(E.valence_spec ~succ) ~depth:2
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
@@ -278,7 +278,7 @@ let complete_consensus ~jobs:_ =
   let r =
     Consensus_check.check
       ~protocol:(Layered_protocols.Sync_floodset.make ~t:1)
-      ~n:3 ~t:1 ~rounds:2 ~budget:(generous ()) ()
+      ~failures:Crash ~n:3 ~t:1 ~rounds:2 ~budget:(generous ()) ()
   in
   match r.Consensus_check.status with
   | Budget.Complete ->
@@ -289,11 +289,11 @@ let complete_consensus ~jobs:_ =
 
 let complete_omission ~jobs:_ =
   let r =
-    Omission_check.check
+    Consensus_check.check
       ~protocol:(Layered_protocols.Sync_coordinator.make ~t:1)
-      ~n:3 ~t:1 ~rounds:6 ~budget:(generous ()) ()
+      ~failures:Omission ~n:3 ~t:1 ~rounds:6 ~max_new:1 ~budget:(generous ()) ()
   in
-  match r.Omission_check.status with
+  match r.Consensus_check.status with
   | Budget.Complete ->
       if r.agreement_ok && r.validity_ok && r.termination_ok then pass_
       else fail "coordinator verdicts regressed under a generous budget"
@@ -570,7 +570,8 @@ let sg_sync ~jobs:_ =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E) (initials @ E.dedup (List.concat_map (E.st ~t:1) initials))
+  simgraph_eq (module E)
+    (initials @ E.dedup (List.concat_map (E.layer (E.st ~t:1)) initials))
 
 let sg_iis ~jobs:_ =
   let module P = (val Layered_protocols.Iis_voting.make ~horizon:2) in

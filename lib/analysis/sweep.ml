@@ -232,12 +232,12 @@ let run ?pool ?budget ?checkpoint ?spill ?(symmetry = false) ~model ~n ~t ~depth
     | "mobile" ->
         let module P = (val Layered_protocols.Sync_floodset.make ~t) in
         let module E = Layered_sync.Engine.Make (P) in
-        sweep_generic ~succ:(E.s1 ~record_failures:false) ~key:E.key
+        sweep_generic ~succ:(E.layer E.s1) ~key:E.key
           ~x0:(E.initial ~inputs:(mixed_inputs n)) ~depth ()
     | "sync" ->
         let module P = (val Layered_protocols.Sync_floodset.make ~t) in
         let module E = Layered_sync.Engine.Make (P) in
-        sweep_generic ~succ:(E.st ~t) ~key:E.key
+        sweep_generic ~succ:(E.layer (E.st ~t)) ~key:E.key
           ~x0:(E.initial ~inputs:(mixed_inputs n)) ~depth ()
     | "sm" ->
         let module P = (val Layered_protocols.Sm_voting.make ~horizon:(t + 1)) in

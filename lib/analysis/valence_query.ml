@@ -60,12 +60,12 @@ let make_classifier ~model ~n ~t =
   | "mobile" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      classifier (module E) ~succ:(E.s1 ~record_failures:false)
+      classifier (module E) ~succ:(E.layer E.s1)
         (E.initial_states ~n ~values)
   | "sync" ->
       let module P = (val Layered_protocols.Sync_floodset.make ~t) in
       let module E = Layered_sync.Engine.Make (P) in
-      classifier (module E) ~succ:(E.st ~t) (E.initial_states ~n ~values)
+      classifier (module E) ~succ:(E.layer (E.st ~t)) (E.initial_states ~n ~values)
   | "sm" ->
       let module P = (val Layered_protocols.Sm_voting.make ~horizon:(t + 1)) in
       let module E = Layered_async_sm.Engine.Make (P) in

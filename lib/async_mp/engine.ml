@@ -223,8 +223,6 @@ module Make (P : Protocol.S) = struct
 
   let in_transit x = Array.fold_left (fun acc box -> acc + List.length box) 0 x.mail
 
-  let explore_spec = { Explore.succ = sper; key }
-
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;
     Array.iteri

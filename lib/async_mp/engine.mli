@@ -72,7 +72,6 @@ module Make (P : Protocol.S) : sig
   (** Total number of in-transit messages (conservation checks). *)
   val in_transit : state -> int
 
-  val explore_spec : state Explore.spec
   val pp : Format.formatter -> state -> unit
 end
 

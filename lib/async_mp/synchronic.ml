@@ -147,7 +147,6 @@ module Make (P : Layered_sync.Protocol.S) = struct
 
   let smp x = dedup_map (apply x) (actions ~n:(n_of x))
   let in_transit x = List.length x.transit
-  let explore_spec = { Explore.succ = smp; key }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d, %d in transit@," x.round (in_transit x);

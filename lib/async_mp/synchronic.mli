@@ -54,7 +54,6 @@ module Make (P : Layered_sync.Protocol.S) : sig
   include Engine_core.S with type state := state
 
   val in_transit : state -> int
-  val explore_spec : state Explore.spec
   val pp : Format.formatter -> state -> unit
 end
 

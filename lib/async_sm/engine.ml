@@ -151,8 +151,6 @@ module Make (P : Protocol.S) = struct
 
   let srw x = dedup (List.map (apply x) (actions ~n:(n_of x)))
 
-  let explore_spec = { Explore.succ = srw; key }
-
   let pp ppf x =
     Format.fprintf ppf "@[<v>phase %d@," x.phase;
     Array.iteri

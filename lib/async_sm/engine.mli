@@ -74,7 +74,6 @@ module Make (P : Protocol.S) : sig
       [apply x a] over all actions. *)
   val srw : state -> state list
 
-  val explore_spec : state Explore.spec
   val pp : Format.formatter -> state -> unit
 end
 

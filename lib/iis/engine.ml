@@ -138,7 +138,6 @@ module Make (P : Protocol.S) = struct
           ps
 
   let layer x = dedup_map (apply x) (partitions_of (n_of x))
-  let explore_spec = { Explore.succ = layer; key }
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;

@@ -57,7 +57,6 @@ module Make (P : Protocol.S) : sig
       whenever the protocol's local keys are pid-free. *)
   include Engine_core.S with type state := state
 
-  val explore_spec : state Explore.spec
   val pp : Format.formatter -> state -> unit
 end
 

@@ -1,4 +1,5 @@
 open Layered_core
+module Budget = Layered_runtime.Budget
 
 module type S = Engine_intf.S
 
@@ -13,8 +14,11 @@ module Make (P : Protocol.S) = struct
   }
 
   type omission = { sender : Pid.t; blocked : Pid.t list }
-  type action = omission list
+  type action = { marks : Pid.t list; drops : omission list }
+  type discipline = Mobile | Crash | Omission
 
+  let omit drops = { marks = List.map (fun o -> o.sender) drops; drops }
+  let clean = omit []
   let n_of x = Array.length x.locals
 
   let initial ~inputs =
@@ -29,47 +33,46 @@ module Make (P : Protocol.S) = struct
   let initial_states ~n ~values =
     List.map (fun inputs -> initial ~inputs) (Inputs.vectors ~n ~values)
 
-  let normalise_omission n { sender; blocked } =
-    if sender < 1 || sender > n then invalid_arg "Engine: bad sender";
-    { sender; blocked = List.sort_uniq compare (List.filter (fun d -> d <> sender) blocked) }
-
-  let apply ~record_failures x action =
+  let apply discipline x { marks; drops } =
     let n = n_of x in
-    let action = List.map (normalise_omission n) action in
-    let senders = List.map (fun o -> o.sender) action in
-    if List.length (List.sort_uniq compare senders) <> List.length senders then
-      invalid_arg "Engine.apply: duplicate omitters";
-    let round = x.round + 1 in
+    let omission = match discipline with Omission -> true | Mobile | Crash -> false in
+    let check_pid j = if j < 1 || j > n then invalid_arg "Engine.apply: bad pid" in
+    let marked = Array.make n false in
+    List.iter
+      (fun j ->
+        check_pid j;
+        if marked.(j - 1) then invalid_arg "Engine.apply: duplicate omitters";
+        if omission && x.failed.(j - 1) then invalid_arg "Engine.apply: already faulty";
+        marked.(j - 1) <- true)
+      marks;
+    let faulty idx = x.failed.(idx) || marked.(idx) in
     (* blocked.(i - 1).(j - 1): is i -> j dropped this round?  Built once
-       per action (non-omitting senders share one all-false row), so the
+       per action (senders without drops share one all-false row), so the
        per-(i, j) receive test below is an array probe instead of a
-       List.mem over the omission's destination list. *)
+       List.mem over the drops. *)
     let no_block = Array.make n false in
     let blocked = Array.make n no_block in
-    let omits = Array.make n false in
     List.iter
       (fun o ->
-        let row = Array.make n false in
-        List.iter (fun d -> row.(d - 1) <- true) o.blocked;
-        blocked.(o.sender - 1) <- row;
-        omits.(o.sender - 1) <- true)
-      action;
-    (* outbox.(i - 1): messages process i sends this round, or None if
-       silenced. *)
-    let outbox =
-      Array.init n (fun idx ->
-          let i = idx + 1 in
-          if x.failed.(idx) then None
-          else Some (fun dest -> P.send ~n ~round ~pid:i x.locals.(idx) ~dest))
-    in
+        check_pid o.sender;
+        let s = o.sender - 1 in
+        if blocked.(s) == no_block then blocked.(s) <- Array.make n false;
+        List.iter
+          (fun d ->
+            if omission && not (faulty s || faulty (d - 1)) then
+              invalid_arg "Engine.apply: drop between non-faulty processes";
+            blocked.(s).(d - 1) <- true)
+          o.blocked)
+      drops;
+    (* A crashed process is silent from the round after its mark; an
+       omission-faulty one keeps sending. *)
+    let silenced idx = (not omission) && x.failed.(idx) in
+    let round = x.round + 1 in
     let received_by j =
       Array.init n (fun idx ->
           let i = idx + 1 in
-          if i = j then None
-          else
-            match outbox.(idx) with
-            | None -> None
-            | Some send -> if blocked.(idx).(j - 1) then None else send j)
+          if i = j || silenced idx || blocked.(idx).(j - 1) then None
+          else P.send ~n ~round ~pid:i x.locals.(idx) ~dest:j)
     in
     let locals =
       Array.init n (fun idx ->
@@ -77,14 +80,11 @@ module Make (P : Protocol.S) = struct
           P.step ~n ~round ~pid:j x.locals.(idx) ~received:(received_by j))
     in
     let failed =
-      if record_failures then Array.init n (fun idx -> x.failed.(idx) || omits.(idx))
-      else Array.copy x.failed
+      match discipline with
+      | Mobile -> Array.copy x.failed
+      | Crash | Omission -> Array.init n faulty
     in
     { round; locals; failed; interned = Intern.fresh_slot () }
-
-  let apply_jk ~record_failures x j k =
-    let blocked = List.filter (fun d -> d <= k) (Pid.all (n_of x)) in
-    apply ~record_failures x [ { sender = j; blocked } ]
 
   let raw_key x =
     let buf = Buffer.create 64 in
@@ -133,75 +133,9 @@ module Make (P : Protocol.S) = struct
   let nonfailed x =
     List.filter (fun i -> not (x.failed.(i - 1))) (Pid.all (n_of x))
 
-  let jk_action n j k = [ { sender = j; blocked = List.filter (fun d -> d <= k) (Pid.all n) } ]
+  type adversary = { discipline : discipline; actions : state -> action list }
 
-  let s1_actions x =
-    let n = n_of x in
-    List.concat_map
-      (fun j -> List.map (fun k -> jk_action n j k) (0 :: Pid.all n))
-      (Pid.all n)
-
-  let s1 ~record_failures x =
-    dedup (List.map (apply ~record_failures x) (s1_actions x))
-
-  (* S^t: while fewer than [t] processes are failed, allow a single fresh
-     omission per layer — including the "declaration-only" crash (sender
-     recorded failed, no message lost), which keeps the layer similarity
-     connected in this model (see DESIGN.md); once [t] processes are
-     failed, only the failure-free successor remains. *)
-  let st_actions ~t x =
-    if failed_count x >= t then [ [] ]
-    else begin
-      let n = n_of x in
-      let per_sender j =
-        if x.failed.(j - 1) then []
-        else
-          List.map (fun k -> jk_action n j k) (0 :: Pid.all n)
-          @ [ [ { sender = j; blocked = [] } ] ]
-      in
-      [] :: List.concat_map per_sender (Pid.all n)
-    end
-
-  let st ~t x = dedup (List.map (apply ~record_failures:true x) (st_actions ~t x))
-
-  let s_multi_actions ~omitters x =
-    let n = n_of x in
-    (* Choose up to [omitters] distinct senders in increasing order, each
-       with a prefix block. *)
-    let rec choose senders count =
-      let none = [ [] ] in
-      if count = 0 then none
-      else
-        match senders with
-        | [] -> none
-        | j :: rest ->
-            let without = choose rest count in
-            let with_j =
-              List.concat_map
-                (fun k ->
-                  List.map
-                    (fun tail -> List.concat (jk_action n j k :: [ tail ]))
-                    (choose rest (count - 1)))
-                (Pid.all n)
-            in
-            without @ with_j
-    in
-    choose (Pid.all n) omitters
-
-  let s_multi ~omitters x =
-    dedup (List.map (apply ~record_failures:false x) (s_multi_actions ~omitters x))
-
-  let pp_action ppf = function
-    | [] -> Format.pp_print_string ppf "(clean)"
-    | omissions ->
-        let render { sender; blocked } =
-          match blocked with
-          | [] -> Printf.sprintf "(%d,declare)" sender
-          | _ :: _ ->
-              Printf.sprintf "(%d,{%s})" sender
-                (String.concat "," (List.map string_of_int blocked))
-        in
-        Format.pp_print_string ppf (String.concat "+" (List.map render omissions))
+  let layer adv x = dedup (List.map (apply adv.discipline x) (adv.actions x))
 
   let rec subsets = function
     | [] -> [ [] ]
@@ -209,34 +143,143 @@ module Make (P : Protocol.S) = struct
         let s = subsets rest in
         s @ List.map (fun sub -> x :: sub) s
 
-  let all_actions ~max_new ~remaining_failures x =
-    let n = n_of x in
-    let candidates = List.filter (fun j -> not x.failed.(j - 1)) (Pid.all n) in
-    let budget = min max_new remaining_failures in
-    (* Choose up to [budget] distinct fresh omitters (in increasing order to
-       avoid duplicates), each with an arbitrary blocked subset. *)
-    let rec choose senders count =
-      let none = [ [] ] in
-      if count = 0 then none
-      else
-        match senders with
-        | [] -> none
-        | j :: rest ->
-            let without = choose rest count in
-            let with_j =
-              List.concat_map
-                (fun blocked ->
-                  List.map
-                    (fun tail -> { sender = j; blocked } :: tail)
-                    (choose rest (count - 1)))
-                (subsets (Pid.others n j))
-            in
-            without @ with_j
-    in
-    choose candidates budget
+  (* Up to [count] distinct members of [pids], in increasing order, each
+     with one of its [options]; the empty choice first. *)
+  let rec choose options pids count =
+    match pids with
+    | j :: rest when count > 0 ->
+        let tails = choose options rest (count - 1) in
+        choose options rest count
+        @ List.concat_map (fun o -> List.map (fun tail -> o :: tail) tails) (options j)
+    | _ -> [ [] ]
 
-  let explore_spec ~record_failures =
-    { Explore.succ = s1 ~record_failures; key }
+  let prefix n j k = { sender = j; blocked = List.filter (fun d -> d <= k) (Pid.all n) }
+
+  let s1 =
+    {
+      discipline = Mobile;
+      actions =
+        (fun x ->
+          let n = n_of x in
+          List.concat_map
+            (fun j -> List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n))
+            (Pid.all n));
+    }
+
+  (* While fewer than [t] processes are failed, a single fresh omission
+     per layer — including the "declaration-only" crash (sender recorded
+     failed, no message lost), which keeps the layer similarity connected
+     in this model (see DESIGN.md); once [t] processes are failed, only
+     the failure-free successor remains. *)
+  let st ~t =
+    {
+      discipline = Crash;
+      actions =
+        (fun x ->
+          if failed_count x >= t then [ clean ]
+          else begin
+            let n = n_of x in
+            let per_sender j =
+              if x.failed.(j - 1) then []
+              else
+                List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n)
+                @ [ omit [ { sender = j; blocked = [] } ] ]
+            in
+            clean :: List.concat_map per_sender (Pid.all n)
+          end);
+    }
+
+  let s_multi ~omitters =
+    {
+      discipline = Mobile;
+      actions =
+        (fun x ->
+          let n = n_of x in
+          List.map omit
+            (choose (fun j -> List.map (prefix n j) (Pid.all n)) (Pid.all n) omitters));
+    }
+
+  let non_negative ~what max_new =
+    if max_new < 0 then invalid_arg (Printf.sprintf "Engine.%s: negative max_new" what)
+
+  (* Every [{ sender = s; blocked }] with [blocked] a non-empty set of
+     [s]'s peers, or with [empty] also the empty one. *)
+  let drops_by ~empty n s =
+    List.filter_map
+      (fun blocked ->
+        if empty || blocked <> [] then Some { sender = s; blocked } else None)
+      (subsets (Pid.others n s))
+
+  let crash ~max_new ~t =
+    non_negative ~what:"crash" max_new;
+    {
+      discipline = Crash;
+      actions =
+        (fun x ->
+          List.map omit
+            (choose (drops_by ~empty:true (n_of x)) (nonfailed x)
+               (min max_new (t - failed_count x))));
+    }
+
+  let omission ~general ~max_new ~t =
+    non_negative ~what:"omission" max_new;
+    {
+      discipline = Omission;
+      actions =
+        (fun x ->
+          let n = n_of x in
+          (* Receive omissions: faulty [r] misses each sender in a set. *)
+          let misses r =
+            List.map
+              (fun o -> List.map (fun s -> { sender = s; blocked = [ r ] }) o.blocked)
+              (drops_by ~empty:false n r)
+          in
+          List.concat_map
+            (fun marks ->
+              let faulty = List.filter (fun j -> x.failed.(j - 1)) (Pid.all n) @ marks in
+              let receives =
+                if general then List.map List.concat (choose misses faulty n) else [ [] ]
+              in
+              List.concat_map
+                (fun sends ->
+                  List.map (fun recvs -> { marks; drops = sends @ recvs }) receives)
+                (choose (drops_by ~empty:false n) faulty n))
+            (choose (fun j -> [ j ]) (nonfailed x) (min max_new (t - failed_count x))));
+    }
+
+  exception Cut of Budget.status
+
+  let walk ?budget adv ~rounds ~visit roots =
+    let seen = Hashtbl.create 4096 in
+    let rec go x =
+      let id = ident x in
+      if not (Hashtbl.mem seen id) then begin
+        (match budget with
+        | None -> ()
+        | Some b -> (
+            match Budget.exceeded b with
+            | Some reason ->
+                raise_notrace (Cut (Budget.truncated b ~reason ~at_depth:x.round))
+            | None -> Budget.charge b 1));
+        Hashtbl.add seen id ();
+        visit x;
+        if x.round < rounds then
+          List.iter (fun a -> go (apply adv.discipline x a)) (adv.actions x)
+      end
+    in
+    match List.iter go roots with () -> Budget.Complete | exception Cut status -> status
+
+  let pp_action ppf { marks = _; drops } =
+    let render { sender; blocked } =
+      match blocked with
+      | [] -> Printf.sprintf "(%d,declare)" sender
+      | _ :: _ ->
+          Printf.sprintf "(%d,{%s})" sender
+            (String.concat "," (List.map string_of_int blocked))
+    in
+    match drops with
+    | [] -> Format.pp_print_string ppf "(clean)"
+    | _ :: _ -> Format.pp_print_string ppf (String.concat "+" (List.map render drops))
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d, failed {%s}@," x.round

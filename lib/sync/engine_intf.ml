@@ -19,10 +19,27 @@ module type S = sig
       in the upcoming round. *)
   type omission = { sender : Pid.t; blocked : Pid.t list }
 
-  (** Simultaneous omissions by distinct senders.  The layerings of the
-      paper only ever use a single omission per round; the general form
-      supports exhaustive protocol verification. *)
-  type action = omission list
+  (** One round's choice of the message adversary: the processes it
+      marks faulty (distinct) and the messages it drops.  A receive
+      omission (faulty [r] misses [s]) is the drop
+      [{ sender = s; blocked = [ r ] }]. *)
+  type action = { marks : Pid.t list; drops : omission list }
+
+  (** [omit os] drops [os] and marks every sender in [os]: the crash and
+      mobile form.  [omit []] is the failure-free round, and
+      [omit [ { sender = j; blocked = [] } ]] the declaration-only crash
+      of [j]. *)
+  val omit : omission list -> action
+
+  (** What a mark means. *)
+  type discipline =
+    | Mobile  (** nothing is recorded (Section 5, model [M^mf]) *)
+    | Crash
+        (** recorded, and the process is silent from the next round on
+            (Section 6) *)
+    | Omission
+        (** recorded, and the process keeps sending: the send and general
+            omission models *)
 
   val n_of : state -> int
   val initial : inputs:Value.t array -> state
@@ -30,12 +47,11 @@ module type S = sig
   (** [Con_0]: one initial state per assignment of [values] to processes. *)
   val initial_states : n:int -> values:Value.t list -> state list
 
-  (** Execute one synchronous round under [action]. *)
-  val apply : record_failures:bool -> state -> action -> state
-
-  (** [x (j, [k])] in the paper's notation: a single omission by [j] to the
-      prefix [{1, ..., k}]. *)
-  val apply_jk : record_failures:bool -> state -> Pid.t -> int -> state
+  (** Execute one synchronous round under [action].  Raises
+      [Invalid_argument] when a process is marked twice; under
+      [Omission] also when a marked process is already faulty, or when a
+      drop's sender and receiver are both non-faulty after the marks. *)
+  val apply : discipline -> state -> action -> state
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  A
       process's component is its failure bit plus local key, so
@@ -48,52 +64,61 @@ module type S = sig
   val failed_count : state -> int
   val nonfailed : state -> Pid.t list
 
-  (** {1 Layerings} *)
+  (** {1 Message adversaries} *)
 
-  (** The environment actions generating [S_1(x)]: [(j, [k])] for
-      [1 <= j <= n], [0 <= k <= n]. *)
-  val s1_actions : state -> action list
+  (** A discipline and the actions it may choose at a state. *)
+  type adversary = { discipline : discipline; actions : state -> action list }
 
-  (** [S_1(x)] (Section 5): the states [x (j, [k])] for [1 <= j <= n],
-      [0 <= k <= n], de-duplicated. *)
-  val s1 : record_failures:bool -> state -> state list
+  (** The de-duplicated successors of a state under [adv]. *)
+  val layer : adversary -> state -> state list
 
-  (** The environment actions generating [S^t(x)]: failure-free, and —
-      while fewer than [t] processes are failed — one fresh prefix
-      omission or declaration crash per non-failed sender. *)
-  val st_actions : t:int -> state -> action list
+  (** [S_1] (Section 5): the actions [(j, [k])] for [1 <= j <= n],
+      [0 <= k <= n] — one omission by [j] to the prefix [{1, ..., k}] —
+      under [Mobile]. *)
+  val s1 : adversary
 
-  (** [S^t(x)] (Section 6): [S_1(x)] while fewer than [t] processes are
-      failed, otherwise only the failure-free successor. *)
-  val st : t:int -> state -> state list
+  (** [S^t] (Section 6): the failure-free action and, while fewer than
+      [t] processes are failed, one fresh prefix omission or declaration
+      crash per non-failed sender, under [Crash]. *)
+  val st : t:int -> adversary
 
-  (** Render an action, e.g. ["(2,[1..3])"], ["(2,declare)"] or
+  (** Santoro-Widmayer's mobile fault may move; [s_multi] lets up to
+      [omitters] distinct senders omit (prefix-blocked) in the same
+      round, under [Mobile] — a strictly stronger adversary, under which
+      the impossibility analysis goes through a fortiori (experiment
+      E17).  [layer (s_multi ~omitters:1)] coincides with [layer s1]. *)
+  val s_multi : omitters:int -> adversary
+
+  (** Every crash action for exhaustive verification: up to [max_new]
+      fresh crashes per round and [t] in all, each losing any subset of
+      its messages (the empty subset is a declaration crash).  Includes
+      the failure-free action.  Raises [Invalid_argument] on a negative
+      [max_new]. *)
+  val crash : max_new:int -> t:int -> adversary
+
+  (** Every omission action: up to [max_new] fresh marks per round and
+      [t] in all, and any subset of each faulty process's outgoing
+      messages dropped; with [general] also any subset of its incoming
+      ones.  Raises [Invalid_argument] on a negative [max_new]. *)
+  val omission : general:bool -> max_new:int -> t:int -> adversary
+
+  (** [walk ?budget adv ~rounds ~visit roots] visits, depth-first, every
+      distinct state reachable from [roots] under [adv] in at most
+      [rounds] rounds, once each.  Each new state is charged to [budget];
+      an exhausted budget stops the walk before that state, truncated at
+      its round. *)
+  val walk :
+    ?budget:Layered_runtime.Budget.t ->
+    adversary ->
+    rounds:int ->
+    visit:(state -> unit) ->
+    state list ->
+    Layered_runtime.Budget.status
+
+  (** Render an action's drops, e.g. ["(2,{1,3})"], ["(2,declare)"] (a
+      drop of nothing: the declaration crash under [omit]) or
       ["(clean)"]. *)
   val pp_action : Format.formatter -> action -> unit
 
-  (** {1 Generalised mobile layering}
-
-      Santoro-Widmayer's model allows the dynamic fault to move; the
-      paper's [S_1] uses one mobile omitter per round.  [s_multi] allows
-      up to [omitters] distinct senders to omit (prefix-blocked) in the
-      same round — a strictly stronger mobile adversary, under which the
-      impossibility analysis goes through a fortiori (experiment E17). *)
-
-  val s_multi_actions : omitters:int -> state -> action list
-
-  (** De-duplicated successors under {!s_multi_actions}, without failure
-      recording (mobile semantics).  [s_multi ~omitters:1] coincides with
-      [s1 ~record_failures:false]. *)
-  val s_multi : omitters:int -> state -> state list
-
-  (** {1 Adversary enumeration (for exhaustive protocol verification)} *)
-
-  (** All actions with at most [max_new] fresh omitters, each blocking any
-      subset of its destinations, subject to the budget of
-      [remaining_failures]; silenced processes are implicit.  Includes the
-      failure-free action. *)
-  val all_actions : max_new:int -> remaining_failures:int -> state -> action list
-
-  val explore_spec : record_failures:bool -> state Explore.spec
   val pp : Format.formatter -> state -> unit
 end

@@ -97,9 +97,16 @@ for jobs in 1 4; do
     exit 1
   fi
 
-  # the supervisor respawned: a new incarnation pid took the pid file
-  second_pid="$(cat "$pidfile")"
-  if [ "$first_pid" = "$second_pid" ]; then
+  # the supervisor respawned: a new incarnation pid took the pid file.
+  # The kill can land after the client has finished, and the respawn
+  # follows a backoff, so poll for the new pid instead of reading once.
+  second_pid="$first_pid"
+  for _ in $(seq 1 100); do
+    second_pid="$(cat "$pidfile")"
+    [ -n "$second_pid" ] && [ "$first_pid" != "$second_pid" ] && break
+    sleep 0.1
+  done
+  if [ -z "$second_pid" ] || [ "$first_pid" = "$second_pid" ]; then
     echo "serve-crash-smoke: jobs=$jobs daemon was never respawned" >&2
     exit 1
   fi

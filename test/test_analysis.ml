@@ -83,11 +83,11 @@ let test_sweep_budget () =
    explored prefix only. *)
 let test_checker_budget () =
   let protocol = Layered_protocols.Sync_floodset.make ~t:1 in
-  let full = Consensus_check.check ~protocol ~n:3 ~t:1 ~rounds:3 () in
+  let full = Consensus_check.check ~protocol ~failures:Crash ~n:3 ~t:1 ~rounds:3 () in
   check "unbudgeted check is Complete" true
     (full.Consensus_check.status = Budget.Complete);
   let capped =
-    Consensus_check.check ~protocol ~n:3 ~t:1 ~rounds:3
+    Consensus_check.check ~protocol ~failures:Crash ~n:3 ~t:1 ~rounds:3
       ~budget:(Budget.create ~max_states:10 ()) ()
   in
   (match capped.Consensus_check.status with
@@ -97,10 +97,10 @@ let test_checker_budget () =
   check "explored fewer states" true
     (capped.Consensus_check.states_explored < full.Consensus_check.states_explored);
   let o =
-    Omission_check.check ~protocol ~n:3 ~t:1 ~rounds:3
+    Consensus_check.check ~protocol ~failures:Omission ~n:3 ~t:1 ~rounds:3 ~max_new:1
       ~budget:(Budget.create ~max_states:10 ()) ()
   in
-  check "omission checker truncates too" true (o.Omission_check.status <> Budget.Complete)
+  check "omission checker truncates too" true (o.Consensus_check.status <> Budget.Complete)
 
 (* The omission checker's budget-status paths, mirroring the consensus
    ones: Complete on an unbudgeted run, a States truncation charged per
@@ -108,34 +108,56 @@ let test_checker_budget () =
    nothing at all. *)
 let test_omission_budget_paths () =
   let protocol = Layered_protocols.Sync_coordinator.make ~t:1 in
-  let full = Omission_check.check ~protocol ~n:3 ~t:1 ~rounds:6 () in
-  check "unbudgeted omission check is Complete" true
-    (full.Omission_check.status = Budget.Complete);
-  check "coordinator verdicts hold" true
-    (full.Omission_check.agreement_ok && full.Omission_check.validity_ok
-   && full.Omission_check.termination_ok);
-  let capped =
-    Omission_check.check ~protocol ~n:3 ~t:1 ~rounds:6
-      ~budget:(Budget.create ~max_states:10 ()) ()
+  let check_omission ?budget () =
+    Consensus_check.check ~protocol ~failures:Omission ~n:3 ~t:1 ~rounds:6 ~max_new:1
+      ?budget ()
   in
-  (match capped.Omission_check.status with
+  let full = check_omission () in
+  check "unbudgeted omission check is Complete" true
+    (full.Consensus_check.status = Budget.Complete);
+  check "coordinator verdicts hold" true
+    (full.agreement_ok && full.validity_ok && full.termination_ok);
+  let capped = check_omission ~budget:(Budget.create ~max_states:10 ()) () in
+  (match capped.status with
   | Budget.Truncated { Budget.reason = Budget.States; states_seen; _ } ->
       check "charged per state: the trip lands at the cap, not far past it" true
-        (states_seen >= 10 && states_seen < full.Omission_check.states_explored);
+        (states_seen >= 10 && states_seen < full.states_explored);
       check "truncated run explored a proper subset" true
-        (capped.Omission_check.states_explored < full.Omission_check.states_explored)
+        (capped.states_explored < full.states_explored)
   | Budget.Truncated _ -> Alcotest.fail "expected a States truncation"
   | Budget.Complete -> Alcotest.fail "max_states=10 failed to truncate");
-  let generous =
-    Omission_check.check ~protocol ~n:3 ~t:1 ~rounds:6
-      ~budget:(Budget.create ~max_states:1_000_000 ()) ()
-  in
+  let generous = check_omission ~budget:(Budget.create ~max_states:1_000_000 ()) () in
   check "generous budget is invisible" true
-    (generous.Omission_check.status = Budget.Complete
-    && generous.Omission_check.states_explored = full.Omission_check.states_explored
-    && generous.Omission_check.agreement_ok = full.Omission_check.agreement_ok
-    && generous.Omission_check.worst_decision_round
-       = full.Omission_check.worst_decision_round)
+    (generous.status = Budget.Complete
+    && generous.states_explored = full.states_explored
+    && generous.agreement_ok = full.agreement_ok
+    && generous.worst_decision_round = full.worst_decision_round)
+
+(* The checker's exact verdict line for each failure model: an
+   adversary that reaches a different state set changes the state
+   count, which no other test pins. *)
+let test_checker_pinned () =
+  List.iter
+    (fun (failures, name, protocol, rounds, max_new, expected) ->
+      let r = Consensus_check.check ~protocol ~failures ~n:3 ~t:1 ~rounds ~max_new () in
+      Alcotest.(check string)
+        name expected
+        (Format.asprintf "%a" Consensus_check.pp_result r))
+    Layered_protocols.
+      [
+        ( Consensus_check.Crash, "crash floodset", Sync_floodset.make ~t:1, 3, 2,
+          "agreement=true uniform=false validity=true termination=true worst-round=2 \
+           states=134" );
+        ( Crash, "crash clean", Sync_clean.make ~t:1, 3, 2,
+          "agreement=true uniform=false validity=true termination=true worst-round=2 \
+           states=332" );
+        ( Omission, "omission floodset", Sync_floodset.make ~t:1, 3, 1,
+          "agreement=false validity=true termination=true worst-round=2 states=167" );
+        ( Omission, "omission coordinator", Sync_coordinator.make ~t:1, 7, 1,
+          "agreement=true validity=true termination=true worst-round=6 states=412" );
+        ( General_omission, "general coordinator", Sync_coordinator.make ~t:1, 7, 1,
+          "agreement=true validity=true termination=true worst-round=6 states=967" );
+      ]
 
 (* A raising experiment becomes a Fail row carrying the exception text;
    the other experiments still report. *)
@@ -399,6 +421,7 @@ let () =
           Alcotest.test_case "sweep under budget" `Quick test_sweep_budget;
           Alcotest.test_case "checkers under budget" `Quick test_checker_budget;
           Alcotest.test_case "omission budget paths" `Quick test_omission_budget_paths;
+          Alcotest.test_case "checker verdicts pinned" `Quick test_checker_pinned;
           Alcotest.test_case "registry isolates failures" `Quick
             test_registry_exception_row;
           Alcotest.test_case "retry runs on the caller domain" `Quick

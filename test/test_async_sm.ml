@@ -22,7 +22,7 @@ let test_initial () =
   check "registers empty" true (Array.for_all (fun r -> r = None) x.E.regs);
   check "not terminal" false (E.terminal x)
 
-let test_actions_enumeration () =
+let test_action_enumeration () =
   (* n choices of slow process x (Absent + k in 0..n). *)
   check_int "action count" (3 * 5) (List.length (E.actions ~n:3))
 
@@ -171,7 +171,7 @@ let () =
       ( "phases",
         [
           Alcotest.test_case "initial" `Quick test_initial;
-          Alcotest.test_case "action enumeration" `Quick test_actions_enumeration;
+          Alcotest.test_case "action enumeration" `Quick test_action_enumeration;
           Alcotest.test_case "absent untouched" `Quick test_absent_process_untouched;
           Alcotest.test_case "(j,0) independent of j" `Quick test_jk_independence_of_j;
           Alcotest.test_case "read-late semantics" `Quick test_read_late_k_semantics;

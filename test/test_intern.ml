@@ -207,8 +207,7 @@ let prop_sync_builders_agree =
       let picks = Array.of_list (if picks = [] then [ 0 ] else picks) in
       let states =
         List.concat_map
-          (walk ~rounds ~picks ~actions:(E.st_actions ~t:1)
-             ~apply:(E.apply ~record_failures:true))
+          (walk ~rounds ~picks ~actions:(E.st ~t:1).actions ~apply:(E.apply E.Crash))
           (E.initial_states ~n ~values:[ Value.zero; Value.one ])
         |> dedup_by E.ident
       in
@@ -239,7 +238,7 @@ let prop_smp_builders_agree =
 
 let layer1 ~n =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
-  initials @ List.concat_map (E.st ~t:1) initials
+  initials @ List.concat_map (E.layer (E.st ~t:1)) initials
 
 let test_ident_iff_key () =
   let states = Array.of_list (layer1 ~n:3) in
@@ -285,7 +284,7 @@ let rec reference_outcome (spec : 'a Valence.spec) ~depth x =
 
 (* The id-keyed memo must answer exactly as the memo-free walk does. *)
 let test_valence_ident_agrees () =
-  let spec = E.valence_spec ~succ:(E.st ~t:1) in
+  let spec = E.valence_spec ~succ:(E.layer (E.st ~t:1)) in
   let v = Valence.create spec in
   List.iter
     (fun x ->
@@ -354,7 +353,7 @@ let thunks apply x acts = List.map (fun a () -> apply x a) acts
 let sync_subject =
   {
     initials = (fun ~n -> E.initial_states ~n ~values);
-    actions = (fun x -> thunks (E.apply ~record_failures:true) x (E.st_actions ~t:1 x));
+    actions = (fun x -> thunks (E.apply E.Crash) x ((E.st ~t:1).actions x));
     table = E.intern_table;
     key = E.key;
     ident = E.ident;

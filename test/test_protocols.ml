@@ -12,7 +12,9 @@ let check_int = Alcotest.(check int)
 
 let verify ?(uniform = false) ?decision_round name protocol ~n ~t () =
   let decision_round = Option.value decision_round ~default:(t + 1) in
-  let r = Consensus_check.check ~protocol ~n ~t ~rounds:(decision_round + 1) () in
+  let r =
+    Consensus_check.check ~protocol ~failures:Crash ~n ~t ~rounds:(decision_round + 1) ()
+  in
   check (name ^ " agreement") true r.Consensus_check.agreement_ok;
   check (name ^ " validity") true r.Consensus_check.validity_ok;
   check (name ^ " termination") true r.Consensus_check.termination_ok;
@@ -32,8 +34,8 @@ let test_floodset_decides_min () =
   List.iter
     (fun inputs ->
       let x = EFS.initial ~inputs:(Array.of_list inputs) in
-      let ff = EFS.apply ~record_failures:true x [] in
-      let y = EFS.apply ~record_failures:true ff [] in
+      let ff = EFS.apply EFS.Crash x (EFS.omit []) in
+      let y = EFS.apply EFS.Crash ff (EFS.omit []) in
       let expected = List.fold_left min (List.hd inputs) inputs in
       check "decides min of inputs" true
         (Vset.equal (EFS.decided_vset y) (Vset.singleton expected)))
@@ -41,13 +43,15 @@ let test_floodset_decides_min () =
 
 let test_floodset_decision_round () =
   let x = EFS.initial ~inputs:[| 0; 1; 1 |] in
-  let r1 = EFS.apply ~record_failures:true x [] in
+  let r1 = EFS.apply EFS.Crash x (EFS.omit []) in
   check "no decision at round t" false (EFS.terminal r1);
-  check "decision at round t+1" true (EFS.terminal (EFS.apply ~record_failures:true r1 []))
+  check "decision at round t+1" true (EFS.terminal (EFS.apply EFS.Crash r1 (EFS.omit [])))
 
 let test_floodset_stable_after_decision () =
   let x = EFS.initial ~inputs:[| 0; 1; 1 |] in
-  let rec advance x k = if k = 0 then x else advance (EFS.apply ~record_failures:true x []) (k - 1) in
+  let rec advance x k =
+    if k = 0 then x else advance (EFS.apply EFS.Crash x (EFS.omit [])) (k - 1)
+  in
   let a = advance x 2 and b = advance x 3 in
   (* Only the round counter moves once everyone has decided. *)
   check "decisions stable" true
@@ -62,17 +66,17 @@ module EED = Layered_sync.Engine.Make (ED)
 let test_early_fast_path () =
   (* Failure-free: decides in one round even though t = 2. *)
   let x = EED.initial ~inputs:[| 0; 1; 1; 1 |] in
-  let y = EED.apply ~record_failures:true x [] in
+  let y = EED.apply EED.Crash x (EED.omit []) in
   check "decided after one clean round" true (EED.terminal y);
   check "decides the minimum" true (Vset.equal (EED.decided_vset y) (Vset.singleton 0))
 
 let test_early_delays_under_crash () =
   (* A visible crash in round 1 delays the observers. *)
   let x = EED.initial ~inputs:[| 0; 1; 1; 1 |] in
-  let y = EED.apply ~record_failures:true x [ { EED.sender = 1; blocked = [ 2; 3; 4 ] } ] in
+  let y = EED.apply EED.Crash x (EED.omit [ { EED.sender = 1; blocked = [ 2; 3; 4 ] } ]) in
   check "observers wait" false (EED.terminal y);
   (* Round 2 clean: 1 observed crash < 2, decide. *)
-  check "decide next round" true (EED.terminal (EED.apply ~record_failures:true y []))
+  check "decide next round" true (EED.terminal (EED.apply EED.Crash y (EED.omit [])))
 
 (* ------------------------------------------------------------------ *)
 (* EIG tree structure *)
@@ -90,14 +94,14 @@ let test_eig_decides_like_floodset () =
       let via_eig =
         let x = EEIG.initial ~inputs in
         let a0' = List.map (fun o -> { EEIG.sender = o.EEIG.sender; blocked = o.EEIG.blocked }) a0 in
-        let y = EEIG.apply ~record_failures:true x a0' in
-        EEIG.decided_vset (EEIG.apply ~record_failures:true y [])
+        let y = EEIG.apply EEIG.Crash x (EEIG.omit a0') in
+        EEIG.decided_vset (EEIG.apply EEIG.Crash y (EEIG.omit []))
       in
       let via_fs =
         let x = EFS.initial ~inputs in
         let a0' = List.map (fun o -> { EFS.sender = o.EEIG.sender; blocked = o.EEIG.blocked }) a0 in
-        let y = EFS.apply ~record_failures:true x a0' in
-        EFS.decided_vset (EFS.apply ~record_failures:true y [])
+        let y = EFS.apply EFS.Crash x (EFS.omit a0') in
+        EFS.decided_vset (EFS.apply EFS.Crash y (EFS.omit []))
       in
       check "same decision set" true (Vset.equal via_eig via_fs))
     actions0
@@ -131,12 +135,12 @@ let test_sm_voting_unanimity () =
 (* The omission-tolerant coordinator *)
 
 module CO = (val Layered_protocols.Sync_coordinator.make ~t:1)
-module ECO = Layered_sync.Omission.Make (CO)
+module ECO = Layered_sync.Engine.Make (CO)
 
 let test_coordinator_clean_run () =
   let x = ECO.initial ~inputs:[| 0; 1; 1 |] in
   let rec advance x k =
-    if k = 0 then x else advance (ECO.apply x { ECO.corrupt = []; drops = []; rdrops = [] }) (k - 1)
+    if k = 0 then x else advance (ECO.apply ECO.Omission x (ECO.omit [])) (k - 1)
   in
   let y = advance x 6 in
   check "decided after 3(t+1) rounds" true (ECO.terminal y);
@@ -148,21 +152,21 @@ let test_coordinator_clean_run () =
 
 let test_coordinator_verified_omission () =
   let r =
-    Omission_check.check
+    Consensus_check.check
       ~protocol:(Layered_protocols.Sync_coordinator.make ~t:1)
-      ~n:3 ~t:1 ~rounds:7 ()
+      ~failures:Omission ~n:3 ~t:1 ~rounds:7 ~max_new:1 ()
   in
-  check "agreement" true r.Omission_check.agreement_ok;
-  check "validity" true r.Omission_check.validity_ok;
-  check "termination" true r.Omission_check.termination_ok
+  check "agreement" true r.Consensus_check.agreement_ok;
+  check "validity" true r.Consensus_check.validity_ok;
+  check "termination" true r.Consensus_check.termination_ok
 
 let test_floodset_not_omission_tolerant () =
   let r =
-    Omission_check.check
+    Consensus_check.check
       ~protocol:(Layered_protocols.Sync_floodset.make ~t:1)
-      ~n:3 ~t:1 ~rounds:3 ()
+      ~failures:Omission ~n:3 ~t:1 ~rounds:3 ~max_new:1 ()
   in
-  check "agreement fails" false r.Omission_check.agreement_ok
+  check "agreement fails" false r.Consensus_check.agreement_ok
 
 (* ------------------------------------------------------------------ *)
 (* Full-information views *)
@@ -188,7 +192,7 @@ let test_full_info_sync_decides () =
   let module FI = (val Layered_protocols.Full_info.sync ~horizon:2) in
   let module E = Layered_sync.Engine.Make (FI) in
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
-  let y = E.apply ~record_failures:true (E.apply ~record_failures:true x []) [] in
+  let y = E.apply E.Crash (E.apply E.Crash x (E.omit [])) (E.omit []) in
   check "full-info floods and decides min" true
     (Vset.equal (E.decided_vset y) (Vset.singleton 0))
 

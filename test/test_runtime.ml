@@ -69,7 +69,7 @@ let test_frontier_sync_floodset () =
   let x0 = E.initial ~inputs:[| 0; 1; 1 |] in
   List.iter
     (fun jobs ->
-      frontier_agrees ~jobs ~name:"S^t floodset (3,1)" ~succ:(E.st ~t:1) ~key:E.key
+      frontier_agrees ~jobs ~name:"S^t floodset (3,1)" ~succ:(E.layer (E.st ~t:1)) ~key:E.key
         ~depth:3 x0)
     [ 1; 2; 4 ]
 
@@ -80,14 +80,14 @@ let test_frontier_mobile () =
   List.iter
     (fun jobs ->
       frontier_agrees ~jobs ~name:"S1 mobile (3,1)"
-        ~succ:(E.s1 ~record_failures:false) ~key:E.key ~depth:3 x0)
+        ~succ:(E.layer E.s1) ~key:E.key ~depth:3 x0)
     [ 1; 2; 4 ]
 
 let test_frontier_exists () =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let x0 = E.initial ~inputs:[| 0; 1; 1 |] in
-  let succ = E.st ~t:1 in
+  let succ = E.layer (E.st ~t:1) in
   Pool.with_pool ~jobs:4 (fun pool ->
       check "terminal state reachable at depth 3" true
         (Frontier.exists_reachable pool ~succ ~key:E.key ~depth:3 ~pred:E.terminal x0)
@@ -260,7 +260,7 @@ let test_budget_complete_identical () =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let x0 = E.initial ~inputs:[| 0; 1; 1 |] in
-  let succ = E.st ~t:1 and key = E.key in
+  let succ = E.layer (E.st ~t:1) and key = E.key in
   let serial = Explore.reachable { Explore.succ; key } ~depth:3 x0 in
   List.iter
     (fun jobs ->

@@ -27,7 +27,7 @@ let test_initial_states_order () =
   check_int "2^3 states" 8 (List.length states);
   (* First is all-zeros, last all-ones: decided values after flooding. *)
   let first = List.hd states and last = List.nth states 7 in
-  let ff x = E.apply ~record_failures:true x [] in
+  let ff x = E.apply E.Crash x (E.omit []) in
   check "all-zero decides 0" true
     (Vset.equal (E.decided_vset (ff (ff first))) (Vset.singleton 0));
   check "all-one decides 1" true
@@ -35,39 +35,39 @@ let test_initial_states_order () =
 
 let test_failure_free_round () =
   let x = initial [ 0; 1; 1 ] in
-  let y = E.apply ~record_failures:true x [] in
+  let y = E.apply E.Crash x (E.omit []) in
   check_int "round advanced" 1 y.E.round;
   check_int "still no failures" 0 (E.failed_count y);
   (* After one clean round everyone knows all inputs; decision at t+1=2. *)
-  let z = E.apply ~record_failures:true y [] in
+  let z = E.apply E.Crash y (E.omit []) in
   check "decided" true (E.terminal z);
   check "decides min = 0" true (Vset.equal (E.decided_vset z) (Vset.singleton 0))
 
 let test_omission_records_failure () =
   let x = initial [ 0; 1; 1 ] in
-  let y = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [ 2; 3 ] } ] in
+  let y = E.apply E.Crash x (E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ]) in
   check_int "one failed" 1 (E.failed_count y);
   Alcotest.(check (list int)) "nonfailed" [ 2; 3 ] (E.nonfailed y);
   (* Nobody saw p1's 0: the silenced run decides 1. *)
-  let z = E.apply ~record_failures:true y [] in
+  let z = E.apply E.Crash y (E.omit []) in
   check "value 0 suppressed" true (Vset.equal (E.decided_vset z) (Vset.singleton 1))
 
 let test_mobile_mode_never_records () =
   let x = initial [ 0; 1; 1 ] in
-  let y = E.apply ~record_failures:false x [ { E.sender = 1; blocked = [ 2; 3 ] } ] in
+  let y = E.apply E.Mobile x (E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ]) in
   check_int "no failure recorded" 0 (E.failed_count y);
   (* p1 keeps sending in later rounds: 0 resurfaces. *)
-  let z = E.apply ~record_failures:false y [] in
+  let z = E.apply E.Mobile y (E.omit []) in
   check "0 reaches everyone eventually" true
     (Vset.equal (E.decided_vset z) (Vset.singleton 0))
 
 let test_silenced_forever () =
   let x = initial [ 0; 1; 1 ] in
   (* Declaration-only crash: recorded failed, nothing lost this round. *)
-  let y = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [] } ] in
+  let y = E.apply E.Crash x (E.omit [ { E.sender = 1; blocked = [] } ]) in
   check_int "declared failed" 1 (E.failed_count y);
   (* p1's round-1 messages were delivered, so 0 is known and decided. *)
-  let z = E.apply ~record_failures:true y [] in
+  let z = E.apply E.Crash y (E.omit []) in
   check "0 was delivered before the declaration" true
     (Vset.equal (E.decided_vset z) (Vset.singleton 0))
 
@@ -76,16 +76,21 @@ let test_duplicate_omitters_rejected () =
   Alcotest.check_raises "duplicate senders"
     (Invalid_argument "Engine.apply: duplicate omitters") (fun () ->
       ignore
-        (E.apply ~record_failures:true x
-           [ { E.sender = 1; blocked = [ 2 ] }; { E.sender = 1; blocked = [ 3 ] } ]))
+        (E.apply E.Crash x
+           (E.omit [ { E.sender = 1; blocked = [ 2 ] }; { E.sender = 1; blocked = [ 3 ] } ])))
 
-let test_apply_jk_prefix () =
+let test_jk_prefix () =
   let x = initial [ 0; 1; 1 ] in
+  (* x (j, [k]): one omission by j to the prefix {1, ..., k}. *)
+  let jk j k =
+    let blocked = List.filter (fun d -> d <= k) [ 1; 2; 3 ] in
+    E.apply E.Mobile x (E.omit [ { E.sender = j; blocked } ])
+  in
   (* (j, [0]) is the failure-free round in mobile mode. *)
-  let y = E.apply_jk ~record_failures:false x 1 0 in
-  check "k=0 is clean" true (E.equal y (E.apply ~record_failures:false x []));
+  let y = jk 1 0 in
+  check "k=0 is clean" true (E.equal y (E.apply E.Mobile x (E.omit [])));
   (* (j, [n]) silences j this round. *)
-  let z = E.apply_jk ~record_failures:false x 1 3 in
+  let z = jk 1 3 in
   check "blocked round differs" false (E.equal z y)
 
 (* ------------------------------------------------------------------ *)
@@ -103,8 +108,8 @@ let test_agree_modulo () =
 
 let test_similarity_ignores_js_failure_flag () =
   let x = initial [ 0; 1; 1 ] in
-  let clean = E.apply ~record_failures:true x [] in
-  let declared = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [] } ] in
+  let clean = E.apply E.Crash x (E.omit []) in
+  let declared = E.apply E.Crash x (E.omit [ { E.sender = 1; blocked = [] } ]) in
   (* Locals all equal; only p1's failure record differs. *)
   check "agree modulo the declared process" true (E.agree_modulo clean declared 1);
   check "similar" true (E.similar clean declared)
@@ -114,142 +119,145 @@ let test_similarity_ignores_js_failure_flag () =
 
 let test_s1_layer () =
   let x = initial [ 0; 1; 1 ] in
-  let layer = E.s1 ~record_failures:false x in
+  let layer = E.layer E.s1 x in
   (* n(n+1) actions with heavy aliasing: all (j,[0]) coincide, and
      self-only prefixes duplicate. *)
   check "contains clean round" true
-    (List.exists (fun y -> E.equal y (E.apply ~record_failures:false x [])) layer);
+    (List.exists (fun y -> E.equal y (E.apply E.Mobile x (E.omit []))) layer);
   check "dedup" true
     (List.length (List.sort_uniq compare (List.map E.key layer)) = List.length layer);
   check "all at round 1" true (List.for_all (fun y -> y.E.round = 1) layer)
 
 let test_st_layer_structure () =
   let x = initial [ 0; 1; 1 ] in
-  let layer = E.st ~t:1 x in
+  let layer = E.layer (E.st ~t:1) x in
   check "includes declaration states" true
     (List.exists
-       (fun y -> E.failed_count y = 1 && E.equal y (E.apply ~record_failures:true x [ { E.sender = 2; blocked = [] } ]))
+       (fun y ->
+         E.failed_count y = 1
+         && E.equal y (E.apply E.Crash x (E.omit [ { E.sender = 2; blocked = [] } ])))
        layer);
   check "at most one new failure" true (List.for_all (fun y -> E.failed_count y <= 1) layer);
   (* Once t processes failed: only the failure-free successor. *)
-  let crashed = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [ 2; 3 ] } ] in
-  check_int "exhausted budget: singleton layer" 1 (List.length (E.st ~t:1 crashed));
+  let crashed = E.apply E.Crash x (E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ]) in
+  check_int "exhausted budget: singleton layer" 1 (List.length (E.layer (E.st ~t:1) crashed));
   check "layer similarity connected" true
     (Connectivity.connected ~rel:E.similar layer)
 
 let test_s_multi () =
   let x = initial [ 0; 1; 1 ] in
-  let single = List.sort_uniq compare (List.map E.key (E.s1 ~record_failures:false x)) in
-  let multi1 = List.sort_uniq compare (List.map E.key (E.s_multi ~omitters:1 x)) in
-  let multi2 = List.sort_uniq compare (List.map E.key (E.s_multi ~omitters:2 x)) in
+  let single = List.sort_uniq compare (List.map E.key (E.layer E.s1 x)) in
+  let multi1 = List.sort_uniq compare (List.map E.key (E.layer (E.s_multi ~omitters:1) x)) in
+  let multi2 = List.sort_uniq compare (List.map E.key (E.layer (E.s_multi ~omitters:2) x)) in
   check "one omitter coincides with S1" true (single = multi1);
   check "monotone in the omitter budget" true
     (List.for_all (fun k -> List.mem k multi2) multi1);
   check "two omitters reach more" true (List.length multi2 > List.length multi1);
   (* A two-omitter round can silence two senders simultaneously. *)
   let both_silenced =
-    E.apply ~record_failures:false x
-      [ { E.sender = 2; blocked = [ 1; 3 ] }; { E.sender = 3; blocked = [ 1; 2 ] } ]
+    E.apply E.Mobile x
+      (E.omit [ { E.sender = 2; blocked = [ 1; 3 ] }; { E.sender = 3; blocked = [ 1; 2 ] } ])
   in
   check "double silencing reachable" true
-    (List.exists (fun y -> E.equal y both_silenced) (E.s_multi ~omitters:2 x))
+    (List.exists (fun y -> E.equal y both_silenced) (E.layer (E.s_multi ~omitters:2) x))
 
 let test_st_layers_are_legal () =
   (* Every S^t successor is one legal round of the crash model. *)
   let x = initial [ 0; 1; 1 ] in
-  let micro y =
-    E.all_actions ~max_new:1 ~remaining_failures:1 y
-    |> List.map (E.apply ~record_failures:true y)
-  in
+  let micro y = List.map (E.apply E.Crash y) ((E.crash ~max_new:1 ~t:1).actions y) in
   let violations =
-    Layering.validate ~micro ~key:E.key ~bound:1 ~states:[ x ] (E.st ~t:1)
+    Layering.validate ~micro ~key:E.key ~bound:1 ~states:[ x ] (E.layer (E.st ~t:1))
   in
   check "no violations" true (violations = [])
 
 (* ------------------------------------------------------------------ *)
 (* Adversary enumeration *)
 
-let test_all_actions_counts () =
+let crash_actions ~max_new ~t x = (E.crash ~max_new ~t).actions x
+
+let test_crash_action_counts () =
   let x = initial [ 0; 1; 1 ] in
   (* max_new 1: failure-free + 3 senders x 2^2 blocked subsets. *)
   check_int "single-crash actions" (1 + (3 * 4))
-    (List.length (E.all_actions ~max_new:1 ~remaining_failures:1 x));
+    (List.length (crash_actions ~max_new:1 ~t:1 x));
   (* Budget exhausted: only the failure-free action. *)
-  check_int "no budget" 1 (List.length (E.all_actions ~max_new:2 ~remaining_failures:0 x));
+  check_int "no budget" 1 (List.length (crash_actions ~max_new:2 ~t:0 x));
   (* Two simultaneous crashes: add C(3,2) pairs x 4 x 4 subsets. *)
   check_int "double-crash actions"
     (1 + (3 * 4) + (3 * 16))
-    (List.length (E.all_actions ~max_new:2 ~remaining_failures:2 x))
+    (List.length (crash_actions ~max_new:2 ~t:2 x))
 
-let test_all_actions_exclude_failed () =
+let test_crash_actions_exclude_failed () =
   let x = initial [ 0; 1; 1 ] in
-  let y = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [ 2 ] } ] in
-  let actions = E.all_actions ~max_new:1 ~remaining_failures:1 y in
+  let y = E.apply E.Crash x (E.omit [ { E.sender = 1; blocked = [ 2 ] } ]) in
+  let actions = crash_actions ~max_new:1 ~t:2 y in
   check "failed process not a fresh omitter" true
-    (List.for_all (List.for_all (fun o -> o.E.sender <> 1)) actions)
+    (List.for_all (fun a -> not (List.mem 1 a.E.marks)) actions)
+
+(* A negative per-round budget would lift the bound on fresh failures
+   (crash) or silently allow none (omission): both constructors refuse
+   it. *)
+let test_negative_max_new () =
+  Alcotest.check_raises "crash" (Invalid_argument "Engine.crash: negative max_new")
+    (fun () -> ignore (E.crash ~max_new:(-1) ~t:1));
+  Alcotest.check_raises "omission" (Invalid_argument "Engine.omission: negative max_new")
+    (fun () -> ignore (E.omission ~general:false ~max_new:(-1) ~t:1))
 
 (* ------------------------------------------------------------------ *)
 (* Send-omission model *)
 
-module O = Layered_sync.Omission.Make (P)
-
-let o_initial inputs = O.initial ~inputs:(Array.of_list inputs)
+let drop sender blocked = { E.marks = []; drops = [ { E.sender; blocked } ] }
+let mark j = { E.marks = [ j ]; drops = [] }
 
 let test_omission_basics () =
-  let x = o_initial [ 0; 1; 1 ] in
-  check_int "nobody faulty" 0 (O.faulty_count x);
+  let x = initial [ 0; 1; 1 ] in
+  check_int "nobody faulty" 0 (E.failed_count x);
   (* Corrupt p1, drop nothing: everything still flows. *)
-  let y = O.apply x { O.corrupt = [ 1 ]; drops = []; rdrops = [] } in
-  check_int "one faulty" 1 (O.faulty_count y);
-  Alcotest.(check (list int)) "nonfaulty" [ 2; 3 ] (O.nonfaulty y);
-  let z = O.apply y { O.corrupt = []; drops = []; rdrops = [] } in
+  let y = E.apply E.Omission x (mark 1) in
+  check_int "one faulty" 1 (E.failed_count y);
+  Alcotest.(check (list int)) "nonfaulty" [ 2; 3 ] (E.nonfailed y);
+  let z = E.apply E.Omission y (E.omit []) in
   (* FloodSet with undropped messages decides the true minimum. *)
-  check "harmless fault decides 0" true (Vset.equal (O.decided_vset z) (Vset.singleton 0))
+  check "harmless fault decides 0" true (Vset.equal (E.decided_vset z) (Vset.singleton 0))
 
 let test_omission_faulty_keeps_talking () =
-  let x = o_initial [ 0; 1; 1 ] in
+  let x = initial [ 0; 1; 1 ] in
   (* p1 drops everything in round 1 but resumes in round 2 — impossible
      in the crash model, allowed here. *)
-  let y = O.apply x { O.corrupt = [ 1 ]; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] } in
-  let z = O.apply y { O.corrupt = []; drops = []; rdrops = [] } in
-  check "value 0 resurfaces" true (Vset.mem 0 (O.decided_vset z))
+  let y = E.apply E.Omission x (E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ]) in
+  let z = E.apply E.Omission y (E.omit []) in
+  check "value 0 resurfaces" true (Vset.mem 0 (E.decided_vset z))
 
 let test_omission_validation () =
-  let x = o_initial [ 0; 1; 1 ] in
+  let x = initial [ 0; 1; 1 ] in
   Alcotest.check_raises "drop by non-faulty"
-    (Invalid_argument "Omission.apply: drop by non-faulty sender") (fun () ->
-      ignore (O.apply x { O.corrupt = []; drops = [ (1, [ 2 ]) ]; rdrops = [] }));
-  let y = O.apply x { O.corrupt = [ 1 ]; drops = []; rdrops = [] } in
+    (Invalid_argument "Engine.apply: drop between non-faulty processes") (fun () ->
+      ignore (E.apply E.Omission x (drop 1 [ 2 ])));
+  let y = E.apply E.Omission x (mark 1) in
   Alcotest.check_raises "double corruption"
-    (Invalid_argument "Omission.apply: already faulty") (fun () ->
-      ignore (O.apply y { O.corrupt = [ 1 ]; drops = []; rdrops = [] }))
+    (Invalid_argument "Engine.apply: already faulty") (fun () ->
+      ignore (E.apply E.Omission y (mark 1)))
 
 let test_omission_contains_crash () =
   (* A crash run (silence from the first drop on) is an omission run:
-     both engines reach the same non-faulty decisions. *)
-  let inputs = [ 0; 1; 1 ] in
-  let crash =
-    let x = initial inputs in
-    let y = E.apply ~record_failures:true x [ { E.sender = 1; blocked = [ 2; 3 ] } ] in
-    E.decided_vset (E.apply ~record_failures:true y [])
-  in
+     both disciplines reach the same non-faulty decisions. *)
+  let x = initial [ 0; 1; 1 ] in
+  let first = E.omit [ { E.sender = 1; blocked = [ 2; 3 ] } ] in
+  let crash = E.decided_vset (E.apply E.Crash (E.apply E.Crash x first) (E.omit [])) in
   let omission =
-    let x = o_initial inputs in
-    let y = O.apply x { O.corrupt = [ 1 ]; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] } in
-    O.decided_vset (O.apply y { O.corrupt = []; drops = [ (1, [ 2; 3 ]) ]; rdrops = [] })
+    E.decided_vset (E.apply E.Omission (E.apply E.Omission x first) (drop 1 [ 2; 3 ]))
   in
   check "same decisions" true (Vset.equal crash omission)
 
 let test_omission_action_counts () =
-  let x = o_initial [ 0; 1; 1 ] in
+  let x = initial [ 0; 1; 1 ] in
+  let actions x = (E.omission ~general:false ~max_new:1 ~t:1).actions x in
   (* No faulty process yet, budget 1: no-corruption (1 action: nothing to
      drop) + 3 single corruptions x 4 drop subsets. *)
-  check_int "fresh actions" (1 + (3 * 4))
-    (List.length (O.all_actions ~max_new:1 ~remaining_failures:1 x));
-  let y = O.apply x { O.corrupt = [ 1 ]; drops = []; rdrops = [] } in
+  check_int "fresh actions" (1 + (3 * 4)) (List.length (actions x));
+  let y = E.apply E.Omission x (mark 1) in
   (* Budget spent: drops for the one faulty process only. *)
-  check_int "spent budget" 4
-    (List.length (O.all_actions ~max_new:1 ~remaining_failures:0 y))
+  check_int "spent budget" 4 (List.length (actions y))
 
 (* Random omission-adversary runs, replayed as legal action sequences:
    corrupt the requested process while the budget lasts, keep only drops
@@ -264,42 +272,37 @@ let omission_run_arb =
 let omission_replay (inputs, raw) =
   List.fold_left
     (fun (x, budget) (want_corrupt, drop_pairs) ->
-      let corrupt =
+      let marks =
         if want_corrupt && budget > 0 then
-          match List.filter (fun j -> not x.O.faulty.(j - 1)) [ 1; 2; 3 ] with
+          match List.filter (fun j -> not x.E.failed.(j - 1)) [ 1; 2; 3 ] with
           | j :: _ -> [ j ]
           | [] -> []
         else []
       in
-      let faulty_after j = x.O.faulty.(j - 1) || List.mem j corrupt in
+      let faulty_after j = x.E.failed.(j - 1) || List.mem j marks in
       let drops =
         List.filter_map
-          (fun (s, d) -> if faulty_after s && s <> d then Some (s, [ d ]) else None)
+          (fun (s, d) ->
+            if faulty_after s && s <> d then Some { E.sender = s; blocked = [ d ] } else None)
           drop_pairs
-        |> List.fold_left
-             (fun acc (s, ds) ->
-               match List.assoc_opt s acc with
-               | Some prev -> (s, List.sort_uniq compare (ds @ prev)) :: List.remove_assoc s acc
-               | None -> (s, ds) :: acc)
-             []
       in
-      (O.apply x { O.corrupt; drops; rdrops = [] }, budget - List.length corrupt))
-    (o_initial inputs, 1)
+      (E.apply E.Omission x { E.marks; drops }, budget - List.length marks))
+    (initial inputs, 1)
     raw
   |> fst
 
 let prop_omission_budget =
   QCheck.Test.make ~name:"omission: at most t processes ever faulty" ~count:200
-    omission_run_arb (fun run -> O.faulty_count (omission_replay run) <= 1)
+    omission_run_arb (fun run -> E.failed_count (omission_replay run) <= 1)
 
 let prop_omission_validity =
   QCheck.Test.make ~name:"omission: floodset decisions are inputs" ~count:200
     omission_run_arb (fun ((inputs, _) as run) ->
-      Vset.subset (O.decided_vset (omission_replay run)) (Vset.of_list inputs))
+      Vset.subset (E.decided_vset (omission_replay run)) (Vset.of_list inputs))
 
 let prop_omission_deterministic =
   QCheck.Test.make ~name:"omission: replay is deterministic" ~count:100 omission_run_arb
-    (fun run -> String.equal (O.key (omission_replay run)) (O.key (omission_replay run)))
+    (fun run -> String.equal (E.key (omission_replay run)) (E.key (omission_replay run)))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties over random adversary runs *)
@@ -312,7 +315,7 @@ let action_gen n =
       pair (int_range 1 n) (list_size (int_bound n) (int_range 1 n))
       |> map (fun (sender, blocked) -> { E.sender; blocked })
     in
-    frequency [ (1, return []); (3, map (fun o -> [ o ]) omission) ])
+    frequency [ (1, return (E.omit [])); (3, map (fun o -> E.omit [ o ]) omission) ])
 
 let run_gen =
   QCheck.Gen.(
@@ -325,7 +328,7 @@ let prop_round_counts =
     (fun (inputs, actions) ->
       let x =
         List.fold_left
-          (fun x a -> E.apply ~record_failures:true x a)
+          (fun x a -> E.apply E.Crash x a)
           (initial inputs) actions
       in
       x.E.round = List.length actions)
@@ -336,7 +339,7 @@ let prop_failures_monotone =
       let counts =
         List.fold_left
           (fun (x, acc) a ->
-            let y = E.apply ~record_failures:true x a in
+            let y = E.apply E.Crash x a in
             (y, E.failed_count y :: acc))
           (initial inputs, [ 0 ])
           actions
@@ -355,7 +358,7 @@ let prop_decisions_write_once =
       let final =
         List.fold_left
           (fun x a ->
-            let y = E.apply ~record_failures:true x a in
+            let y = E.apply E.Crash x a in
             let dx = E.decisions x and dy = E.decisions y in
             Array.iteri
               (fun i d ->
@@ -375,7 +378,7 @@ let prop_key_deterministic =
     (fun (inputs, actions) ->
       let run () =
         List.fold_left
-          (fun x a -> E.apply ~record_failures:true x a)
+          (fun x a -> E.apply E.Crash x a)
           (initial inputs) actions
         |> E.key
       in
@@ -394,7 +397,7 @@ let () =
           Alcotest.test_case "mobile never records" `Quick test_mobile_mode_never_records;
           Alcotest.test_case "declaration crash" `Quick test_silenced_forever;
           Alcotest.test_case "duplicate omitters" `Quick test_duplicate_omitters_rejected;
-          Alcotest.test_case "apply_jk prefixes" `Quick test_apply_jk_prefix;
+          Alcotest.test_case "(j,[k]) prefixes" `Quick test_jk_prefix;
         ] );
       ( "similarity",
         [
@@ -411,8 +414,9 @@ let () =
         ] );
       ( "adversary",
         [
-          Alcotest.test_case "action counts" `Quick test_all_actions_counts;
-          Alcotest.test_case "failed excluded" `Quick test_all_actions_exclude_failed;
+          Alcotest.test_case "action counts" `Quick test_crash_action_counts;
+          Alcotest.test_case "failed excluded" `Quick test_crash_actions_exclude_failed;
+          Alcotest.test_case "negative max_new" `Quick test_negative_max_new;
         ] );
       ( "omission",
         [
