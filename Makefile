@@ -23,8 +23,9 @@ bench-compare:
 bench-baseline:
 	dune exec bench/main.exe -- --json > BENCH_baseline.json
 
-# Run both perfbench workloads for a second each and require every
-# output to match perfbench/expected.txt ("correct": true, "failed": 0).
+# Run both perfbench workloads for a second each, end to end and traced,
+# and require every output to match perfbench/expected.txt ("correct":
+# true, "failed": 0); the traced runs print their work counters.
 perfbench-check:
 	bash scripts/perfbench_check.sh
 

@@ -41,16 +41,16 @@ module Make (P : Protocol.S) = struct
     if List.length (List.sort_uniq compare dests) <> List.length dests then
       invalid_arg "Engine: duplicate message destination"
 
-  (* Compute process [i]'s phase against the current state: outgoing
-     messages (from the phase-start local state), then the new local state
-     after draining the inbox.  Does not mutate. *)
-  let phase_of x i =
-    let n = n_of x in
-    let outgoing = P.send ~n ~pid:i x.locals.(i - 1) in
+  (* Process [i]'s phase against [locals] and [mail]: outgoing messages
+     (from the phase-start local state), then the new local state after
+     draining the inbox, with the protocol-contract guards.  Does not
+     mutate. *)
+  let phase n locals mail i =
+    let local = locals.(i - 1) in
+    let outgoing = P.send ~n ~pid:i local in
     check_outgoing n i outgoing;
-    let inbox = x.mail.(i - 1) in
-    let local' = P.step ~n ~pid:i x.locals.(i - 1) ~inbox in
-    (match (P.decision x.locals.(i - 1), P.decision local') with
+    let local' = P.step ~n ~pid:i local ~inbox:mail.(i - 1) in
+    (match (P.decision local, P.decision local') with
     | Some v, Some w when not (Value.equal v w) ->
         invalid_arg "Engine: protocol violated write-once decision"
     | Some _, None -> invalid_arg "Engine: protocol erased a decision"
@@ -60,23 +60,20 @@ module Make (P : Protocol.S) = struct
   (* Mailboxes are kept in canonical order: sorted by source pid, FIFO
      within a source (channels are FIFO; the cross-source interleaving of
      concurrently-sent messages is semantically arbitrary, so a canonical
-     order keeps state equality independent of it). *)
+     order keeps state equality independent of it).  Each message goes
+     in after every message from a source up to its own. *)
   let enqueue mail src outgoing =
-    List.iter
-      (fun (dst, m) ->
-        mail.(dst - 1) <-
-          List.stable_sort
-            (fun (s, _) (s', _) -> compare s s')
-            (mail.(dst - 1) @ [ (src, m) ]))
-      outgoing
+    let rec insert m = function
+      | ((s, _) as e) :: rest when s <= src -> e :: insert m rest
+      | box -> (src, m) :: box
+    in
+    List.iter (fun (dst, m) -> mail.(dst - 1) <- insert m mail.(dst - 1)) outgoing
 
-  let apply_entry x entry =
-    let locals = Array.copy x.locals and mail = Array.copy x.mail in
-    (match entry with
+  (* The entry runner: one phase, or a concurrent pair of phases, run in
+     place on [locals] and [mail]. *)
+  let run_entry n locals mail = function
     | Solo i ->
-        let local', outgoing =
-          phase_of { x with locals; mail; interned = Intern.fresh_slot () } i
-        in
+        let local', outgoing = phase n locals mail i in
         locals.(i - 1) <- local';
         mail.(i - 1) <- [];
         enqueue mail i outgoing
@@ -84,14 +81,18 @@ module Make (P : Protocol.S) = struct
         if a = b then invalid_arg "Engine: concurrent pair of one process";
         (* Both phases run against the pre-state: neither sees the other's
            fresh messages. *)
-        let la, out_a = phase_of x a in
-        let lb, out_b = phase_of x b in
+        let la, out_a = phase n locals mail a in
+        let lb, out_b = phase n locals mail b in
         locals.(a - 1) <- la;
         locals.(b - 1) <- lb;
         mail.(a - 1) <- [];
         mail.(b - 1) <- [];
         enqueue mail a out_a;
-        enqueue mail b out_b);
+        enqueue mail b out_b
+
+  let apply_entry x entry =
+    let locals = Array.copy x.locals and mail = Array.copy x.mail in
+    run_entry (n_of x) locals mail entry;
     { x with locals; mail; interned = Intern.fresh_slot () }
 
   let pids_of_entry = function Solo i -> [ i ] | Pair (a, b) -> [ a; b ]
@@ -104,15 +105,17 @@ module Make (P : Protocol.S) = struct
     let pairs = List.length (List.filter (function Pair _ -> true | Solo _ -> false) s) in
     if pairs > 1 then invalid_arg "Engine: more than one concurrent pair";
     let count = List.length pids in
-    if count <> n && count <> n - 1 then
+    if (count <> n && count <> n - 1) || List.exists (fun i -> i < 1 || i > n) pids then
       invalid_arg "Engine: schedule must involve n or n-1 processes";
     if pairs = 1 && count <> n then
       invalid_arg "Engine: concurrent pair only allowed in full schedules"
 
   let apply x s =
-    validate_schedule (n_of x) s;
-    let x' = List.fold_left apply_entry x s in
-    { x' with round = x.round + 1; interned = Intern.fresh_slot () }
+    let n = n_of x in
+    validate_schedule n s;
+    let locals = Array.copy x.locals and mail = Array.copy x.mail in
+    List.iter (run_entry n locals mail) s;
+    { round = x.round + 1; locals; mail; interned = Intern.fresh_slot () }
 
   let schedules ~n =
     let all = Pid.all n in
@@ -207,19 +210,54 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let sper =
-    let table = Hashtbl.create 4 in
-    fun x ->
-      let n = n_of x in
-      let ss =
-        match Hashtbl.find_opt table n with
-        | Some ss -> ss
-        | None ->
-            let ss = schedules ~n in
-            Hashtbl.add table n ss;
-            ss
-      in
-      dedup_map (apply x) ss
+  (* The schedules of [S^per] as a prefix trie, each validated once: a
+     node's [index] is the position in [schedules ~n] of the schedule
+     ending there ([-1]: none), its children the entries that extend
+     it, in first-seen order. *)
+  type trie = { mutable index : int; mutable children : (entry * trie) list }
+
+  let trie_of =
+    Engine_core.per_n (fun n ->
+        let root = { index = -1; children = [] } in
+        let ss = schedules ~n in
+        List.iteri
+          (fun idx s ->
+            validate_schedule n s;
+            let node =
+              List.fold_left
+                (fun node e ->
+                  match List.assoc_opt e node.children with
+                  | Some child -> child
+                  | None ->
+                      let child = { index = -1; children = [] } in
+                      node.children <- node.children @ [ (e, child) ];
+                      child)
+                root s
+            in
+            node.index <- idx)
+          ss;
+        (List.length ss, root))
+
+  (* Walk the trie depth-first, each node running its entry once on its
+     own copy of its parent's arrays, so each shared prefix runs once;
+     each successor is stored at its schedule's index. *)
+  let sper x =
+    let n = n_of x in
+    let count, root = trie_of n in
+    let succs = Array.make count x in
+    let rec visit locals mail node =
+      if node.index >= 0 then
+        succs.(node.index) <-
+          { round = x.round + 1; locals; mail; interned = Intern.fresh_slot () };
+      List.iter
+        (fun (e, child) ->
+          let locals = Array.copy locals and mail = Array.copy mail in
+          run_entry n locals mail e;
+          visit locals mail child)
+        node.children
+    in
+    visit x.locals x.mail root;
+    dedup (Array.to_list succs)
 
   let in_transit x = Array.fold_left (fun acc box -> acc + List.length box) 0 x.mail
 

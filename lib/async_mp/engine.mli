@@ -47,16 +47,19 @@ module Make (P : Protocol.S) : sig
   (** One phase (or concurrent pair of phases) — the micro-step. *)
   val apply_entry : state -> entry -> state
 
-  (** [apply x s] validates [s] (distinct pids; [n] or [n - 1] of them; at
-      most one pair, only in full schedules) and runs its entries,
-      incrementing [round]. *)
+  (** [apply x s] validates [s] (distinct pids of [1..n]; [n] or [n - 1]
+      of them; at most one pair, only in full schedules) and runs its
+      entries, incrementing [round]. *)
   val apply : state -> schedule -> state
 
   (** All [S^per] schedules for [n] processes (full permutations, drop-last
       arrangements, adjacent-concurrent variants). *)
   val schedules : n:int -> schedule list
 
-  (** The permutation layering: de-duplicated [apply x] over {!schedules}. *)
+  (** The permutation layering: de-duplicated [apply x] over
+      {!schedules}, in schedule order.  Shared schedule prefixes run
+      once: the schedules form a prefix trie, built and validated once
+      per [n], that is walked depth-first from [x]. *)
   val sper : state -> state list
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  Part

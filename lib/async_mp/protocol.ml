@@ -8,7 +8,11 @@
     message-passing counterpart of the write-then-snapshot structure of
     immediate-snapshot executions, and is what makes a layer's states that
     differ in one process's schedule position agree modulo that process
-    (the paper's transposition argument). *)
+    (the paper's transposition argument).
+
+    [send] and [step] must be pure and deterministic: the engine runs
+    each schedule prefix of a layer once and shares its phases across
+    every successor that extends it. *)
 
 open Layered_core
 

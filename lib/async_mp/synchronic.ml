@@ -34,59 +34,85 @@ module Make (P : Layered_sync.Protocol.S) = struct
         :: List.map (fun k -> { slow = j; mode = Late k }) (0 :: Pid.all n))
       (Pid.all n)
 
-  let apply x { slow = j; mode } =
+  (* One virtual round from [x] under any action.  Shared by every
+     successor: the fresh packets of each sender (built on first use, so
+     successors hold physically equal records), the position of each
+     (receiver, source)'s oldest in-transit packet, and each [P.step],
+     run once per (receiver, source whose fresh packet it misses).  Per
+     action only the inboxes and the surviving transit are chosen:
+     every receiver gets its oldest packet from each source, a fresh one
+     only where there is none in transit and it is eligible. *)
+  let successor x =
     let n = n_of x in
     let round = x.round + 1 in
-    let sends i = not (i = j && mode = Absent) in
-    let fresh =
-      List.concat_map
-        (fun i ->
-          if not (sends i) then []
-          else
-            List.filter_map
-              (fun d ->
-                match P.send ~n ~round ~pid:i x.locals.(i - 1) ~dest:d with
-                | Some msg -> Some { src = i; dst = d; msg; sent = round }
-                | None -> None)
-              (Pid.others n i))
-        (Pid.all n)
+    let fresh_of =
+      Engine_core.memo n (fun s ->
+          List.filter_map
+            (fun d ->
+              match P.send ~n ~round ~pid:(s + 1) x.locals.(s) ~dest:d with
+              | Some msg -> Some { src = s + 1; dst = d; msg; sent = round }
+              | None -> None)
+            (Pid.others n (s + 1)))
     in
-    let transit = x.transit @ fresh in
-    let receives i = not (i = j && mode = Absent) in
-    (* Early proper readers miss the slow process's fresh message. *)
-    let eligible i p =
-      p.dst = i
-      &&
-      match mode with
-      | Late k when i <> j && i <= k -> not (p.src = j && p.sent = round)
-      | Late _ | Absent -> true
+    let old = Array.of_list x.transit in
+    (* oldest.((r * n) + s): position of the oldest packet from [s + 1] to [r + 1] *)
+    let oldest = Array.make (n * n) (-1) in
+    Array.iteri
+      (fun pos p ->
+        let c = ((p.dst - 1) * n) + p.src - 1 in
+        if oldest.(c) < 0 then oldest.(c) <- pos)
+      old;
+    (* step ((r * (n + 1)) + missed): [r]'s step when it misses
+       [missed]'s fresh packet ([missed = n]: none) *)
+    let step =
+      Engine_core.memo (n * (n + 1)) (fun c ->
+          let r = c / (n + 1) and missed = c mod (n + 1) in
+          let received = Array.make n None in
+          for s = 0 to n - 1 do
+            let pos = oldest.((r * n) + s) in
+            if pos >= 0 then received.(s) <- Some old.(pos).msg
+            else if s <> missed && s <> r then
+              match List.find_opt (fun p -> p.dst = r + 1) (fresh_of s) with
+              | Some p -> received.(s) <- Some p.msg
+              | None -> ()
+          done;
+          P.step ~n ~round ~pid:(r + 1) x.locals.(r) ~received)
     in
-    (* FIFO: deliver the oldest eligible packet per source. *)
-    let indexed = List.mapi (fun idx p -> (idx, p)) transit in
-    let delivered = Hashtbl.create 16 in
-    let received_by i =
-      let inbox = Array.make n None in
-      List.iter
-        (fun (idx, p) ->
-          if eligible i p && inbox.(p.src - 1) = None then begin
-            inbox.(p.src - 1) <- Some p.msg;
-            Hashtbl.replace delivered idx ()
-          end)
-        indexed;
-      inbox
-    in
-    let locals =
-      Array.init n (fun idx ->
-          let i = idx + 1 in
-          if receives i then P.step ~n ~round ~pid:i x.locals.(idx) ~received:(received_by i)
-          else x.locals.(idx))
-    in
-    let transit =
-      List.filter_map
-        (fun (idx, p) -> if Hashtbl.mem delivered idx then None else Some p)
-        indexed
-    in
-    { round; locals; transit; interned = Intern.fresh_slot () }
+    fun { slow = j; mode } ->
+      if j < 1 || j > n then invalid_arg "Synchronic.apply: bad slow process";
+      let j = j - 1 in
+      (* receivers [r] that miss [j]'s fresh packets; [j] itself neither
+         sends nor receives when absent *)
+      let absent, misses =
+        match mode with
+        | Absent -> (true, fun r -> r <> j)
+        | Late k ->
+            if k < 0 || k > n then invalid_arg "Synchronic.apply: bad late count";
+            (false, fun r -> r <> j && r < k)
+      in
+      let receives r = not (absent && r = j) in
+      let locals =
+        Array.init n (fun r ->
+            let missed = if misses r then j else n in
+            if receives r then step ((r * (n + 1)) + missed) else x.locals.(r))
+      in
+      let delivered_old pos p =
+        receives (p.dst - 1) && oldest.(((p.dst - 1) * n) + p.src - 1) = pos
+      in
+      let delivered_fresh p =
+        let r = p.dst - 1 and s = p.src - 1 in
+        receives r && oldest.((r * n) + s) < 0 && not (s = j && misses r)
+      in
+      let transit =
+        List.filteri (fun pos p -> not (delivered_old pos p)) x.transit
+        @ List.concat
+            (List.init n (fun s ->
+                 if absent && s = j then []
+                 else List.filter (fun p -> not (delivered_fresh p)) (fresh_of s)))
+      in
+      { round; locals; transit; interned = Intern.fresh_slot () }
+
+  let apply x a = successor x a
 
   let packet_key p = Printf.sprintf "%d>%d@%d:%s" p.src p.dst p.sent (P.msg_key p.msg)
 
@@ -145,7 +171,7 @@ module Make (P : Layered_sync.Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let smp x = dedup_map (apply x) (actions ~n:(n_of x))
+  let smp x = dedup_map (successor x) (actions ~n:(n_of x))
   let in_transit x = List.length x.transit
 
   let pp ppf x =

@@ -42,9 +42,16 @@ module Make (P : Layered_sync.Protocol.S) : sig
   val initial : inputs:Value.t array -> state
   val initial_states : n:int -> values:Value.t list -> state list
   val actions : n:int -> action list
+
+  (** One virtual round.  Raises [Invalid_argument] when the slow
+      process is not in [1..n] ("bad slow process") or a [Late k] has
+      [k] outside [0..n] ("bad late count"). *)
   val apply : state -> action -> state
 
-  (** The synchronic layering: de-duplicated [apply x] over {!actions}. *)
+  (** The synchronic layering: de-duplicated [apply x] over {!actions},
+      in action order.  The round's fresh packets are built once per
+      sender and shared by every successor, and each [P.step] runs once
+      per (receiver, sender whose fresh packet it misses). *)
   val smp : state -> state list
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  Round

@@ -66,7 +66,58 @@ module Make (P : Protocol.S) = struct
     let x' = List.fold_left apply_event x events in
     { x' with phase = x.phase + 1; interned = Intern.fresh_slot () }
 
-  let apply x a = apply_events x (compile x a)
+  (* One phase from [x] under any action, equal to
+     [apply_events x (compile x a)].  The writes are shared: per slow
+     [j], on first use, the register vector after the proper writes, and
+     one vector after every write (the slow process writes last).  Each
+     scan runs once per (pid, vector); [Absent] and [Read_late k] only
+     choose which scan each process gets. *)
+  let successor x =
+    let n = n_of x in
+    let phase = x.phase + 1 in
+    let write = Engine_core.memo n (fun i -> P.write ~n ~pid:(i + 1) x.locals.(i)) in
+    (* regs j: every write but process [j + 1]'s; regs n: every write *)
+    let regs =
+      Engine_core.memo (n + 1) (fun v ->
+          let regs = Array.copy x.regs in
+          for i = 0 to n - 1 do
+            if i <> v then match write i with Some r -> regs.(i) <- Some r | None -> ()
+          done;
+          regs)
+    in
+    let scans =
+      Engine_core.memo ((n + 1) * n) (fun c ->
+          let v = c / n and i = c mod n in
+          let l = P.step ~n ~pid:(i + 1) x.locals.(i) ~reads:(Array.copy (regs v)) in
+          (match (P.decision x.locals.(i), P.decision l) with
+          | Some a, Some b when not (Value.equal a b) ->
+              invalid_arg "Engine: protocol violated write-once decision"
+          | Some _, None -> invalid_arg "Engine: protocol erased a decision"
+          | (Some _ | None), _ -> ());
+          l)
+    in
+    let scan i v = scans ((v * n) + i) in
+    fun { slow = j; mode } ->
+      if j < 1 || j > n then invalid_arg "Engine.apply: bad slow process";
+      let j = j - 1 in
+      (* proper processes [i < early] scan before [j]'s write *)
+      let absent, early =
+        match mode with
+        | Absent -> (true, n)
+        | Read_late k ->
+            if k < 0 || k > n then invalid_arg "Engine.apply: bad read-late count";
+            (false, k)
+      in
+      let locals =
+        Array.init n (fun i ->
+            if i = j then if absent then x.locals.(i) else scan i n
+            else if i < early then scan i j
+            else scan i n)
+      in
+      let regs = regs (if absent then j else n) in
+      { phase; locals; regs; interned = Intern.fresh_slot () }
+
+  let apply x a = successor x a
 
   let schedule_legal events =
     let wrote = Hashtbl.create 8 and scanned = Hashtbl.create 8 in
@@ -149,7 +200,7 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let srw x = dedup (List.map (apply x) (actions ~n:(n_of x)))
+  let srw x = dedup_map (successor x) (actions ~n:(n_of x))
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>phase %d@," x.phase;

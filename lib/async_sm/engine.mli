@@ -48,6 +48,9 @@ module Make (P : Protocol.S) : sig
       [(j, Absent)] and [(j, Read_late k)] for [j in 1..n], [k in 0..n]. *)
   val actions : n:int -> action list
 
+  (** One virtual round.  Raises [Invalid_argument] when the slow
+      process is not in [1..n] ("bad slow process") or a [Read_late k]
+      has [k] outside [0..n] ("bad read-late count"). *)
   val apply : state -> action -> state
 
   (** [compile x a] is the [W1 R1 W2 R2] event schedule realising [a]. *)
@@ -70,8 +73,11 @@ module Make (P : Protocol.S) : sig
       is indexed by process. *)
   include Engine_core.S with type state := state
 
-  (** The synchronic layering: [S^rw x] is the de-duplicated set of
-      [apply x a] over all actions. *)
+  (** The synchronic layering: [S^rw x] is the de-duplicated [apply x a]
+      over {!actions}, in action order.  The phase's writes and scans
+      are shared across the layer: each [P.write] runs at most once per
+      process, each [P.step] once per (process, register vector it
+      scans). *)
   val srw : state -> state list
 
   val pp : Format.formatter -> state -> unit

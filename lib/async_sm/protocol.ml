@@ -5,7 +5,12 @@
     most one write into its own register followed by a scan (the paper's
     maximal sequence of reads of distinct variables, which the synchronic
     layering always schedules after the relevant writes, so an atomic scan
-    is equivalent).  [step] consumes the scanned register contents. *)
+    is equivalent).  [step] consumes the scanned register contents.
+
+    [write] and [step] must be pure and deterministic: the engine calls
+    each at most once per distinct input within a layer (a scan once per
+    process and register vector) and shares the result across that
+    layer's successors. *)
 
 open Layered_core
 

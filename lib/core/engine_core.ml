@@ -65,9 +65,9 @@ module type S = sig
 
   (** [dedup_map f xs] is [dedup (List.map f xs)], fused so that a
       repeated successor is dropped before the next one is built: the
-      form for layerings with hundreds of actions (IIS partitions).  For
-      a few dozen actions (the sync and shared-memory layerings) the
-      two-pass form is as fast. *)
+      form of every layering over an action list, [f] being the state's
+      layer-at-once successor function.  [S^per] builds all its
+      successors in one trie walk and uses {!dedup}. *)
   val dedup_map : ('a -> state) -> 'a list -> state list
 
   val decisions : state -> Value.t option array
@@ -225,6 +225,54 @@ module Make (M : MODEL) : S with type state = M.state = struct
   let import_memo v entries =
     Valence.import v (List.map (fun (p, e) -> (Intern.adopt intern_table p, e)) entries)
 end
+
+(** [per_n build] is [build] memoised by process count: the action
+    tables every state of one [n] shares (IIS partitions, the [S^per]
+    schedule trie).  Entries are published atomically, so pooled workers
+    may race to build one but all use the one published. *)
+let per_n build =
+  let table = Atomic.make [] in
+  let rec publish n v =
+    let seen = Atomic.get table in
+    match List.assoc_opt n seen with
+    | Some v -> v
+    | None ->
+        if Atomic.compare_and_set table seen ((n, v) :: seen) then v else publish n v
+  in
+  fun n ->
+    match List.assoc_opt n (Atomic.get table) with
+    | Some v -> v
+    | None -> publish n (build n)
+
+(** [memo size f] is [f] on [0 .. size - 1], each value computed on
+    first use: a layer's sends, writes, register vectors and steps. *)
+let memo size f =
+  let cells = Array.make size None in
+  fun i ->
+    match cells.(i) with
+    | Some v -> v
+    | None ->
+        let v = f i in
+        cells.(i) <- Some v;
+        v
+
+(** [memo_masks n f] is [f] on pairs of a process index below [n] and a
+    bitmask, each value computed on first use: a layer's steps, keyed by
+    the set of processes whose data they read.  ([assq] compares the
+    [int] keys by value.) *)
+let memo_masks n f =
+  let table = Array.make n [] in
+  fun i (mask : int) ->
+    match List.assq mask table.(i) with
+    | v -> v
+    | exception Not_found ->
+        let v = f i mask in
+        table.(i) <- (mask, v) :: table.(i);
+        v
+
+(** Refuses process counts whose pid sets do not fit an [int] bitmask. *)
+let check_mask_width n =
+  if n >= Sys.int_size then invalid_arg "Engine: too many processes for a bitmask"
 
 (** [pp_locals pp decision] prints one line per process, its local state
     and, once it has decided, its decision — the body every engine's

@@ -63,33 +63,41 @@ module Make (P : Protocol.S) = struct
     if List.sort compare members <> Pid.all n then
       invalid_arg "Iis: blocks must partition {1..n}"
 
-  let apply x blocks =
+  (* One round from [x] under any valid ordered partition.  Each
+     [P.write] runs once, and each [P.step] once per (process, view set):
+     the view is the union of the blocks up to and including the
+     process's own, kept as a bitmask. *)
+  let successor x =
     let n = n_of x in
-    validate_partition n blocks;
+    Engine_core.check_mask_width n;
     let round = x.round + 1 in
-    let write i = P.write ~n ~pid:i x.locals.(i - 1) in
-    let writes = Array.init n (fun idx -> write (idx + 1)) in
-    (* Prefix-union views: a process in block k sees blocks 1..k. *)
-    let locals = Array.copy x.locals in
-    let rec run_blocks seen = function
-      | [] -> ()
-      | block :: rest ->
-          let seen = List.sort compare (seen @ block) in
-          let snapshot = List.map (fun i -> (i, writes.(i - 1))) seen in
-          List.iter
-            (fun i ->
-              let before = P.decision locals.(i - 1) in
-              locals.(i - 1) <- P.step ~n ~pid:i x.locals.(i - 1) ~snapshot;
-              match (before, P.decision locals.(i - 1)) with
-              | Some v, Some w when not (Value.equal v w) ->
-                  invalid_arg "Iis: protocol violated write-once decision"
-              | Some _, None -> invalid_arg "Iis: protocol erased a decision"
-              | (Some _ | None), _ -> ())
-            block;
-          run_blocks seen rest
+    let writes = Array.init n (fun idx -> P.write ~n ~pid:(idx + 1) x.locals.(idx)) in
+    let step =
+      Engine_core.memo_masks n (fun idx seen ->
+          let snapshot = ref [] in
+          for k = n - 1 downto 0 do
+            if seen land (1 lsl k) <> 0 then snapshot := (k + 1, writes.(k)) :: !snapshot
+          done;
+          let local = P.step ~n ~pid:(idx + 1) x.locals.(idx) ~snapshot:!snapshot in
+          (match (P.decision x.locals.(idx), P.decision local) with
+          | Some v, Some w when not (Value.equal v w) ->
+              invalid_arg "Iis: protocol violated write-once decision"
+          | Some _, None -> invalid_arg "Iis: protocol erased a decision"
+          | (Some _ | None), _ -> ());
+          local)
     in
-    run_blocks [] blocks;
-    { round; locals; interned = Intern.fresh_slot () }
+    fun blocks ->
+      let locals = Array.copy x.locals and seen = ref 0 in
+      List.iter
+        (fun block ->
+          List.iter (fun i -> seen := !seen lor (1 lsl (i - 1))) block;
+          List.iter (fun i -> locals.(i - 1) <- step (i - 1) !seen) block)
+        blocks;
+      { round; locals; interned = Intern.fresh_slot () }
+
+  let apply x blocks =
+    validate_partition (n_of x) blocks;
+    successor x blocks
 
   let raw_key x =
     let buf = Buffer.create 64 in
@@ -128,16 +136,12 @@ module Make (P : Protocol.S) = struct
   include (Core : Engine_core.S with type state := state)
 
   let partitions_of =
-    let table = Hashtbl.create 4 in
-    fun n ->
-      match Hashtbl.find_opt table n with
-      | Some ps -> ps
-      | None ->
-          let ps = partitions ~n in
-          Hashtbl.add table n ps;
-          ps
+    Engine_core.per_n (fun n ->
+        let ps = partitions ~n in
+        List.iter (validate_partition n) ps;
+        ps)
 
-  let layer x = dedup_map (apply x) (partitions_of (n_of x))
+  let layer x = dedup_map (successor x) (partitions_of (n_of x))
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;

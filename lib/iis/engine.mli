@@ -47,7 +47,10 @@ module Make (P : Protocol.S) : sig
   val apply : state -> partition -> state
 
   (** The layering: de-duplicated [apply x] over all ordered
-      partitions. *)
+      partitions, in {!partitions} order.  The round's writes and steps
+      are shared across the layer: each [P.write] runs once per process,
+      each [P.step] once per (process, view set), the partitions
+      themselves are validated once per [n]. *)
   val layer : state -> state list
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  The

@@ -7,7 +7,12 @@
     [M_r] — computed from its state at the start of the round, the
     write-then-snapshot discipline — and receives an immediate snapshot:
     the writes of every process scheduled in its own concurrency class or
-    earlier. *)
+    earlier.
+
+    [write] and [step] must be pure and deterministic: the engine calls
+    each at most once per distinct input within a layer (a step once per
+    process and view) and shares the result across that layer's
+    successors. *)
 
 open Layered_core
 

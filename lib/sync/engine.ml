@@ -33,58 +33,73 @@ module Make (P : Protocol.S) = struct
   let initial_states ~n ~values =
     List.map (fun inputs -> initial ~inputs) (Inputs.vectors ~n ~values)
 
-  let apply discipline x { marks; drops } =
+  (* One round from [x] under any action.  What does not depend on the
+     action is done once: each [P.send] on first use, and each [P.step]
+     once per (receiver, bitmask of the senders whose message arrives) —
+     the received vector is a function of that mask and the sends.  The
+     marks and drops are still validated per action. *)
+  let successor discipline x =
     let n = n_of x in
+    Engine_core.check_mask_width n;
     let omission = match discipline with Omission -> true | Mobile | Crash -> false in
-    let check_pid j = if j < 1 || j > n then invalid_arg "Engine.apply: bad pid" in
-    let marked = Array.make n false in
-    List.iter
-      (fun j ->
-        check_pid j;
-        if marked.(j - 1) then invalid_arg "Engine.apply: duplicate omitters";
-        if omission && x.failed.(j - 1) then invalid_arg "Engine.apply: already faulty";
-        marked.(j - 1) <- true)
-      marks;
-    let faulty idx = x.failed.(idx) || marked.(idx) in
-    (* blocked.(i - 1).(j - 1): is i -> j dropped this round?  Built once
-       per action (senders without drops share one all-false row), so the
-       per-(i, j) receive test below is an array probe instead of a
-       List.mem over the drops. *)
-    let no_block = Array.make n false in
-    let blocked = Array.make n no_block in
-    List.iter
-      (fun o ->
-        check_pid o.sender;
-        let s = o.sender - 1 in
-        if blocked.(s) == no_block then blocked.(s) <- Array.make n false;
-        List.iter
-          (fun d ->
-            if omission && not (faulty s || faulty (d - 1)) then
-              invalid_arg "Engine.apply: drop between non-faulty processes";
-            blocked.(s).(d - 1) <- true)
-          o.blocked)
-      drops;
+    let round = x.round + 1 in
+    let send =
+      Engine_core.memo (n * n) (fun c ->
+          P.send ~n ~round ~pid:((c / n) + 1) x.locals.(c / n) ~dest:((c mod n) + 1))
+    in
+    let step =
+      Engine_core.memo_masks n (fun r mask ->
+          let received =
+            Array.init n (fun i ->
+                if mask land (1 lsl i) <> 0 then send ((i * n) + r) else None)
+          in
+          P.step ~n ~round ~pid:(r + 1) x.locals.(r) ~received)
+    in
     (* A crashed process is silent from the round after its mark; an
        omission-faulty one keeps sending. *)
-    let silenced idx = (not omission) && x.failed.(idx) in
-    let round = x.round + 1 in
-    let received_by j =
-      Array.init n (fun idx ->
-          let i = idx + 1 in
-          if i = j || silenced idx || blocked.(idx).(j - 1) then None
-          else P.send ~n ~round ~pid:i x.locals.(idx) ~dest:j)
-    in
-    let locals =
-      Array.init n (fun idx ->
-          let j = idx + 1 in
-          P.step ~n ~round ~pid:j x.locals.(idx) ~received:(received_by j))
-    in
-    let failed =
-      match discipline with
-      | Mobile -> Array.copy x.failed
-      | Crash | Omission -> Array.init n faulty
-    in
-    { round; locals; failed; interned = Intern.fresh_slot () }
+    let silenced i = (not omission) && x.failed.(i) in
+    let check_pid j = if j < 1 || j > n then invalid_arg "Engine.apply: bad pid" in
+    fun { marks; drops } ->
+      let marked = Array.make n false in
+      List.iter
+        (fun j ->
+          check_pid j;
+          if marked.(j - 1) then invalid_arg "Engine.apply: duplicate omitters";
+          if omission && x.failed.(j - 1) then invalid_arg "Engine.apply: already faulty";
+          marked.(j - 1) <- true)
+        marks;
+      let faulty idx = x.failed.(idx) || marked.(idx) in
+      (* blocked.(s): bitmask of the receivers that miss sender [s + 1] *)
+      let blocked = Array.make n 0 in
+      List.iter
+        (fun o ->
+          check_pid o.sender;
+          let s = o.sender - 1 in
+          List.iter
+            (fun d ->
+              check_pid d;
+              if omission && not (faulty s || faulty (d - 1)) then
+                invalid_arg "Engine.apply: drop between non-faulty processes";
+              blocked.(s) <- blocked.(s) lor (1 lsl (d - 1)))
+            o.blocked)
+        drops;
+      let locals =
+        Array.init n (fun r ->
+            let mask = ref 0 in
+            for i = 0 to n - 1 do
+              if i <> r && (not (silenced i)) && blocked.(i) land (1 lsl r) = 0 then
+                mask := !mask lor (1 lsl i)
+            done;
+            step r !mask)
+      in
+      let failed =
+        match (discipline, marks) with
+        | Mobile, _ | (Crash | Omission), [] -> x.failed
+        | (Crash | Omission), _ :: _ -> Array.init n faulty
+      in
+      { round; locals; failed; interned = Intern.fresh_slot () }
+
+  let apply discipline x a = successor discipline x a
 
   let raw_key x =
     let buf = Buffer.create 64 in
@@ -135,7 +150,7 @@ module Make (P : Protocol.S) = struct
 
   type adversary = { discipline : discipline; actions : state -> action list }
 
-  let layer adv x = dedup (List.map (apply adv.discipline x) (adv.actions x))
+  let layer adv x = dedup_map (successor adv.discipline x) (adv.actions x)
 
   let rec subsets = function
     | [] -> [ [] ]
@@ -263,8 +278,10 @@ module Make (P : Protocol.S) = struct
             | None -> Budget.charge b 1));
         Hashtbl.add seen id ();
         visit x;
-        if x.round < rounds then
-          List.iter (fun a -> go (apply adv.discipline x a)) (adv.actions x)
+        if x.round < rounds then begin
+          let next = successor adv.discipline x in
+          List.iter (fun a -> go (next a)) (adv.actions x)
+        end
       end
     in
     match List.iter go roots with () -> Budget.Complete | exception Cut status -> status

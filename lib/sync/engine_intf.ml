@@ -48,7 +48,8 @@ module type S = sig
   val initial_states : n:int -> values:Value.t list -> state list
 
   (** Execute one synchronous round under [action].  Raises
-      [Invalid_argument] when a process is marked twice; under
+      [Invalid_argument] when a mark, sender or blocked receiver is not a
+      pid of [1..n] ("bad pid") or a process is marked twice; under
       [Omission] also when a marked process is already faulty, or when a
       drop's sender and receiver are both non-faulty after the marks. *)
   val apply : discipline -> state -> action -> state
@@ -69,7 +70,11 @@ module type S = sig
   (** A discipline and the actions it may choose at a state. *)
   type adversary = { discipline : discipline; actions : state -> action list }
 
-  (** The de-duplicated successors of a state under [adv]. *)
+  (** The de-duplicated successors of a state under [adv], in action
+      order: [apply adv.discipline x] over [adv.actions x], with the
+      round's sends and steps shared across the layer — each [P.send]
+      runs at most once per (sender, receiver), each [P.step] once per
+      (receiver, set of senders whose message arrives). *)
   val layer : adversary -> state -> state list
 
   (** [S_1] (Section 5): the actions [(j, [k])] for [1 <= j <= n],
@@ -104,7 +109,8 @@ module type S = sig
 
   (** [walk ?budget adv ~rounds ~visit roots] visits, depth-first, every
       distinct state reachable from [roots] under [adv] in at most
-      [rounds] rounds, once each.  Each new state is charged to [budget];
+      [rounds] rounds, once each, expanding each state's actions with the
+      sharing of {!layer}.  Each new state is charged to [budget];
       an exhausted budget stops the walk before that state, truncated at
       its round. *)
   val walk :

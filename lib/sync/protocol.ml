@@ -8,7 +8,11 @@
 
     Conventions: processes are named [1 .. n]; a process does not send to
     itself; [received.(j - 1) = None] means process [j]'s message was lost
-    (or [j] sent nothing / is silenced). *)
+    (or [j] sent nothing / is silenced).
+
+    [send] and [step] must be pure and deterministic: an engine calls
+    each at most once per distinct input within a layer and shares the
+    result across that layer's successors (see {!Engine}). *)
 
 open Layered_core
 

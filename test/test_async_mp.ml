@@ -39,7 +39,15 @@ let test_schedule_validation () =
       ignore (E.apply x (solo [ 1 ])));
   Alcotest.check_raises "pair in drop-last"
     (Invalid_argument "Engine: concurrent pair only allowed in full schedules")
-    (fun () -> ignore (E.apply x [ Mp.Engine.Pair (1, 2) ]))
+    (fun () -> ignore (E.apply x [ Mp.Engine.Pair (1, 2) ]));
+  (* Pids outside 1..n are not among the processes a schedule may
+     involve, however many it names. *)
+  List.iter
+    (fun s ->
+      Alcotest.check_raises "pid out of range"
+        (Invalid_argument "Engine: schedule must involve n or n-1 processes") (fun () ->
+          ignore (E.apply x s)))
+    [ solo [ 1; 2; 7 ]; solo [ 0; 1 ]; [ Mp.Engine.Pair (3, 4); Mp.Engine.Solo 1 ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Phase mechanics *)
@@ -125,6 +133,63 @@ let test_pair_blindness () =
   (* ...while p1 and p2 cannot tell the two schedules apart. *)
   check "p1 agrees" true (String.equal (P.key y.E.locals.(0)) (P.key seq.E.locals.(0)));
   check "p2 agrees" true (String.equal (P.key y.E.locals.(1)) (P.key seq.E.locals.(1)))
+
+(* ------------------------------------------------------------------ *)
+(* Protocol-contract guards *)
+
+(* Deliberately broken protocols, one per guarded clause of the
+   contract: a message to a pid outside the others, two messages to one
+   destination, a decision that changes, a decision that is erased.  The
+   layering runs each phase through the same guards as [apply]. *)
+type fault = Bad_destination | Duplicate_destination | Flip_decision | Erase_decision
+
+module Broken (F : sig
+  val fault : fault
+end) : Mp.Protocol.S = struct
+  type local = int (* completed phases *)
+  type msg = unit
+
+  let name = "broken"
+  let init ~n:_ ~pid:_ ~input:_ = 0
+
+  let send ~n ~pid _ =
+    match F.fault with
+    | Bad_destination -> [ (n + 1, ()) ]
+    | Duplicate_destination ->
+        let d = if pid = 1 then 2 else 1 in
+        [ (d, ()); (d, ()) ]
+    | Flip_decision | Erase_decision -> []
+
+  let step ~n:_ ~pid:_ phases ~inbox:_ = phases + 1
+
+  let decision phases =
+    match F.fault with
+    | Flip_decision -> Some (phases mod 2)
+    | Erase_decision -> if phases = 0 then Some Value.zero else None
+    | Bad_destination | Duplicate_destination -> None
+
+  let key = string_of_int
+  let msg_key () = ""
+  let pp = Format.pp_print_int
+end
+
+let test_contract_guards () =
+  List.iter
+    (fun (fault, msg) ->
+      let module B = Mp.Engine.Make (Broken (struct
+        let fault = fault
+      end)) in
+      let x = B.initial ~inputs:[| 0; 1; 1 |] in
+      Alcotest.check_raises ("apply: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.apply x (solo [ 1; 2; 3 ])));
+      Alcotest.check_raises ("sper: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.sper x)))
+    [
+      (Bad_destination, "Engine: bad message destination");
+      (Duplicate_destination, "Engine: duplicate message destination");
+      (Flip_decision, "Engine: protocol violated write-once decision");
+      (Erase_decision, "Engine: protocol erased a decision");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -214,6 +279,22 @@ let test_synchronic_late_delivery () =
   check "round-1 messages all delivered" true
     (List.for_all (fun p -> p.ES.sent = 2) z.ES.transit)
 
+(* An out-of-range slow process or late count is refused, never run as
+   some other round. *)
+let test_synchronic_rejects () =
+  let x = s_initial [ 0; 1; 1 ] in
+  let rejects msg a =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (ES.apply x a))
+  in
+  List.iter
+    (fun j ->
+      rejects "Synchronic.apply: bad slow process" (s_act j Mp.Synchronic.Absent);
+      rejects "Synchronic.apply: bad slow process" (s_act j (Mp.Synchronic.Late 1)))
+    [ 0; 4; 7 ];
+  List.iter
+    (fun k -> rejects "Synchronic.apply: bad late count" (s_act 1 (Mp.Synchronic.Late k)))
+    [ -1; 4; 9 ]
+
 let test_synchronic_bridge () =
   (* The Lemma 5.3 bridge transfers: x(j,n)(j,A) agrees with
      x(j,A)(j,0) modulo j, given round-oblivious message content. *)
@@ -254,6 +335,7 @@ let () =
           Alcotest.test_case "drop-last starves" `Quick test_drop_last_starves;
           Alcotest.test_case "mailbox order" `Quick test_mailbox_canonical_order;
           Alcotest.test_case "conservation" `Quick test_message_conservation;
+          Alcotest.test_case "contract guards" `Quick test_contract_guards;
         ] );
       ( "diamond",
         [
@@ -272,6 +354,7 @@ let () =
           Alcotest.test_case "clean round" `Quick test_synchronic_clean_round;
           Alcotest.test_case "absent" `Quick test_synchronic_absent;
           Alcotest.test_case "late delivery" `Quick test_synchronic_late_delivery;
+          Alcotest.test_case "rejects bad actions" `Quick test_synchronic_rejects;
           Alcotest.test_case "bridge" `Quick test_synchronic_bridge;
         ] );
     ]

@@ -61,6 +61,22 @@ let test_read_late_k_semantics () =
   check "late readers adopt the minimum" false
     (String.equal (P.key early.E.locals.(1)) (P.key late.E.locals.(1)))
 
+(* An out-of-range slow process or read-late count is refused, never
+   run as some other phase. *)
+let test_bad_actions_rejected () =
+  let x = initial [ 0; 1; 1 ] in
+  let rejects msg a =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (E.apply x a))
+  in
+  List.iter
+    (fun j ->
+      rejects "Engine.apply: bad slow process" (act j Sm.Engine.Absent);
+      rejects "Engine.apply: bad slow process" (act j (Sm.Engine.Read_late 1)))
+    [ 0; 4 ];
+  List.iter
+    (fun k -> rejects "Engine.apply: bad read-late count" (act 1 (Sm.Engine.Read_late k)))
+    [ -1; 4 ]
+
 let test_compile_matches_apply () =
   let x = initial [ 0; 1; 1 ] in
   List.for_all
@@ -102,6 +118,46 @@ let test_bridge_everywhere () =
           check "bridge modulo j" true (E.agree_modulo y y' j))
         [ 1; 2; 3 ])
     initials
+
+(* ------------------------------------------------------------------ *)
+(* Protocol-contract guards *)
+
+(* Deliberately broken protocols: a decision that changes, and one that
+   is erased.  [srw] runs each scan through the same guards as [apply]. *)
+module Broken (F : sig
+  val flip : bool
+end) : Sm.Protocol.S = struct
+  type local = int (* completed phases *)
+  type reg = unit
+
+  let name = "broken"
+  let init ~n:_ ~pid:_ ~input:_ = 0
+  let write ~n:_ ~pid:_ _ = Some ()
+  let step ~n:_ ~pid:_ phases ~reads:_ = phases + 1
+
+  let decision phases =
+    if F.flip then Some (phases mod 2) else if phases = 0 then Some Value.zero else None
+
+  let key = string_of_int
+  let reg_key () = ""
+  let pp = Format.pp_print_int
+end
+
+let test_contract_guards () =
+  List.iter
+    (fun (flip, msg) ->
+      let module B = Sm.Engine.Make (Broken (struct
+        let flip = flip
+      end)) in
+      let x = B.initial ~inputs:[| 0; 1; 1 |] in
+      Alcotest.check_raises ("apply: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.apply x (act 1 (Sm.Engine.Read_late 1))));
+      Alcotest.check_raises ("srw: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.srw x)))
+    [
+      (true, "Engine: protocol violated write-once decision");
+      (false, "Engine: protocol erased a decision");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties over random schedules *)
@@ -176,6 +232,8 @@ let () =
           Alcotest.test_case "(j,0) independent of j" `Quick test_jk_independence_of_j;
           Alcotest.test_case "read-late semantics" `Quick test_read_late_k_semantics;
           Alcotest.test_case "compile = apply" `Quick test_compile_matches_apply;
+          Alcotest.test_case "bad actions rejected" `Quick test_bad_actions_rejected;
+          Alcotest.test_case "contract guards" `Quick test_contract_guards;
           Alcotest.test_case "schedule legality" `Quick test_schedule_legality;
         ] );
       ("bridge", [ Alcotest.test_case "Lemma 5.3 bridge" `Quick test_bridge_everywhere ]);

@@ -76,6 +76,47 @@ let test_invalid_partitions_rejected () =
       ignore (E.apply x [ [ 1; 2; 3 ]; [] ]))
 
 (* ------------------------------------------------------------------ *)
+(* Protocol-contract guards *)
+
+(* Deliberately broken protocols: a decision that changes, and one that
+   is erased.  The layering's memoised steps pass the same guards as
+   [apply]. *)
+module Broken (F : sig
+  val flip : bool
+end) : Iis.Protocol.S = struct
+  type local = int (* completed rounds *)
+  type reg = unit
+
+  let name = "broken"
+  let init ~n:_ ~pid:_ ~input:_ = 0
+  let write ~n:_ ~pid:_ _ = ()
+  let step ~n:_ ~pid:_ rounds ~snapshot:_ = rounds + 1
+
+  let decision rounds =
+    if F.flip then Some (rounds mod 2) else if rounds = 0 then Some Value.zero else None
+
+  let key = string_of_int
+  let reg_key () = ""
+  let pp = Format.pp_print_int
+end
+
+let test_contract_guards () =
+  List.iter
+    (fun (flip, msg) ->
+      let module B = Iis.Engine.Make (Broken (struct
+        let flip = flip
+      end)) in
+      let x = B.initial ~inputs:[| 0; 1; 1 |] in
+      Alcotest.check_raises ("apply: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.apply x [ [ 2 ]; [ 1; 3 ] ]));
+      Alcotest.check_raises ("layer: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore (B.layer x)))
+    [
+      (true, "Iis: protocol violated write-once decision");
+      (false, "Iis: protocol erased a decision");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Similarity structure of a layer *)
 
 let test_adjacent_partitions_similar () =
@@ -139,6 +180,7 @@ let () =
           Alcotest.test_case "one block" `Quick test_one_block_full_view;
           Alcotest.test_case "singleton blocks" `Quick test_singleton_blocks_prefix_views;
           Alcotest.test_case "invalid rejected" `Quick test_invalid_partitions_rejected;
+          Alcotest.test_case "contract guards" `Quick test_contract_guards;
         ] );
       ( "similarity",
         [

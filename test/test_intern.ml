@@ -429,6 +429,188 @@ let prop_engine_simgraph =
       && subject_simgraph_agrees sm_subject case && subject_simgraph_agrees mp_subject case
       && subject_simgraph_agrees smp_subject case)
 
+(* ------------------------------------------------------------------ *)
+(* Layer-at-once successors against per-action references *)
+
+(* Each engine's layering shares sends, writes, steps and schedule
+   prefixes across a layer.  The references below compute every
+   successor on its own, over the states' readable fields, as the
+   engines did before that sharing: the sync, IIS and synchronic-mp
+   round bodies are copied here; [S^rw] and [S^per] are checked against
+   their micro-step semantics ([apply_events] of [compile], the fold of
+   [apply_entry]).  Successors are compared as views (every field, local
+   states by key) in action order, the reference list de-duplicated
+   first-occurrence-first as the layering is. *)
+
+let ref_sync discipline (x : E.state) { E.marks; drops } =
+  let n = E.n_of x in
+  let omission = match discipline with E.Omission -> true | E.Mobile | E.Crash -> false in
+  let marked = Array.make n false in
+  List.iter (fun j -> marked.(j - 1) <- true) marks;
+  let blocked i j = List.exists (fun o -> o.E.sender = i && List.mem j o.E.blocked) drops in
+  let silenced idx = (not omission) && x.E.failed.(idx) in
+  let round = x.E.round + 1 in
+  let received_by j =
+    Array.init n (fun idx ->
+        let i = idx + 1 in
+        if i = j || silenced idx || blocked i j then None
+        else P.send ~n ~round ~pid:i x.E.locals.(idx) ~dest:j)
+  in
+  let locals =
+    Array.init n (fun idx ->
+        P.step ~n ~round ~pid:(idx + 1) x.E.locals.(idx) ~received:(received_by (idx + 1)))
+  in
+  let failed =
+    match discipline with
+    | E.Mobile -> Array.copy x.E.failed
+    | E.Crash | E.Omission -> Array.init n (fun idx -> x.E.failed.(idx) || marked.(idx))
+  in
+  (round, Array.map P.key locals, failed)
+
+let sync_view (x : E.state) = (x.E.round, Array.map P.key x.E.locals, x.E.failed)
+
+let ref_iis (x : IE.state) blocks =
+  let n = IE.n_of x in
+  let writes = Array.init n (fun idx -> IP.write ~n ~pid:(idx + 1) x.IE.locals.(idx)) in
+  let locals = Array.copy x.IE.locals in
+  let rec run seen = function
+    | [] -> ()
+    | block :: rest ->
+        let seen = List.sort compare (seen @ block) in
+        let snapshot = List.map (fun i -> (i, writes.(i - 1))) seen in
+        List.iter
+          (fun i -> locals.(i - 1) <- IP.step ~n ~pid:i x.IE.locals.(i - 1) ~snapshot)
+          block;
+        run seen rest
+  in
+  run [] blocks;
+  (x.IE.round + 1, Array.map IP.key locals)
+
+let iis_view (x : IE.state) = (x.IE.round, Array.map IP.key x.IE.locals)
+
+module Smp_action = Layered_async_mp.Synchronic
+
+let ref_smp (x : SMP.state) { Smp_action.slow = j; mode } =
+  let n = SMP.n_of x in
+  let round = x.SMP.round + 1 in
+  let absent = match mode with Smp_action.Absent -> true | Smp_action.Late _ -> false in
+  let fresh =
+    List.concat_map
+      (fun i ->
+        if absent && i = j then []
+        else
+          List.filter_map
+            (fun d ->
+              Option.map
+                (fun msg -> (i, d, msg, round))
+                (P.send ~n ~round ~pid:i x.SMP.locals.(i - 1) ~dest:d))
+            (Pid.others n i))
+      (Pid.all n)
+  in
+  let old = List.map (fun p -> SMP.(p.src, p.dst, p.msg, p.sent)) x.SMP.transit in
+  let eligible i (src, dst, _, sent) =
+    dst = i
+    &&
+    match mode with
+    | Smp_action.Late k when i <> j && i <= k -> not (src = j && sent = round)
+    | Smp_action.Late _ | Smp_action.Absent -> true
+  in
+  let indexed = List.mapi (fun idx p -> (idx, p)) (old @ fresh) in
+  let delivered = Hashtbl.create 16 in
+  let received_by i =
+    let inbox = Array.make n None in
+    List.iter
+      (fun (idx, ((src, _, msg, _) as p)) ->
+        if eligible i p && Option.is_none inbox.(src - 1) then begin
+          inbox.(src - 1) <- Some msg;
+          Hashtbl.replace delivered idx ()
+        end)
+      indexed;
+    inbox
+  in
+  let locals =
+    Array.init n (fun idx ->
+        let i = idx + 1 in
+        if absent && i = j then x.SMP.locals.(idx)
+        else P.step ~n ~round ~pid:i x.SMP.locals.(idx) ~received:(received_by i))
+  in
+  let transit =
+    List.filter_map
+      (fun (idx, (src, dst, msg, sent)) ->
+        if Hashtbl.mem delivered idx then None else Some (src, dst, sent, P.msg_key msg))
+      indexed
+  in
+  (round, Array.map P.key locals, transit)
+
+let smp_view (x : SMP.state) =
+  ( x.SMP.round,
+    Array.map P.key x.SMP.locals,
+    List.map (fun p -> SMP.(p.src, p.dst, p.sent, P.msg_key p.msg)) x.SMP.transit )
+
+let sm_view (x : SE.state) =
+  (x.SE.phase, Array.map (Option.map SP.reg_key) x.SE.regs, Array.map SP.key x.SE.locals)
+
+let mp_view (x : ME.state) =
+  ( x.ME.round,
+    Array.map MP.key x.ME.locals,
+    Array.map (List.map (fun (src, m) -> (src, MP.msg_key m))) x.ME.mail )
+
+(* [layer x] equals the de-duplicated references over [actions x], and
+   [apply x a] equals each reference, at every state of the walks. *)
+let layering_matches (type s) (e : s subject) case ~actions ~apply ~layer ~view ~reference =
+  List.for_all
+    (fun x ->
+      let acts = actions x in
+      let refs = List.map (reference x) acts in
+      List.map view (layer x) = dedup_by Fun.id refs
+      && List.map (fun a -> view (apply x a)) acts = refs)
+    (walk_states e case)
+
+let prop_sync_reference =
+  QCheck.Test.make ~name:"reference: sync layers = per-action rounds (five adversaries)"
+    ~count:20 schedule_arb (fun case ->
+      List.for_all
+        (fun (adv : E.adversary) ->
+          layering_matches sync_subject case ~actions:adv.actions
+            ~apply:(E.apply adv.discipline) ~layer:(E.layer adv) ~view:sync_view
+            ~reference:(ref_sync adv.discipline))
+        [
+          E.s1;
+          E.st ~t:1;
+          E.s_multi ~omitters:2;
+          E.crash ~max_new:2 ~t:2;
+          E.omission ~general:true ~max_new:1 ~t:1;
+        ])
+
+let prop_iis_reference =
+  QCheck.Test.make ~name:"reference: IIS layer = per-action rounds" ~count:15 schedule_arb
+    (layering_matches iis_subject
+       ~actions:(fun x -> Layered_iis.Engine.partitions ~n:(IE.n_of x))
+       ~apply:IE.apply ~layer:IE.layer ~view:iis_view ~reference:ref_iis)
+
+let prop_smp_reference =
+  QCheck.Test.make ~name:"reference: synchronic-mp layer = per-action rounds" ~count:20
+    schedule_arb
+    (layering_matches smp_subject
+       ~actions:(fun x -> SMP.actions ~n:(SMP.n_of x))
+       ~apply:SMP.apply ~layer:SMP.smp ~view:smp_view ~reference:ref_smp)
+
+let prop_srw_reference =
+  QCheck.Test.make ~name:"reference: S^rw = apply_events of compile" ~count:20 schedule_arb
+    (layering_matches sm_subject
+       ~actions:(fun x -> SE.actions ~n:(SE.n_of x))
+       ~apply:SE.apply ~layer:SE.srw ~view:sm_view
+       ~reference:(fun x a -> sm_view (SE.apply_events x (SE.compile x a))))
+
+let prop_sper_reference =
+  QCheck.Test.make ~name:"reference: S^per = fold of apply_entry" ~count:20 schedule_arb
+    (layering_matches mp_subject
+       ~actions:(fun x -> ME.schedules ~n:(ME.n_of x))
+       ~apply:ME.apply ~layer:ME.sper ~view:mp_view
+       ~reference:(fun x s ->
+         let round, locals, mail = mp_view (List.fold_left ME.apply_entry x s) in
+         (round + 1, locals, mail)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "intern"
@@ -458,5 +640,13 @@ let () =
             test_agree_modulo_matches_similar;
           Alcotest.test_case "valence keying agrees" `Quick test_valence_ident_agrees;
           qt prop_engine_identity;
+        ] );
+      ( "layering",
+        [
+          qt prop_sync_reference;
+          qt prop_iis_reference;
+          qt prop_smp_reference;
+          qt prop_srw_reference;
+          qt prop_sper_reference;
         ] );
     ]

@@ -79,6 +79,24 @@ let test_duplicate_omitters_rejected () =
         (E.apply E.Crash x
            (E.omit [ { E.sender = 1; blocked = [ 2 ] }; { E.sender = 1; blocked = [ 3 ] } ])))
 
+(* Every pid an action names is range-checked, blocked receivers
+   included: none reaches an array index unchecked. *)
+let test_bad_pids_rejected () =
+  let x = initial [ 0; 1; 1 ] in
+  let bad disc action =
+    Alcotest.check_raises "bad pid" (Invalid_argument "Engine.apply: bad pid") (fun () ->
+        ignore (E.apply disc x action))
+  in
+  List.iter
+    (fun d ->
+      bad E.Crash (E.omit [ { E.sender = 1; blocked = [ d ] } ]);
+      bad E.Mobile (E.omit [ { E.sender = 1; blocked = [ d ] } ]);
+      bad E.Omission (E.omit [ { E.sender = 1; blocked = [ d ] } ]);
+      bad E.Omission { E.marks = [ 1 ]; drops = [ { E.sender = d; blocked = [ 2 ] } ] })
+    [ 0; 4 ];
+  bad E.Crash (E.omit [ { E.sender = 4; blocked = [] } ]);
+  bad E.Omission { E.marks = [ 0 ]; drops = [] }
+
 let test_jk_prefix () =
   let x = initial [ 0; 1; 1 ] in
   (* x (j, [k]): one omission by j to the prefix {1, ..., k}. *)
@@ -397,6 +415,7 @@ let () =
           Alcotest.test_case "mobile never records" `Quick test_mobile_mode_never_records;
           Alcotest.test_case "declaration crash" `Quick test_silenced_forever;
           Alcotest.test_case "duplicate omitters" `Quick test_duplicate_omitters_rejected;
+          Alcotest.test_case "bad pids" `Quick test_bad_pids_rejected;
           Alcotest.test_case "(j,[k]) prefixes" `Quick test_jk_prefix;
         ] );
       ( "similarity",
