@@ -1,26 +1,27 @@
-(* A queued unit of work.  [fail] is the crash-containment channel: if
-   anything escapes [run] — including an injected worker fault raised
-   outside [run]'s own handlers — the worker routes the exception there
-   instead of dying with it, so the submitter's accounting always
-   settles and a waiting [parallel_map] can never wedge on a lost
-   slot. *)
-type task = { run : unit -> unit; fail : exn -> unit }
+(* A queued unit of work.  [run] receives the pool slot of the worker
+   that took it.  [fail] is the crash-containment channel: if anything
+   escapes [run] — including an injected worker fault raised outside
+   [run]'s own handlers — the worker routes the exception there instead
+   of dying with it, so the submitter's accounting always settles and a
+   waiting [parallel_map] can never wedge on a lost chunk. *)
+type task = { run : int -> unit; fail : exn -> unit }
 
 type worker = {
-  queue : task Queue.t;
-  mutex : Mutex.t;
-  cond : Condition.t;
-  alive : bool Atomic.t;  (* false once the worker's domain has exited *)
+  alive : bool Atomic.t;
+      (* true while the worker's domain runs: false until the first
+         dispatch spawns it, and again once it has died of a crash *)
   mutable domain : unit Domain.t option;
-      (* touched only from the owner domain (create / ensure_live /
-         shutdown), never from the worker itself *)
+      (* touched only from the owner domain (ensure_live / shutdown),
+         never from the worker itself *)
 }
 
 type t = {
   size : int;
-  workers : worker array;  (* [size - 1] of them; slot p runs on workers.(p - 1) *)
-  stop : bool Atomic.t;
-  next_post : int Atomic.t;  (* round-robin cursor for [post] *)
+  workers : worker array;  (* [size - 1] of them; worker i is slot i + 1 *)
+  queue : task Queue.t;  (* shared: any idle worker takes the next task *)
+  mutex : Mutex.t;  (* guards [queue] and [stop] *)
+  cond : Condition.t;
+  mutable stop : bool;
 }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
@@ -32,11 +33,11 @@ let jobs t = t.size
    survive them.  Returns [false] when the failure was domain-fatal
    (the injected worker crash): the loop then exits and the dead domain
    is respawned by [ensure_live] on the pool's next use. *)
-let run_task w task =
+let run_task w ~slot task =
   match
     if Fault.point Fault.Worker_raise then raise (Fault.Injected Fault.Worker_raise);
     if Fault.point Fault.Worker_stall then Unix.sleepf Fault.stall_seconds;
-    task.run ()
+    task.run slot
   with
   | () -> true
   | exception e ->
@@ -44,26 +45,24 @@ let run_task w task =
       (* On a domain-fatal failure, mark the worker dead *before*
          settling the submitter: [fail] wakes a waiting [parallel_map],
          and if that caller dispatched again while [alive] still read
-         true, [ensure_live] would skip the respawn and the new task
-         would sit in a queue nobody drains. *)
+         true, [ensure_live] would skip the respawn — and with every
+         worker dead, the new task would sit in a queue nobody drains. *)
       if fatal then Atomic.set w.alive false;
       (try task.fail e with _ -> ());
       not fatal
 
-(* Workers sleep on their own condition variable and drain their queue
+(* Workers sleep on the shared condition variable and drain the queue
    before honouring [stop], so shutdown never drops submitted work. *)
-let rec worker_loop pool w =
-  Mutex.lock w.mutex;
-  while Queue.is_empty w.queue && not (Atomic.get pool.stop) do
-    Condition.wait w.cond w.mutex
+let rec worker_loop pool i =
+  Mutex.lock pool.mutex;
+  while Queue.is_empty pool.queue && not pool.stop do
+    Condition.wait pool.cond pool.mutex
   done;
-  match Queue.take_opt w.queue with
-  | None -> Mutex.unlock w.mutex
+  match Queue.take_opt pool.queue with
+  | None -> Mutex.unlock pool.mutex
   | Some task ->
-      Mutex.unlock w.mutex;
-      if run_task w task then worker_loop pool w
-
-let spawn pool w = w.domain <- Some (Domain.spawn (fun () -> worker_loop pool w))
+      Mutex.unlock pool.mutex;
+      if run_task pool.workers.(i) ~slot:(i + 1) task then worker_loop pool i
 
 let create ?jobs () =
   let size =
@@ -71,49 +70,46 @@ let create ?jobs () =
     | None -> default_jobs ()
     | Some j -> if j < 1 then invalid_arg "Pool.create: jobs must be >= 1" else j
   in
-  let workers =
-    Array.init (size - 1) (fun _ ->
-        {
-          queue = Queue.create ();
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          alive = Atomic.make true;
-          domain = None;
-        })
-  in
-  let pool = { size; workers; stop = Atomic.make false; next_post = Atomic.make 0 } in
-  Array.iter (fun w -> spawn pool w) workers;
-  pool
+  {
+    size;
+    workers = Array.init (size - 1) (fun _ -> { alive = Atomic.make false; domain = None });
+    queue = Queue.create ();
+    mutex = Mutex.create ();
+    cond = Condition.create ();
+    stop = false;
+  }
 
-(* Respawn any worker whose domain died (a contained catastrophic task
-   failure).  Called from the owner domain before each dispatch, so a
+(* Spawn every worker that is not running: on the pool's first dispatch
+   (so standing a pool up costs no domain), or after a contained
+   catastrophic task failure killed one — only the latter counts as a
+   respawn.  Called from the owner domain before each dispatch, so a
    crashed worker costs one trip through here, not the pool. *)
 let ensure_live pool =
-  Array.iter
-    (fun w ->
+  Array.iteri
+    (fun i w ->
       if not (Atomic.get w.alive) then begin
-        (* the domain set alive := false on its way out; join releases it *)
-        Option.iter Domain.join w.domain;
+        (* a crashed domain set alive := false on its way out; join releases it *)
+        Option.iter
+          (fun d ->
+            Domain.join d;
+            Stats.record_worker_respawn ())
+          w.domain;
         Atomic.set w.alive true;
-        Stats.record_worker_respawn ();
-        spawn pool w
+        w.domain <- Some (Domain.spawn (fun () -> worker_loop pool i))
       end)
     pool.workers
 
-let submit w task =
-  Mutex.lock w.mutex;
-  Queue.add task w.queue;
-  Condition.signal w.cond;
-  Mutex.unlock w.mutex
+let submit pool task =
+  Mutex.lock pool.mutex;
+  Queue.add task pool.queue;
+  Condition.signal pool.cond;
+  Mutex.unlock pool.mutex
 
 let shutdown pool =
-  Atomic.set pool.stop true;
-  Array.iter
-    (fun w ->
-      Mutex.lock w.mutex;
-      Condition.broadcast w.cond;
-      Mutex.unlock w.mutex)
-    pool.workers;
+  Mutex.lock pool.mutex;
+  pool.stop <- true;
+  Condition.broadcast pool.cond;
+  Mutex.unlock pool.mutex;
   Array.iter
     (fun w ->
       Option.iter Domain.join w.domain;
@@ -122,22 +118,19 @@ let shutdown pool =
 
 (* Fire-and-forget submission for the serve dispatcher: one task, no
    barrier, completion reported through whatever channel [run] itself
-   arranges.  On a single-slot pool the task runs inline on the caller
-   with the same crash containment a worker would give it — the serve
-   loop at --jobs 1 is then exactly the old sequential dispatch.  Must
-   be called from the pool's owner domain (it may respawn workers). *)
+   arranges; the worker that takes it counts it under its own slot.
+   Must be called from the pool's owner domain (it may spawn workers). *)
 let post pool ~run ~fail =
-  if Array.length pool.workers = 0 then begin
-    Stats.record_task ~slot:0;
-    match run () with () -> () | exception e -> (try fail e with _ -> ())
-  end
-  else begin
-    ensure_live pool;
-    let w = Atomic.fetch_and_add pool.next_post 1 in
-    let slot = w mod Array.length pool.workers in
-    Stats.record_task ~slot:(slot + 1);
-    submit pool.workers.(slot) { run; fail }
-  end
+  if pool.size = 1 then invalid_arg "Pool.post: a one-job pool has no workers";
+  ensure_live pool;
+  submit pool
+    {
+      run =
+        (fun slot ->
+          Stats.record_task ~slot;
+          run ());
+      fail;
+    }
 
 let with_pool ?jobs ?budget f =
   let pool = create ?jobs () in
@@ -170,7 +163,9 @@ let parallel_map ?budget pool f xs =
       let done_cond = Condition.create () in
       (* Every chunk settles through here exactly once — from its own
          bookkeeping on success, or from the worker's containment
-         [fail] channel when the chunk itself was lost. *)
+         [fail] channel when the chunk itself was lost.  Chunk [p]
+         counts as slot [p] whichever worker took it, so the utilised
+         slots of a map do not depend on scheduling. *)
       let settle p =
         Stats.record_task ~slot:p;
         if Atomic.fetch_and_add remaining (-1) = 1 then begin
@@ -180,7 +175,7 @@ let parallel_map ?budget pool f xs =
           Mutex.unlock done_mutex
         end
       in
-      (* Slot [p] owns the index range [bound p, bound (p+1)). *)
+      (* Chunk [p] owns the index range [bound p, bound (p+1)). *)
       let bound p = p * n / parts in
       let run_chunk p =
         (try
@@ -195,9 +190,9 @@ let parallel_map ?budget pool f xs =
         ignore (Atomic.compare_and_set first_exn None (Some e))
       in
       for p = 1 to parts - 1 do
-        submit pool.workers.(p - 1)
+        submit pool
           {
-            run = (fun () -> run_chunk p);
+            run = (fun _ -> run_chunk p);
             fail =
               (fun e ->
                 fail_chunk e;

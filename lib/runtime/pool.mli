@@ -1,30 +1,32 @@
 (** A fixed-size pool of worker domains with order-preserving parallel
     combinators over chunked work lists.
 
-    The pool spawns [jobs - 1] worker domains at {!create} time; the
-    calling domain is the pool's slot 0 and always participates in the
-    work, so a pool of [jobs = n] runs work [n]-way parallel.  With
-    [jobs = 1] no domains are spawned and every combinator degrades to
-    its serial [List] counterpart — call sites need no special-casing.
+    A pool of [jobs = n] has [n - 1] worker domains, spawned at its
+    first dispatch (so standing a pool up costs no domain); the calling
+    domain is the pool's slot 0 and always participates in the work, so
+    the combinators run [n]-way parallel.  With [jobs = 1] no domain is
+    ever spawned and every combinator degrades to its serial [List]
+    counterpart — call sites need no special-casing.
 
-    Work lists are split into at most [jobs] contiguous chunks, one per
-    participating slot, so results can be stitched back by index:
-    {!parallel_map} is deterministic and agrees with [List.map]
-    regardless of scheduling.
+    Workers take tasks from one shared queue, so a task starts on
+    whichever worker is idle.  Work lists are split into at most [jobs]
+    contiguous chunks (the caller runs the first, the workers take the
+    rest), so results can be stitched back by index: {!parallel_map} is
+    deterministic and agrees with [List.map] regardless of scheduling.
 
     Combinators must not be called from inside a task running on the
-    same pool (chunks are pinned to worker queues, so a nested call can
-    wait on the very slot it occupies).
+    same pool (a nested call can wait for chunks that no idle worker is
+    left to take).
 
     {b Crash containment.}  Workers execute tasks under a wrapper that
     routes any escaping exception — including an injected
     {!Fault.Worker_raise}, which is raised {e outside} the task's own
     handlers — to the submitter's failure channel, so a crashed task
-    always settles its slot and {!parallel_map} cannot wedge waiting on
+    always settles its chunk and {!parallel_map} cannot wedge waiting on
     it.  A domain-fatal failure additionally kills the worker's domain;
     the pool detects the dead domain on its next dispatch and respawns
-    it ({!Stats} counts the respawns), so a pool survives worker crashes
-    without losing capacity.
+    it ({!Stats} counts the respawns; a first spawn is not one), so a
+    pool survives worker crashes without losing capacity.
 
     {b Quiescence.}  Every combinator is a barrier: it returns only
     after all of its chunks have settled, and workers run nothing
@@ -39,8 +41,9 @@ type t
     the caller's other work by default. *)
 val default_jobs : unit -> int
 
-(** [create ~jobs ()] spawns [jobs - 1] worker domains.  [jobs] defaults
-    to {!default_jobs}; raises [Invalid_argument] if [jobs < 1]. *)
+(** [create ~jobs ()] makes a pool of [jobs - 1] workers; their domains
+    are spawned by the first dispatch, not here.  [jobs] defaults to
+    {!default_jobs}; raises [Invalid_argument] if [jobs < 1]. *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
@@ -60,18 +63,19 @@ val parallel_map : ?budget:Budget.t -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 val parallel_iter : ?budget:Budget.t -> t -> ('a -> unit) -> 'a list -> unit
 
-(** [post t ~run ~fail] submits one fire-and-forget task to a worker
-    (round-robin), with the same crash containment as the combinators:
-    anything escaping [run] is routed to [fail] instead of killing the
-    submitter's accounting.  Completion must be reported by [run]/[fail]
-    themselves (e.g. through a completion queue) — there is no barrier.
-    On a pool of [jobs = 1] the task runs inline on the caller.  Call
+(** [post t ~run ~fail] submits one fire-and-forget task to the shared
+    queue, where the next idle worker takes it, with the same crash
+    containment as the combinators: anything escaping [run] is routed
+    to [fail] instead of killing the submitter's accounting.  Completion
+    must be reported by [run]/[fail] themselves (e.g. through a
+    completion queue) — there is no barrier.  Raises [Invalid_argument]
+    on a pool of [jobs = 1], which has no worker to take the task.  Call
     only from the pool's owner domain; unlike the combinators, [run]
     must not itself dispatch onto the same pool. *)
 val post : t -> run:(unit -> unit) -> fail:(exn -> unit) -> unit
 
-(** Join all worker domains.  Idempotent.  The pool must not be used
-    afterwards. *)
+(** Join all worker domains (none, if the pool never dispatched).
+    Idempotent.  The pool must not be used afterwards. *)
 val shutdown : t -> unit
 
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on

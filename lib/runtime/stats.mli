@@ -13,10 +13,12 @@ type snapshot = {
       (** candidate states discarded because their key was already seen *)
   valence_cache_hits : int;  (** memo-table hits in {!Layered_core.Valence} *)
   valence_cache_misses : int;  (** memo-table misses (entry (re)computed) *)
-  tasks_executed : int;  (** work chunks executed by {!Pool.parallel_map} *)
+  tasks_executed : int;
+      (** map chunks and posted tasks executed by {!Pool} *)
   domains_utilised : int;
       (** distinct pool slots (caller = slot 0, workers = 1..) that
-          executed at least one chunk since the last [reset] *)
+          executed at least one task since the last [reset]; chunk [p]
+          of a {!Pool.parallel_map} counts as slot [p] *)
   workers_respawned : int;
       (** dead worker domains replaced by {!Pool} crash containment *)
   interned_states : int;

@@ -2,7 +2,7 @@
 
     {!execute_concurrent} is the task body the {!Dispatcher} runs for
     every compute request, on a pool worker (whole requests in
-    parallel, no inner pool nesting) or, at one job, inline.  The
+    parallel, no inner pool nesting).  The
     dispatcher contains whatever it raises (including an injected
     {!Layered_runtime.Fault}): the exception becomes an [internal] error
     response for that request only, and the daemon keeps serving.

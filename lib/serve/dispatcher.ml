@@ -67,15 +67,16 @@ type t = {
 }
 
 let create ~ctx ~on_commit () =
+  if Pool.jobs ctx.Dispatch.pool < 2 then
+    invalid_arg "Dispatcher.create: the pool needs a worker (jobs >= 2)";
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   {
     ctx;
     on_commit;
-    (* the select loop owns slot 0; compute runs on the workers.  A
-       one-slot pool has no workers: requests then run inline at
-       submission, one at a time in arrival order. *)
-    slots = max 1 (Pool.jobs ctx.Dispatch.pool - 1);
+    (* the select loop owns slot 0; compute runs on the workers, one
+       flight each *)
+    slots = Pool.jobs ctx.Dispatch.pool - 1;
     running = 0;
     backlog = Admission.Backlog.create ();
     flights = Hashtbl.create 32;
@@ -328,15 +329,7 @@ let rec pump t =
   | Some (key, outcome) ->
       settle t key outcome;
       pump t
-  | None -> (
-      schedule t;
-      (* at jobs = 1 the pool has no workers and the flight ran inline
-         during [schedule]: settle it now rather than next iteration *)
-      match take_completion t with
-      | Some (key, outcome) ->
-          settle t key outcome;
-          pump t
-      | None -> ())
+  | None -> schedule t
 
 let idle t =
   t.running = 0

@@ -44,9 +44,9 @@ type conn
 (** [create ~ctx ~on_commit ()] — [on_commit] runs once per flushed
     response, {e before} the crash-before-reply fault site and the
     write: the server hooks its served-counter and spill cadence here.
-    Concurrency is [jobs - 1] pool workers (the select loop owns the
-    caller slot); at [jobs = 1] requests run inline at submission, one
-    at a time in arrival order. *)
+    Up to [jobs - 1] flights run at once, one per pool worker (the
+    select loop owns the caller slot).  Raises [Invalid_argument] on a
+    pool of [jobs = 1], which has no worker. *)
 val create : ctx:Dispatch.ctx -> on_commit:(unit -> unit) -> unit -> t
 
 (** The read end of the completion self-pipe: add it to the select read
@@ -71,8 +71,8 @@ val conn_alive : conn -> bool
     existing flight, hit the result cache, or queue a new flight.  A
     queue-full shed first attempts the fair-share rescue: evict the
     newest queued flight of the deepest {e other} client if that client
-    is strictly deeper than this one.  May raise {!Crashed} (via an
-    immediate flush at [jobs = 1]). *)
+    is strictly deeper than this one.  May raise {!Crashed} (via the
+    flush of an answer that needs no compute). *)
 val submit : t -> conn -> string -> unit
 
 (** [finish_conn t conn ~farewell] queues a final response (timeout

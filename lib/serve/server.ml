@@ -138,7 +138,8 @@ let run cfg =
   | None -> 2
   | Some listener ->
       Stats.reset ();
-      let pool = Pool.create ~jobs:cfg.jobs () in
+      (* one worker per flight; slot 0, the select loop, computes nothing *)
+      let pool = Pool.create ~jobs:(cfg.jobs + 1) () in
       let admission =
         {
           Admission.queue_cap = cfg.queue_cap;

@@ -2,9 +2,10 @@
     verification queries.
 
     Single accept/read loop on [Unix.select]; decoded requests are
-    handed to the concurrent {!Dispatcher}, which runs whole requests
-    in parallel on the shared domain {!Layered_runtime.Pool} (at
-    [jobs = 1] they run inline, one at a time in arrival order).
+    handed to the concurrent {!Dispatcher}, which runs up to [jobs]
+    whole requests at once on the shared domain
+    {!Layered_runtime.Pool}: one worker domain per request, spawned
+    when the first request is dispatched.
     Shared across requests: the valence classifier cache (warm memo),
     the keyed result cache, and the process-wide
     {!Layered_runtime.Stats}.
@@ -33,7 +34,7 @@
 
 type config = {
   socket_path : string;
-  jobs : int;  (** worker domains for the shared pool *)
+  jobs : int;  (** worker domains, and so requests computed at once *)
   queue_cap : int;
   max_heap_mb : int;
   request_timeout_s : float;  (** per-request deadline; 0 = none *)

@@ -6,8 +6,8 @@
 # SIGKILLed.  The supervisor must respawn it on the same socket, the
 # resilient client must reconnect and replay, and the surviving
 # response stream must diff clean against a crash-free reference run
-# -- at --jobs 1 and --jobs 4, with the two jobs counts also diffing
-# clean against each other.
+# -- at --jobs 1, 2 and 4, with the jobs counts also diffing clean
+# against each other.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,7 +69,7 @@ wait_for_socket "$ref_sock"
 echo '{"op":"shutdown"}' | "$BIN" serve-client --socket "$ref_sock" > /dev/null
 wait "$ref"
 
-for jobs in 1 4; do
+for jobs in 1 2 4; do
   sock="$WORK/j$jobs.sock"
   pidfile="$WORK/j$jobs.pid"
   spill="$WORK/spill-j$jobs"
@@ -127,6 +127,7 @@ for jobs in 1 4; do
 done
 
 # recovery is independent of the worker count
+diff "$WORK/recovered-j1.txt" "$WORK/recovered-j2.txt"
 diff "$WORK/recovered-j1.txt" "$WORK/recovered-j4.txt"
 
 echo "serve-crash-smoke: PASS"

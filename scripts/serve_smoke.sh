@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Serve smoke: start the daemon, replay a mixed query batch from two
 # concurrent clients, and require (a) both clients' raw response lines
-# to be byte-identical, (b) the same bytes again at --jobs 1 and
-# --jobs 4, (c) the decoded outputs to diff clean against the one-shot
-# CLI, and (d) a clean exit 0 both via the shutdown op (jobs=1) and via
-# SIGTERM (jobs=4), with the socket unlinked afterwards.
+# to be byte-identical, (b) the same bytes again at --jobs 1, 2 and
+# 4 (2 is the smallest count that computes two requests at once),
+# (c) the decoded outputs to diff clean against the one-shot CLI, and
+# (d) a clean exit 0 both via the shutdown op (jobs=1) and via SIGTERM
+# (jobs=2 and 4), with the socket unlinked afterwards.
 #
 # The batch deliberately repeats its first query (id 5 == id 1): the
 # replay is served from the result cache and must still produce the
@@ -45,7 +46,7 @@ wait_for_socket() {
   return 1
 }
 
-for jobs in 1 4; do
+for jobs in 1 2 4; do
   sock="$WORK/j$jobs.sock"
   # --request-timeout 0: the smoke diffs must not depend on whether a
   # loaded CI box crosses a wall-clock deadline.
@@ -92,6 +93,7 @@ for jobs in 1 4; do
 done
 
 # Responses are independent of the worker count.
+diff "$WORK/a-j1.txt" "$WORK/a-j2.txt"
 diff "$WORK/a-j1.txt" "$WORK/a-j4.txt"
 
 echo "serve-smoke: PASS"

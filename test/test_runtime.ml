@@ -48,6 +48,45 @@ let test_parallel_map_exception () =
       Alcotest.(check (list int)) "pool alive after exception" [ 1; 2; 3 ]
         (Pool.parallel_map pool (fun x -> x) [ 1; 2; 3 ]))
 
+(* A posted task starts on whichever worker is idle.  Two workers: A
+   blocks until C starts, B runs to completion on the other worker, and
+   C must then start on that idle worker instead of queueing behind A. *)
+let test_post_takes_idle_worker () =
+  let wait_for flag =
+    let deadline = Unix.gettimeofday () +. 5. in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Atomic.get flag
+  in
+  let c_started = Atomic.make false and a_saw_c = Atomic.make false in
+  let b_done = Atomic.make false in
+  Pool.with_pool ~jobs:3 (fun pool ->
+      Pool.post pool ~run:(fun () -> Atomic.set a_saw_c (wait_for c_started)) ~fail:ignore;
+      Pool.post pool ~run:(fun () -> Atomic.set b_done true) ~fail:ignore;
+      check "B finished" true (wait_for b_done);
+      Pool.post pool ~run:(fun () -> Atomic.set c_started true) ~fail:ignore);
+  check "C started while A still held its worker" true (Atomic.get a_saw_c)
+
+(* Workers are spawned by a pool's first dispatch, which is not a
+   respawn; a pool that never dispatched shuts down with nothing to
+   join, and a one-job pool has no worker to post to. *)
+let test_lazy_spawn () =
+  let respawned () = (Stats.snapshot ()).Stats.workers_respawned in
+  let before = respawned () in
+  Pool.shutdown (Pool.create ~jobs:4 ());
+  Pool.with_pool ~jobs:4 (fun pool ->
+      Alcotest.(check (list int)) "first map" [ 2; 3; 4; 5 ]
+        (Pool.parallel_map pool succ [ 1; 2; 3; 4 ]));
+  let ran = Atomic.make false in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Pool.post pool ~run:(fun () -> Atomic.set ran true) ~fail:ignore);
+  check "the first post ran" true (Atomic.get ran);
+  check_int "first spawns are not respawns" before (respawned ());
+  Alcotest.check_raises "post needs a worker"
+    (Invalid_argument "Pool.post: a one-job pool has no workers") (fun () ->
+      Pool.with_pool ~jobs:1 (fun pool -> Pool.post pool ~run:ignore ~fail:ignore))
+
 (* ------------------------------------------------------------------ *)
 (* Frontier vs the serial Explore BFS *)
 
@@ -460,6 +499,8 @@ let () =
           Alcotest.test_case "edge cases" `Quick test_parallel_map_edge_cases;
           Alcotest.test_case "parallel_iter" `Quick test_parallel_iter;
           Alcotest.test_case "exception propagation" `Quick test_parallel_map_exception;
+          Alcotest.test_case "post takes any idle worker" `Quick test_post_takes_idle_worker;
+          Alcotest.test_case "workers spawn at first dispatch" `Quick test_lazy_spawn;
         ] );
       ( "frontier",
         [

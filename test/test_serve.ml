@@ -409,10 +409,11 @@ let test_backlog_fair_share () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher: byte-identity with the renderers, containment, caching *)
 
-(* One connection on a one-job dispatcher, where every request runs
-   inline: [send] submits a line, drains, and returns its response. *)
+(* One connection on a dispatcher over a pool with one worker, so
+   flights run one at a time: [send] submits a line, drains, and returns
+   its response. *)
 let with_dispatcher ?(queue_cap = 64) f =
-  Layered_runtime.Pool.with_pool ~jobs:1 (fun pool ->
+  Layered_runtime.Pool.with_pool ~jobs:2 (fun pool ->
       let ctx =
         Dispatch.create_ctx ~pool
           ~admission:
@@ -438,8 +439,13 @@ let with_dispatcher ?(queue_cap = 64) f =
         Dispatcher.drain d;
         Queue.pop replies
       in
-      (* a one-job pool has no workers, so the pipe can close first *)
-      Fun.protect ~finally:(fun () -> Dispatcher.close d) (fun () -> f send))
+      (* pool first, pipe second, as in [Server.run]: a worker
+         finishing late must find the wakeup pipe still open *)
+      Fun.protect
+        ~finally:(fun () ->
+          Layered_runtime.Pool.shutdown pool;
+          Dispatcher.close d)
+        (fun () -> f send))
 
 let classify_line ~id = Protocol.encode_request ~id
     (Protocol.Classify_valence { model = "sync"; n = 3; t = 1; depth = 3 })
@@ -705,6 +711,66 @@ let test_concurrent_singleflight () =
               | Ok [ line ] -> check_str "coalesced answer" expected line
               | Ok _ | Error _ -> Alcotest.fail "no answer to the raced query")
             conns);
+      match Client.connect path with
+      | Error e -> Alcotest.fail e
+      | Ok c ->
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              match Client.request c Protocol.Shutdown ~timeout_s:10. with
+              | Ok _ -> ()
+              | Error e -> Alcotest.fail ("shutdown: " ^ e)))
+
+(* At --jobs 2 the daemon computes two requests at once: a light query
+   sent on a second connection while a heavy cold one holds a worker is
+   answered first.  One flight at a time would answer the heavy query
+   first.  The light query goes out only after a stats round trip on
+   its connection, by which time the daemon has read the heavy one and
+   started it. *)
+let test_two_flights () =
+  with_daemon
+    ~tweak:(fun c -> { c with Server.jobs = 2 })
+    "flights"
+    (fun path ->
+      let connect () =
+        match Client.connect path with Ok c -> c | Error e -> Alcotest.fail e
+      in
+      let heavy = ("smp", 4, 4) and light = ("iis", 3, 3) in
+      let query (model, n, depth) =
+        Protocol.Classify_valence { model; n; t = 1; depth }
+      in
+      let expected id (model, n, depth) =
+        let code, output = Dispatch.classify_output ~model ~n ~t:1 ~depth () in
+        Protocol.encode_response
+          (Protocol.Resp_ok { id = Some id; exit_code = code; output })
+      in
+      let c1 = connect () and c2 = connect () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Client.close [ c1; c2 ])
+        (fun () ->
+          (match Client.send c1 (Protocol.encode_request ~id:1 (query heavy)) with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail ("heavy send: " ^ e));
+          (match Client.request c2 Protocol.Stats_query ~timeout_s:30. with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail ("stats: " ^ e));
+          (match Client.send c2 (Protocol.encode_request ~id:2 (query light)) with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail ("light send: " ^ e));
+          (* each reply takes the next ticket as it arrives *)
+          let ticket = Atomic.make 0 in
+          let reply c =
+            match Client.read_lines c ~n:1 ~timeout_s:120. with
+            | Ok [ line ] -> (Atomic.fetch_and_add ticket 1, line)
+            | Ok _ | Error _ -> Alcotest.fail "no reply"
+          in
+          let heavy_reader = Domain.spawn (fun () -> reply c1) in
+          let light_turn, light_line = reply c2 in
+          let heavy_turn, heavy_line = Domain.join heavy_reader in
+          check_int "the light query is answered first" 0 light_turn;
+          check_int "the heavy query second" 1 heavy_turn;
+          check_str "light bytes" (expected 2 light) light_line;
+          check_str "heavy bytes" (expected 1 heavy) heavy_line);
       match Client.connect path with
       | Error e -> Alcotest.fail e
       | Ok c ->
@@ -1205,6 +1271,7 @@ let () =
             test_concurrent_singleflight;
           Alcotest.test_case "disconnect cancels only its own work" `Quick
             test_disconnect_cancels;
+          Alcotest.test_case "two flights at --jobs 2" `Quick test_two_flights;
         ] );
       ( "client",
         [
