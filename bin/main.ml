@@ -60,18 +60,8 @@ let ckpt_hint budget c =
       Format.eprintf "checkpoint: resumable snapshots in %s (rerun with --resume)@." dir
   | _ -> ()
 
-let run_experiments ids markdown jobs stats budget ckpt =
-  let experiments =
-    match ids with
-    | [] -> Registry.all
-    | ids ->
-        List.map
-          (fun id ->
-            match Registry.find id with
-            | Some e -> e
-            | None -> Fmt.failwith "unknown experiment %s (try `layered list`)" id)
-          ids
-  in
+let run_experiments experiments markdown jobs stats budget ckpt =
+  let experiments = match experiments with [] -> Registry.all | es -> es in
   if ckpt_invalid ckpt then 2
   else begin
   let checkpoint =
@@ -138,6 +128,17 @@ let positive_float ~what =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* A name argument parsed against the one table it is looked up in, so
+   a misspelled name is a usage error rather than an exception from
+   deep inside a command. *)
+let name_conv ~what ~hint find name_of =
+  let parse s =
+    match find s with
+    | Some x -> Ok x
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S (%s)" what s hint))
+  in
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name_of x))
+
 let jobs_arg =
   Arg.(
     value
@@ -160,17 +161,15 @@ let symmetry_arg =
     & info [ "symmetry" ]
         ~doc:
           "Quotient the BFS frontier by role-respecting process-renaming \
-           symmetry (currently the $(b,iis) model, whose partition actions \
-           are renaming-closed and whose local states are pid-free).  One \
-           representative per orbit is explored; reported rows are \
-           byte-identical to the unreduced sweep (orbit-weighted counts), \
-           but strictly fewer states are materialised — see the $(b,orbit \
-           hits) and $(b,states expanded) counters under $(b,--stats).  \
-           Other models either embed process ids in their state parts or \
-           use prefix-blocked omission actions that leave partial orbits \
-           reachable, where the quotient is unsound; the flag is a no-op \
-           there.  Checkpoints record the setting and refuse to resume \
-           across it.")
+           symmetry, on the models whose row in the model table declares \
+           renaming closure (currently $(b,iis)); the test suite checks \
+           that declaration against every row.  One representative per \
+           orbit is explored; reported rows are byte-identical to the \
+           unreduced sweep (orbit-weighted counts), but strictly fewer \
+           states are materialised — see the $(b,orbit hits) and \
+           $(b,states expanded) counters under $(b,--stats).  On the other \
+           models the quotient would be unsound and the flag is a no-op.  \
+           Checkpoints record the setting and refuse to resume across it.")
 
 (* Every budgeted command gets a Budget.t even when no limit flag is
    given: the token doubles as the SIGINT cancellation point, and an
@@ -267,7 +266,11 @@ let list_cmd =
 
 let run_cmd =
   let doc = "Run selected experiments (by id, e.g. E7)." in
-  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
+  let experiment =
+    name_conv ~what:"experiment" ~hint:"try `layered list`" Registry.find
+      (fun (e : Registry.experiment) -> e.id)
+  in
+  let ids = Arg.(value & pos_all experiment [] & info [] ~docv:"ID") in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run_experiments $ ids $ markdown $ jobs_arg $ stats_arg $ budget_term
@@ -291,6 +294,14 @@ let t_arg =
     value
     & opt (bounded_int ~min:0 ~what:"t") 1
     & info [ "t" ] ~docv:"T" ~doc:"Resilience / horizon (at least 0).")
+
+(* The substrate a layers/chain/classify run works on: a row of the
+   model table. *)
+let model_arg ~default =
+  Arg.(
+    value
+    & opt (enum (List.map (fun m -> (m, m)) Models.names)) default
+    & info [ "m"; "model" ] ~docv:"MODEL" ~doc:(String.concat " | " Models.names))
 
 let verify_cmd =
   let doc =
@@ -357,13 +368,7 @@ let verify_cmd =
 
 let layers_cmd =
   let doc = "Sweep a substrate: reachable states and layer sizes per depth." in
-  let model =
-    Arg.(
-      value
-      & opt (enum (List.map (fun m -> (m, m)) Sweep.models)) "sync"
-      & info [ "m"; "model" ] ~docv:"MODEL"
-          ~doc:"mobile | sync | sm | mp | smp | iis")
-  in
+  let model = model_arg ~default:"sync" in
   let depth =
     Arg.(
       value
@@ -432,12 +437,7 @@ let chain_cmd =
   let doc =
     "Construct an ever-bivalent run (Theorem 4.2) and print the adversary's strategy."
   in
-  let model =
-    Arg.(
-      value
-      & opt (enum (List.map (fun m -> (m, m)) Sweep.models)) "mobile"
-      & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"mobile | sync | sm | mp | smp | iis")
-  in
+  let model = model_arg ~default:"mobile" in
   let length =
     Arg.(
       value
@@ -459,9 +459,10 @@ let graph_cmd =
       & info [] ~docv:"WHAT" ~doc:"con0 | layer | task")
   in
   let task =
-    Arg.(value & opt string "consensus"
-         & info [ "task" ] ~docv:"TASK"
-             ~doc:"consensus | election | weak-consensus | identity | kset2")
+    Arg.(
+      value
+      & opt (enum (List.map (fun t -> (t, t)) Export.task_names)) "consensus"
+      & info [ "task" ] ~docv:"TASK" ~doc:(String.concat " | " Export.task_names))
   in
   let f what n t task =
     let dot =
@@ -477,20 +478,22 @@ let graph_cmd =
 
 let oracles_cmd =
   let doc = "Run the differential/metamorphic runtime oracles." in
+  let oracle =
+    name_conv ~what:"oracle" ~hint:"see `layered oracles` output" Oracle.find
+      (fun (o : Oracle.t) -> o.name)
+  in
   let names =
     Arg.(
-      value & pos_all string []
+      value & pos_all oracle []
       & info [] ~docv:"NAME"
           ~doc:"Oracle names to run (default: all); see $(b,layered oracles) output.")
   in
-  let f names jobs =
-    (match
-       List.filter (fun n -> Oracle.find n = None) names
-     with
-    | [] -> ()
-    | unknown ->
-        Format.eprintf "unknown oracle(s): %s@." (String.concat ", " unknown));
-    let names = match names with [] -> None | ns -> Some ns in
+  let f oracles jobs =
+    let names =
+      match oracles with
+      | [] -> None
+      | os -> Some (List.map (fun (o : Oracle.t) -> o.name) os)
+    in
     let rows = Oracle.rows ~jobs ?names () in
     Format.printf "%a" Report.pp_table rows;
     if rows <> [] && Report.all_pass rows then 0 else 1
@@ -554,12 +557,7 @@ let classify_cmd =
     "Classify the valence of every binary initial state of a substrate (the \
      one-shot twin of the daemon's classify-valence query)."
   in
-  let model =
-    Arg.(
-      value
-      & opt (enum (List.map (fun m -> (m, m)) Sweep.models)) "sync"
-      & info [ "m"; "model" ] ~docv:"MODEL" ~doc:"mobile | sync | sm | mp | smp | iis")
-  in
+  let model = model_arg ~default:"sync" in
   let depth =
     Arg.(
       value

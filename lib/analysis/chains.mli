@@ -17,10 +17,13 @@ type t = {
   lines : line list;
 }
 
-(** Model names as in {!Sweep.models}: ["mobile"], ["sync"] (with [t] the
-    resilience), ["sm"], ["mp"], ["smp"], ["iis"].  For ["sync"] the chain
-    is the Lemma 6.1 one (length capped at [t] states, bivalence dying at
-    round t-1); for all others the ever-bivalent Theorem 4.2 chain. *)
+(** [run ~model ~n ~t ~length] builds the chain in the layering of the
+    {!Models} row named [model] (what [t] means is stated once, in
+    {!Models}), from the first bivalent initial state.  Where the row
+    caps chains ({!Models.t.chain_cap}: ["sync"], the Lemma 6.1 chain,
+    bivalence dying at round t-1) the length is capped; elsewhere it is
+    the ever-bivalent Theorem 4.2 chain.  Raises [Invalid_argument] on an
+    unknown model name. *)
 val run : model:string -> n:int -> t:int -> length:int -> t
 
 val pp : Format.formatter -> t -> unit

@@ -55,16 +55,23 @@ let st_layer ~n ~t =
     ~name:(Printf.sprintf "S^t layer at a bivalent initial state, n=%d t=%d" n t)
     ~label ~rel:E.similar (succ x0)
 
-let task_of_name ~n = function
-  | "consensus" -> Task.consensus ~n ~values:[ Value.zero; Value.one ]
-  | "election" -> Task.election ~n
-  | "weak-consensus" -> Task.weak_consensus ~n
-  | "identity" -> Task.identity ~n ~values:[ Value.zero; Value.one ]
-  | "kset2" -> Task.k_set_agreement ~n ~k:2 ~values:[ 0; 1; 2 ]
-  | other -> invalid_arg (Printf.sprintf "Export: unknown task %S" other)
+let tasks =
+  [
+    ("consensus", fun ~n -> Task.consensus ~n ~values:[ Value.zero; Value.one ]);
+    ("election", fun ~n -> Task.election ~n);
+    ("weak-consensus", fun ~n -> Task.weak_consensus ~n);
+    ("identity", fun ~n -> Task.identity ~n ~values:[ Value.zero; Value.one ]);
+    ("kset2", fun ~n -> Task.k_set_agreement ~n ~k:2 ~values:[ 0; 1; 2 ]);
+  ]
+
+let task_names = List.map fst tasks
 
 let task_thickness ~name ~n =
-  let task = task_of_name ~n name in
+  let task =
+    match List.assoc_opt name tasks with
+    | Some make -> make ~n
+    | None -> invalid_arg (Printf.sprintf "Export: unknown task %S" name)
+  in
   let c = Task.c_delta task (Task.input_assignments task) in
   let simplexes = Complex.simplexes_of_size c n in
   dot_of_rel

@@ -13,7 +13,11 @@ val con0_similarity : n:int -> t:int -> string
     valence verdicts in the labels. *)
 val st_layer : n:int -> t:int -> string
 
-(** The 1-thickness graph of [C_Delta(I)] for a named task over the full
-    input set.  Known names: ["consensus"], ["election"],
+(** The task names {!task_thickness} knows: ["consensus"], ["election"],
     ["weak-consensus"], ["identity"], ["kset2"]. *)
+val task_names : string list
+
+(** The 1-thickness graph of [C_Delta(I)] for a named task over the full
+    input set.  Raises [Invalid_argument] on a name not in
+    {!task_names}. *)
 val task_thickness : name:string -> n:int -> string

@@ -49,16 +49,10 @@ type workload_user = {
   use : 'a. succ:('a -> 'a list) -> key:('a -> string) -> x0:'a -> verdict;
 }
 
-let with_floodset_st ~n ~t { use } =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-  let module E = Layered_sync.Engine.Make (P) in
-  use ~succ:(E.layer (E.st ~t)) ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
-
-let with_floodset_s1 ~n ~t { use } =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-  let module E = Layered_sync.Engine.Make (P) in
-  use ~succ:(E.layer E.s1) ~key:E.key
-    ~x0:(E.initial ~inputs:(mixed_inputs n))
+(* The layering of a model-table row, from the mixed initial state. *)
+let with_model model ~n ~t { use } =
+  let module E = (val (Models.get ~caller:"Oracle" model).Models.engine ~t) in
+  use ~succ:E.layer ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
 
 (* A synthetic binary tree: no dedup pressure, every state fresh, so a
    dropped or duplicated state can never be papered over. *)
@@ -66,11 +60,11 @@ let tree_succ x = if x < 255 then [ (2 * x) + 1; (2 * x) + 2 ] else []
 let tree_key = string_of_int
 
 let sp_sync ~jobs =
-  with_floodset_st ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
       serial_parallel ~succ ~key ~depth:3 x0 ~jobs) }
 
 let sp_mobile ~jobs =
-  with_floodset_s1 ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "mobile" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
       serial_parallel ~succ ~key ~depth:2 x0 ~jobs) }
 
 let sp_tree ~jobs = serial_parallel ~succ:tree_succ ~key:tree_key ~depth:8 0 ~jobs
@@ -80,7 +74,7 @@ let sp_tree ~jobs = serial_parallel ~succ:tree_succ ~key:tree_key ~depth:8 0 ~jo
 (* reachable set, and the counting traversal agrees.                   *)
 
 let conservation_sync ~jobs =
-  with_floodset_st ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
           let o = Frontier.levels pool ~succ ~key ~depth:2 x0 in
           let flat = List.map key (List.concat o.Budget.value) in
@@ -105,7 +99,7 @@ let conservation_sync ~jobs =
 (* Metamorphic: a states-capped run is a prefix of the full run.       *)
 
 let prefix_sync ~jobs =
-  with_floodset_st ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
           let full = Frontier.levels pool ~succ ~key ~depth:3 x0 in
           let budget = Budget.create ~max_states:5 () in
@@ -263,7 +257,7 @@ let containment_registry ~jobs =
 let generous () = Budget.create ~max_states:1_000_000 ()
 
 let complete_frontier ~jobs =
-  with_floodset_st ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
           let o = Frontier.reachable ~budget:(generous ()) pool ~succ ~key ~depth:3 x0 in
           match o.Budget.status with
@@ -321,7 +315,7 @@ let timing_map ~jobs =
       timing (if !bad then fail "wrong result" else pass_) elapsed)
 
 let timing_frontier ~jobs =
-  with_floodset_st ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
           let n = ref 0 in
           let elapsed =
@@ -555,7 +549,10 @@ let graphs_equal (g : Graph.t) (h : Graph.t) =
        (fun i -> Graph.neighbours g i = Graph.neighbours h i)
        (List.init (Graph.size g) Fun.id)
 
-let simgraph_eq (type s) (module E : Engine_core.S with type state = s) states =
+let simgraph_eq model ~jobs:_ =
+  let module E = (val (Models.get ~caller:"Oracle" model).Models.engine ~t:1) in
+  let initials = E.initial_states ~n:3 ~values:[ Value.zero; Value.one ] in
+  let states = initials @ E.dedup (List.concat_map E.layer initials) in
   let _, reference = Simgraph.pairwise ~rel:E.similar states in
   let _, bucketed = E.similarity_graph states in
   if graphs_equal reference bucketed then pass_
@@ -563,39 +560,6 @@ let simgraph_eq (type s) (module E : Engine_core.S with type state = s) states =
     fail
       (Printf.sprintf "builders disagree on %d states: pairwise %d edges, bucketed %d"
          (List.length states) (Graph.edge_count reference) (Graph.edge_count bucketed))
-
-let two_values = [ Value.zero; Value.one ]
-
-let sg_sync ~jobs:_ =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
-  let module E = Layered_sync.Engine.Make (P) in
-  let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E)
-    (initials @ E.dedup (List.concat_map (E.layer (E.st ~t:1)) initials))
-
-let sg_iis ~jobs:_ =
-  let module P = (val Layered_protocols.Iis_voting.make ~horizon:2) in
-  let module E = Layered_iis.Engine.Make (P) in
-  let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.layer initials))
-
-let sg_sm ~jobs:_ =
-  let module P = (val Layered_protocols.Sm_voting.make ~horizon:2) in
-  let module E = Layered_async_sm.Engine.Make (P) in
-  let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.srw initials))
-
-let sg_mp ~jobs:_ =
-  let module P = (val Layered_protocols.Mp_floodset.make ~horizon:2) in
-  let module E = Layered_async_mp.Engine.Make (P) in
-  let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.sper initials))
-
-let sg_smp ~jobs:_ =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
-  let module E = Layered_async_mp.Synchronic.Make (P) in
-  let initials = E.initial_states ~n:3 ~values:two_values in
-  simgraph_eq (module E) (initials @ E.dedup (List.concat_map E.smp initials))
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-core spill: the disk tier must never change the traversal's  *)
@@ -935,27 +899,27 @@ let builtin =
     {
       name = "simgraph-eq/sync";
       what = "bucketed and pairwise similarity graphs identical (floodset S^t, n=3)";
-      check = sg_sync;
+      check = simgraph_eq "sync";
     };
     {
       name = "simgraph-eq/iis";
       what = "bucketed and pairwise similarity graphs identical (IIS voting, n=3)";
-      check = sg_iis;
+      check = simgraph_eq "iis";
     };
     {
       name = "simgraph-eq/sm";
       what = "bucketed and pairwise similarity graphs identical (S^rw voting, n=3)";
-      check = sg_sm;
+      check = simgraph_eq "sm";
     };
     {
       name = "simgraph-eq/mp";
       what = "bucketed and pairwise similarity graphs identical (S^per floodset, n=3)";
-      check = sg_mp;
+      check = simgraph_eq "mp";
     };
     {
       name = "simgraph-eq/smp";
       what = "bucketed and pairwise similarity graphs identical (synchronic MP, n=3)";
-      check = sg_smp;
+      check = simgraph_eq "smp";
     };
     {
       name = "resume-eq/frontier";

@@ -9,8 +9,6 @@ type level = { depth : int; reachable : int; layer_min : int; layer_max : int }
 type t = { model : string; n : int; levels : level list; status : Budget.status }
 type checkpoint = { dir : string; every : int; resume : bool }
 
-let models = [ "mobile"; "sync"; "sm"; "mp"; "smp"; "iis" ]
-
 let checkpoint_name ~model ~n ~t ~depth =
   Printf.sprintf "sweep-%s-n%d-t%d-d%d" model n t depth
 
@@ -36,7 +34,7 @@ let mixed_inputs n = Array.init n (fun i -> if i = 0 then Value.zero else Value.
    {!Ckpt.Symmetry_mismatch} — the committed keys of one discipline are
    meaningless to the other. *)
 let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
-    ?(size = List.length) ?(symmetry = false)
+    ?(size = List.length) ~symmetry
     ~(succ : a -> a list) ~(key : a -> string) ~(x0 : a) ~depth () =
   let cur_min = Atomic.make max_int and cur_max = Atomic.make 0 in
   let rec fold_atomic better a v =
@@ -195,75 +193,25 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
 let serial_pool = lazy (Layered_runtime.Pool.create ~jobs:1 ())
 
 let run ?pool ?budget ?checkpoint ?spill ?(symmetry = false) ~model ~n ~t ~depth () =
+  let row = Models.get ~caller:"Sweep.run" model in
   let pool = match pool with Some p -> p | None -> Lazy.force serial_pool in
-  let name = checkpoint_name ~model ~n ~t ~depth in
-  let sweep_generic ?canon ?size ?symmetry ~succ ~key ~x0 ~depth () =
-    sweep_generic ~pool ?budget ?ckpt:checkpoint ?spill ~name ?canon ?size
-      ?symmetry ~succ ~key ~x0 ~depth ()
-  in
-  (* Symmetry reduction is sound exactly where (a) the interning parts
-     are pid-free AND (b) the action set is closed under role-respecting
-     process renamings, so that the raw reachable set is a disjoint
-     union of full orbits.  Only the IIS substrate satisfies both: its
-     actions are ALL ordered partitions of {1..n} (a renaming-closed
-     set) and its voting locals fold snapshot values only.  The sync
-     layerings parametrise omissions by receiver {e prefixes} {1..k} —
-     an asymmetric subset of the renaming closure — so their reachable
-     sets contain {e partial} orbits (e.g. "only receiver 2 missed v" is
-     reachable where "only receiver 3 missed v" is not) and orbit
-     weights would overcount; the mailbox/shared-memory/transit models
-     embed pids in their parts, where the part permutation is not even
-     the renaming action.  [--symmetry] is a documented no-op for all of
-     them (see Canon's docs and DESIGN §6). *)
-  let sym_for_model = symmetry && model = "iis" in
-  let orbit_canon (type s) ~(canon : roles:int array -> s -> Intern.canon) ~inputs =
-    if not sym_for_model then (None, None, false)
+  let module E = (val row.Models.engine ~t) in
+  let inputs = mixed_inputs n in
+  (* Symmetry reduction is sound exactly on the rows that declare
+     renaming closure (see {!Models.t}); the flag is a no-op elsewhere. *)
+  let symmetry = symmetry && row.Models.renaming_closed in
+  let canon, size =
+    if not symmetry then (None, None)
     else begin
       let roles = Canon.roles_of ~eq:Value.equal inputs in
-      let ckey x = (canon ~roles x).Intern.ckey in
-      let level_weight level =
-        List.fold_left (fun a x -> a + (canon ~roles x).Intern.weight) 0 level
-      in
-      (Some ckey, Some level_weight, true)
+      ( Some (fun x -> (E.canon ~roles x).Intern.ckey),
+        Some (List.fold_left (fun a x -> a + (E.canon ~roles x).Intern.weight) 0) )
     end
   in
   let levels, status =
-    match model with
-    | "mobile" ->
-        let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-        let module E = Layered_sync.Engine.Make (P) in
-        sweep_generic ~succ:(E.layer E.s1) ~key:E.key
-          ~x0:(E.initial ~inputs:(mixed_inputs n)) ~depth ()
-    | "sync" ->
-        let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-        let module E = Layered_sync.Engine.Make (P) in
-        sweep_generic ~succ:(E.layer (E.st ~t)) ~key:E.key
-          ~x0:(E.initial ~inputs:(mixed_inputs n)) ~depth ()
-    | "sm" ->
-        let module P = (val Layered_protocols.Sm_voting.make ~horizon:(t + 1)) in
-        let module E = Layered_async_sm.Engine.Make (P) in
-        sweep_generic ~succ:E.srw ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
-          ~depth ()
-    | "mp" ->
-        let module P = (val Layered_protocols.Mp_floodset.make ~horizon:(t + 1)) in
-        let module E = Layered_async_mp.Engine.Make (P) in
-        sweep_generic ~succ:E.sper ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
-          ~depth ()
-    | "smp" ->
-        let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-        let module E = Layered_async_mp.Synchronic.Make (P) in
-        sweep_generic ~succ:E.smp ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
-          ~depth ()
-    | "iis" ->
-        let module P = (val Layered_protocols.Iis_voting.make ~horizon:(t + 1)) in
-        let module E = Layered_iis.Engine.Make (P) in
-        let inputs = mixed_inputs n in
-        let canon, size, symmetry =
-          orbit_canon ~canon:E.canon ~inputs
-        in
-        sweep_generic ?canon ?size ~symmetry ~succ:E.layer ~key:E.key
-          ~x0:(E.initial ~inputs) ~depth ()
-    | other -> invalid_arg (Printf.sprintf "Sweep.run: unknown model %S" other)
+    sweep_generic ~pool ?budget ?ckpt:checkpoint ?spill
+      ~name:(checkpoint_name ~model ~n ~t ~depth)
+      ?canon ?size ~symmetry ~succ:E.layer ~key:E.key ~x0:(E.initial ~inputs) ~depth ()
   in
   { model; n; levels; status }
 

@@ -26,18 +26,14 @@ type t = {
     uninterrupted run. *)
 type checkpoint = { dir : string; every : int; resume : bool }
 
-(** Available model names: ["mobile"], ["sync"] (t-resilient, takes [t]),
-    ["sm"], ["mp"], ["smp"] (synchronic message passing), ["iis"]. *)
-val models : string list
-
 (** The snapshot base name [run] uses for a given sweep — one checkpoint
     lineage per (model, n, t, depth) so unrelated sweeps sharing a
     directory never cross-resume. *)
 val checkpoint_name : model:string -> n:int -> t:int -> depth:int -> string
 
-(** [run ?pool ?budget ~model ~n ~t ~depth ()] sweeps the given substrate
-    from one mixed initial state.  [t] is used by ["sync"] (resilience)
-    and as the decision horizon elsewhere.  With a [pool] of more than
+(** [run ?pool ?budget ~model ~n ~t ~depth ()] sweeps the layering of
+    the {!Models} row named [model] from one mixed initial state (what
+    [t] means is stated once, in {!Models}).  With a [pool] of more than
     one job, each level's frontier is expanded in parallel
     ({!Layered_runtime.Frontier}); results are deterministic and
     independent of the job count.  With a [budget], an infeasible sweep
@@ -48,13 +44,13 @@ val checkpoint_name : model:string -> n:int -> t:int -> depth:int -> string
     segments, backpressure) before [--max-mem] can trip — output bytes
     are unchanged (see {!Layered_runtime.Frontier}); a lost spill
     segment restarts the sweep in-core with its accumulators rewound to
-    the resume point.  With [~symmetry:true] (default [false]) the
-    ["iis"] sweep is quotiented by role-respecting process renamings:
-    one representative per orbit is expanded, rows are orbit-weighted
-    and so byte-identical, and the setting is stamped into checkpoint
-    meta.  It is a no-op for every other model, whose parts carry pids
-    or whose actions are not renaming-closed ({!Layered_core.Canon}).
-    Raises [Invalid_argument] on an unknown model name. *)
+    the resume point.  With [~symmetry:true] (default [false]) a sweep
+    of a row that declares {!Models.t.renaming_closed} is quotiented by
+    role-respecting process renamings: one representative per orbit is
+    expanded, rows are orbit-weighted and so byte-identical.  On every
+    other row the flag is a no-op.  The checkpoint meta records whether
+    the quotient ran.  Raises [Invalid_argument] on an unknown model
+    name. *)
 val run :
   ?pool:Layered_runtime.Pool.t ->
   ?budget:Layered_runtime.Budget.t ->

@@ -8,8 +8,6 @@ type t = {
   verdicts : (string * Valence.verdict) list;
 }
 
-let models = Sweep.models
-
 (* A classifier owns one engine instantiation: its valence memo is the
    warm state worth keeping between calls.  Complete memo entries are
    depth-monotone (see Valence), so one classifier serves every depth.
@@ -30,9 +28,10 @@ type classifier = {
   import_memo : memo -> unit;
 }
 
-let classifier (type a) (module E : Engine_core.S with type state = a) ~succ
-    (initials : a list) =
-  let valence = Valence.create (E.valence_spec ~succ) in
+let make_classifier (row : Models.t) ~n ~t =
+  let module E = (val row.Models.engine ~t) in
+  let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
+  let valence = Valence.create (E.valence_spec ~succ:E.layer) in
   let lock = Mutex.create () in
   let locked f =
     Mutex.lock lock;
@@ -54,36 +53,6 @@ let classifier (type a) (module E : Engine_core.S with type state = a) ~succ
       (fun entries -> locked (fun () -> E.import_memo valence entries));
   }
 
-let make_classifier ~model ~n ~t =
-  let values = [ Value.zero; Value.one ] in
-  match model with
-  | "mobile" ->
-      let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-      let module E = Layered_sync.Engine.Make (P) in
-      classifier (module E) ~succ:(E.layer E.s1)
-        (E.initial_states ~n ~values)
-  | "sync" ->
-      let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-      let module E = Layered_sync.Engine.Make (P) in
-      classifier (module E) ~succ:(E.layer (E.st ~t)) (E.initial_states ~n ~values)
-  | "sm" ->
-      let module P = (val Layered_protocols.Sm_voting.make ~horizon:(t + 1)) in
-      let module E = Layered_async_sm.Engine.Make (P) in
-      classifier (module E) ~succ:E.srw (E.initial_states ~n ~values)
-  | "mp" ->
-      let module P = (val Layered_protocols.Mp_floodset.make ~horizon:(t + 1)) in
-      let module E = Layered_async_mp.Engine.Make (P) in
-      classifier (module E) ~succ:E.sper (E.initial_states ~n ~values)
-  | "smp" ->
-      let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-      let module E = Layered_async_mp.Synchronic.Make (P) in
-      classifier (module E) ~succ:E.smp (E.initial_states ~n ~values)
-  | "iis" ->
-      let module P = (val Layered_protocols.Iis_voting.make ~horizon:(t + 1)) in
-      let module E = Layered_iis.Engine.Make (P) in
-      classifier (module E) ~succ:E.layer (E.initial_states ~n ~values)
-  | other -> invalid_arg (Printf.sprintf "Valence_query: unknown model %S" other)
-
 type cache = {
   tbl : (string * int * int, classifier) Hashtbl.t;
   lock : Mutex.t;  (** guards [tbl]; per-classifier state has its own *)
@@ -98,23 +67,24 @@ let with_cache_lock (c : cache) f =
 let cache_entries (c : cache) =
   with_cache_lock c (fun () -> Hashtbl.length c.tbl)
 
-let find_classifier cache ~model ~n ~t =
-  let k = (model, n, t) in
+let find_classifier cache (row : Models.t) ~n ~t =
+  let k = (row.Models.name, n, t) in
   with_cache_lock cache (fun () ->
       match Hashtbl.find_opt cache.tbl k with
       | Some cl -> cl
       | None ->
-          let cl = make_classifier ~model ~n ~t in
+          let cl = make_classifier row ~n ~t in
           Hashtbl.add cache.tbl k cl;
           cl)
 
 let run ?budget ?cache ~model ~n ~t ~depth () =
   if depth < 0 then
     invalid_arg (Printf.sprintf "Valence_query: negative depth %d" depth);
+  let row = Models.get ~caller:"Valence_query" model in
   let cl =
     match cache with
-    | None -> make_classifier ~model ~n ~t
-    | Some cache -> find_classifier cache ~model ~n ~t
+    | None -> make_classifier row ~n ~t
+    | Some cache -> find_classifier cache row ~n ~t
   in
   { model; n; t; depth; verdicts = cl.classify ?budget ~depth () }
 
@@ -138,12 +108,11 @@ let export_spill (c : cache) : spill =
 let import_spill (c : cache) (s : spill) =
   List.iter
     (fun ((model, n, t), entries) ->
-      match find_classifier c ~model ~n ~t with
-      | cl -> cl.import_memo entries
-      | exception Invalid_argument _ ->
-          (* a spill written by a build that knew more models than this
-             one: skip the stranger, keep the rest *)
-          ())
+      (* a spill written by a build that knew more models than this one:
+         skip the stranger, keep the rest *)
+      Option.iter
+        (fun row -> (find_classifier c row ~n ~t).import_memo entries)
+        (Models.find model))
     s
 
 let spill_entries (s : spill) =

@@ -22,9 +22,6 @@ type t = {
       (** canonical initial-state key, in the engine's generation order *)
 }
 
-(** Available model names: exactly {!Sweep.models}. *)
-val models : string list
-
 (** A cross-call classifier cache keyed by (model, n, t).  Thread-safe:
     the table is mutex-guarded and every classifier serialises its own
     engine (memo probes, spill export, budget scoping) under a
@@ -43,13 +40,12 @@ val create_cache : unit -> cache
 val cache_entries : cache -> int
 
 (** [run ?budget ?cache ~model ~n ~t ~depth ()] classifies every binary
-    initial state of [model].  [t] is the resilience for
-    ["sync"]/["mobile"] and the decision horizon elsewhere (as in
-    {!Sweep.run}).  With [budget], the walk consults it for the duration
-    of this call only (the per-request fault domain): a tripped budget
-    degrades verdicts to [Unknown] and caches nothing, so a cancelled
-    request leaves the shared memo untouched.  Raises [Invalid_argument]
-    on an unknown model name or a negative depth. *)
+    initial state of the {!Models} row named [model] (what [t] means is
+    stated once, in {!Models}).  With [budget], the walk consults it for
+    the duration of this call only (the per-request fault domain): a
+    tripped budget degrades verdicts to [Unknown] and caches nothing, so
+    a cancelled request leaves the shared memo untouched.  Raises
+    [Invalid_argument] on an unknown model name or a negative depth. *)
 val run :
   ?budget:Layered_runtime.Budget.t ->
   ?cache:cache -> model:string -> n:int -> t:int -> depth:int -> unit -> t
@@ -63,7 +59,8 @@ val run :
     identical across jobs counts.  [import_spill] adopts the parts into
     each classifier's identity table and loads the memo, so a reloaded
     query is answered from it with verdicts identical to a cold
-    computation. *)
+    computation.  It skips the entries of a model this build has no row
+    for. *)
 
 type spill =
   ((string * int * int)

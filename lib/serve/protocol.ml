@@ -1,5 +1,5 @@
 module Registry = Layered_analysis.Registry
-module Sweep_a = Layered_analysis.Sweep
+module Models = Layered_analysis.Models
 
 type request =
   | Classify_valence of { model : string; n : int; t : int; depth : int }
@@ -101,12 +101,12 @@ let in_range ~what ~lo ~hi v : int decode =
 let model_params obj : (string * int * int * int) decode =
   let* model = get_str obj "model" in
   let* model =
-    if List.mem model Sweep_a.models then Ok model
+    if List.mem model Models.names then Ok model
     else
       Error
         ( Unknown_model,
           Printf.sprintf "unknown model %S (expected one of %s)" model
-            (String.concat ", " Sweep_a.models) )
+            (String.concat ", " Models.names) )
   in
   let* n = get_int obj "n" in
   let* n = in_range ~what:"n" ~lo:2 ~hi:max_n n in

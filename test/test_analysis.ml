@@ -47,7 +47,7 @@ let test_sweep () =
           check (model ^ " layer sizes sane") true
             (l1.Sweep.layer_min >= 1 && l1.Sweep.layer_max >= l1.Sweep.layer_min)
       | _ -> Alcotest.fail "expected two levels")
-    Sweep.models;
+    Models.names;
   Alcotest.check_raises "unknown model"
     (Invalid_argument "Sweep.run: unknown model \"nope\"") (fun () ->
       ignore (Sweep.run ~model:"nope" ~n:3 ~t:1 ~depth:1 ()))
@@ -399,6 +399,14 @@ let test_chains () =
   check "sync chain never violates agreement" true
     (List.for_all (fun l -> not l.Chains.violation) c.Chains.lines)
 
+let test_unknown_model () =
+  Alcotest.check_raises "chains"
+    (Invalid_argument "Chains.run: unknown model \"nope\"") (fun () ->
+      ignore (Chains.run ~model:"nope" ~n:3 ~t:1 ~length:5));
+  Alcotest.check_raises "classify"
+    (Invalid_argument "Valence_query: unknown model \"nope\"") (fun () ->
+      ignore (Valence_query.run ~model:"nope" ~n:3 ~t:1 ~depth:2 ()))
+
 let test_export_dot () =
   let dot = Export.con0_similarity ~n:3 ~t:1 in
   check "graph header" true (contains dot "graph \"");
@@ -435,6 +443,7 @@ let () =
           Alcotest.test_case "sweep checkpoint resume" `Quick
             test_sweep_checkpoint_resume;
           Alcotest.test_case "chains" `Quick test_chains;
+          Alcotest.test_case "unknown model refused" `Quick test_unknown_model;
           Alcotest.test_case "dot export" `Quick test_export_dot;
         ] );
       ("experiments", List.map experiment_case Registry.all);

@@ -95,15 +95,15 @@ let prop_canon_witness_role_respecting =
 
 (* Orbit enumerated the slow way: all role-respecting permutations,
    distinct images counted. *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
+        l
+
 let all_perms_of_class members =
-  let rec perms = function
-    | [] -> [ [] ]
-    | l ->
-        List.concat_map
-          (fun x -> List.map (fun p -> x :: p) (perms (List.filter (( <> ) x) l)))
-          l
-  in
-  List.map (fun p -> List.combine members p) (perms members)
+  List.map (fun p -> List.combine members p) (permutations members)
 
 let prop_canon_weight_is_orbit_size =
   QCheck.Test.make ~name:"canon: weight equals enumerated orbit size" ~count:200
@@ -185,6 +185,89 @@ let test_symmetry_noop_on_sync () =
       Alcotest.(check int) "sync states unchanged" off_states on_states)
 
 (* ------------------------------------------------------------------ *)
+(* The model table's renaming-closure declarations, checked.  From all  *)
+(* initial states at n = 3, every state within two layers is renamed by *)
+(* each of the six renamings (its parts permuted, the header fixed).  A *)
+(* row is closed when every renamed state is reachable and its layering *)
+(* commutes with every renaming; that must hold exactly on the rows     *)
+(* that declare it, and only those may shrink under the flag.           *)
+
+module Models = Layered_analysis.Models
+
+(* (states within two layers, renamed states not among them, renamings
+   of an expanded state that do not commute with the layering) *)
+let closure_defects (row : Models.t) =
+  let module E = (val row.Models.engine ~t:1) in
+  let expand level = List.map (fun x -> (x, E.layer x)) level in
+  (* Three input values, not two: with binary inputs every successor of
+     IIS min-voting comes from at least two ordered partitions, so a
+     layering missing any one partition would still pass. *)
+  let values = [ Value.zero; Value.one; Value.of_int 2 ] in
+  let level0 = E.initial_states ~n:3 ~values in
+  let layers0 = expand level0 in
+  let level1 = E.dedup (List.concat_map snd layers0) in
+  let layers1 = expand level1 in
+  let level2 = E.dedup (List.concat_map snd layers1) in
+  let reached = E.dedup (level0 @ level1 @ level2) in
+  let parts_of = Intern.parts_of_id E.intern_table in
+  let parts x = parts_of (E.ident x) in
+  let by_parts = Hashtbl.create 64 and layer_of = Hashtbl.create 64 in
+  List.iter (fun x -> Hashtbl.replace by_parts (parts x) x) reached;
+  List.iter (fun (x, l) -> Hashtbl.replace layer_of (E.ident x) l) (layers0 @ layers1);
+  let image p l = List.sort_uniq compare (List.map (fun y -> permute (parts y) p) l) in
+  let identity = Array.init 4 Fun.id in
+  let unreachable = ref 0 and noncommuting = ref 0 in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun p ->
+          let p = Array.of_list (0 :: p) in
+          match Hashtbl.find_opt by_parts (permute (parts x) p) with
+          | None -> incr unreachable
+          | Some x' -> (
+              match
+                (Hashtbl.find_opt layer_of (E.ident x), Hashtbl.find_opt layer_of (E.ident x'))
+              with
+              | Some l, Some l' -> if image p l <> image identity l' then incr noncommuting
+              | _ -> ()))
+        (permutations [ 1; 2; 3 ]))
+    reached;
+  (List.length reached, !unreachable, !noncommuting)
+
+let test_renaming_closure_declared () =
+  List.iter
+    (fun (row : Models.t) ->
+      let states, unreachable, noncommuting = closure_defects row in
+      check
+        (Printf.sprintf
+           "%s: %d states, %d renamed unreachable, %d non-commuting (declared %b)"
+           row.Models.name states unreachable noncommuting row.Models.renaming_closed)
+        row.Models.renaming_closed
+        (unreachable = 0 && noncommuting = 0))
+    Models.all
+
+let test_symmetry_iff_declared () =
+  Pool.with_pool ~jobs:1 (fun pool ->
+      List.iter
+        (fun (row : Models.t) ->
+          let leg symmetry =
+            let before = Stats.snapshot () in
+            let s =
+              Sweep.run ~pool ~symmetry ~model:row.Models.name ~n:3 ~t:1 ~depth:2 ()
+            in
+            (render s, (Stats.diff (Stats.snapshot ()) before).Stats.states_expanded)
+          in
+          let off, off_states = leg false in
+          let on, on_states = leg true in
+          check_string (row.Models.name ^ " report unchanged") off on;
+          check
+            (Printf.sprintf "%s: %d -> %d states expanded, fewer iff declared"
+               row.Models.name off_states on_states)
+            row.Models.renaming_closed (on_states < off_states);
+          check (row.Models.name ^ " never more states") true (on_states <= off_states))
+        Models.all)
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoints refuse to cross the symmetry setting.                   *)
 
 let tmp_counter = ref 0
@@ -243,6 +326,10 @@ let () =
             test_symmetry_report_identical;
           Alcotest.test_case "no-op on sync" `Quick test_symmetry_noop_on_sync;
           Alcotest.test_case "orbit hits pinned" `Quick test_orbit_hits_pinned;
+          Alcotest.test_case "renaming closure iff declared" `Quick
+            test_renaming_closure_declared;
+          Alcotest.test_case "fewer states iff declared" `Quick
+            test_symmetry_iff_declared;
         ] );
       ( "checkpoint",
         [

@@ -1032,6 +1032,28 @@ let test_spill_version_guard () =
       check_int "result cache untouched" 0 (Cache.entries rcache);
       check_int "no classifier built" 0 (Valence_query.cache_entries vcache))
 
+(* A spill from a build with a model this one has no row for: the
+   stranger's entries are skipped, no classifier is built for it, and
+   the known model's memo still serves its next query without a miss. *)
+let test_spill_unknown_model () =
+  let vcache = Valence_query.create_cache () in
+  let query cache =
+    (Valence_query.run ~cache ~model:"sync" ~n:3 ~t:1 ~depth:3 ()).Valence_query.verdicts
+  in
+  let cold = query vcache in
+  let outcome =
+    { Layered_core.Valence.vals = Layered_core.Vset.empty; complete = true }
+  in
+  let stranger = (("future", 3, 1), [ ([| "r0"; "a"; "b"; "c" |], (3, outcome)) ]) in
+  let vcache' = Valence_query.create_cache () in
+  Valence_query.import_spill vcache' (stranger :: Valence_query.export_spill vcache);
+  check_int "only the known model gets a classifier" 1
+    (Valence_query.cache_entries vcache');
+  Stats.reset ();
+  check "verdicts survive the import" true (query vcache' = cold);
+  check_int "served from the imported memo" 0
+    (Stats.snapshot ()).Stats.valence_cache_misses
+
 (* The retention depth is a parameter now (--spill-keep on the CLI):
    keep=1 must leave at most one generation on disk, and that survivor
    must still load. *)
@@ -1290,6 +1312,8 @@ let () =
           Alcotest.test_case "retention depth" `Quick test_spill_keep;
           Alcotest.test_case "version-1 spill loads cold" `Quick
             test_spill_version_guard;
+          Alcotest.test_case "unknown model skipped" `Quick
+            test_spill_unknown_model;
         ] );
       ( "recovery",
         [
