@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: build test bench-smoke bench-compare bench-baseline perfbench-check chaos-smoke resume-smoke oom-spill-smoke serve-smoke serve-crash-smoke serve-saturation-smoke fmt
+.PHONY: build test bench-smoke bench-compare bench-baseline perfbench-check chaos-smoke resume-smoke mem-watermark-smoke serve-smoke serve-crash-smoke serve-saturation-smoke fmt
 
 build:
 	dune build
@@ -40,12 +40,12 @@ chaos-smoke:
 resume-smoke:
 	bash scripts/resume_smoke.sh
 
-# Force the frontier's spill-to-disk tier with a tight soft memory
-# watermark and require the spilled report to be byte-identical to the
-# in-core one at --jobs 1 and 4, with ENOSPC fallback and the --max-mem
-# hard-trip exit code along for the ride.
-oom-spill-smoke:
-	bash scripts/oom_spill_smoke.sh
+# Run a large sweep under a soft memory watermark tight enough to
+# compact at its level boundaries and require the report to be
+# byte-identical to the unconstrained one at --jobs 1 and 4, with the
+# --max-mem hard-trip exit code along for the ride.
+mem-watermark-smoke:
+	bash scripts/mem_watermark_smoke.sh
 
 # Start the verification daemon, replay mixed queries from concurrent
 # clients at --jobs 1 and 4, diff everything against the one-shot CLI,

@@ -454,18 +454,13 @@ let checkpoint_restore =
 let cleanup_ckpt_dirs () =
   List.iter
     (fun sub -> rm_ckpt_dir (ckpt_bench_dir sub))
-    [ "write"; "restore"; "oocore-spill" ]
+    [ "write"; "restore" ]
 
 (* ------------------------------------------------------------------ *)
-(* Out-of-core frontier: one (6,1) synchronic-MP instance — the largest
+(* Large frontier: one (6,1) synchronic-MP instance — the largest
    bench instance, big enough that the pooled frontier pays off —
-   explored serially, with the pooled Frontier at 1 and 4 domains, and
-   with the pooled Frontier forced to spill every level's dedup shards
-   and undelivered prefix to disk ([Always], no memory pressure
-   required).  The serial/jobs trio gives the speedup curve CI watches;
-   the spill kernel's delta against jobs-4 is the out-of-core tax:
-   marshal + CRC + write + read-back validation + fingerprint probes on
-   every subsequent level. *)
+   explored serially and with the pooled Frontier at 1 and 4 domains.
+   The trio gives the speedup curve CI watches. *)
 
 module Oocore_P = (val Layered_protocols.Sync_floodset.make ~t:1)
 module Oocore_E = Layered_async_mp.Synchronic.Make (Oocore_P)
@@ -483,14 +478,6 @@ let oocore_serial () =
 let oocore_jobs jobs () =
   ignore
     (Frontier.count_reachable ~budget:(bench_budget ()) (pool jobs)
-       ~succ:Oocore_E.smp ~key:Oocore_E.key ~depth:2 oocore_x0)
-
-let oocore_spill () =
-  let dir = ckpt_bench_dir "oocore-spill" in
-  rm_ckpt_dir dir;
-  let spill = { Frontier.spill_dir = dir; spill_mode = Frontier.Always } in
-  ignore
-    (Frontier.count_reachable ~budget:(bench_budget ()) ~spill (pool 4)
        ~succ:Oocore_E.smp ~key:Oocore_E.key ~depth:2 oocore_x0)
 
 (* ------------------------------------------------------------------ *)
@@ -773,7 +760,6 @@ let kernels =
     { name = "oocore/smp6-serial"; n = 6; t = 1; depth = 2; fn = oocore_serial };
     { name = "oocore/smp6-jobs1"; n = 6; t = 1; depth = 2; fn = oocore_jobs 1 };
     { name = "oocore/smp6-jobs4"; n = 6; t = 1; depth = 2; fn = oocore_jobs 4 };
-    { name = "oocore/smp6-spill-jobs4"; n = 6; t = 1; depth = 2; fn = oocore_spill };
     { name = "ablation/symmetry-off"; n = 4; t = 2; depth = 4; fn = symmetry_sweep ~sym:false };
     { name = "ablation/symmetry-on"; n = 4; t = 2; depth = 4; fn = symmetry_sweep ~sym:true };
     { name = "oocore/iis5-serial"; n = 5; t = 1; depth = 2; fn = oocore_iis ~sym:false 1 };

@@ -18,7 +18,6 @@ open Layered_analysis
 module Pool = Layered_runtime.Pool
 module Stats = Layered_runtime.Stats
 module Budget = Layered_runtime.Budget
-module Frontier = Layered_runtime.Frontier
 
 let print_rows ~markdown rows =
   if markdown then print_string (Report.to_markdown rows)
@@ -208,10 +207,10 @@ let budget_term =
       & opt (some (bounded_int ~min:1 ~what:"mem-soft")) None
       & info [ "mem-soft" ] ~docv:"MB"
           ~doc:
-            "Soft memory watermark in megabytes, below $(b,--max-mem): crossing it \
-             triggers graceful degradation (one GC compaction, then — with \
-             $(b,--spill-dir) on commands that support it — spill-to-disk and \
-             backpressure) before the hard cap can trip.")
+            "Soft memory watermark in megabytes, below $(b,--max-mem): at every BFS \
+             level boundary where the OCaml heap is above MB megabytes, the heap is \
+             compacted (counted under $(b,memory soft events) and $(b,gc compactions) \
+             in $(b,--stats)).  Never truncates a run and never changes its output.")
   in
   let make timeout_s max_states max_memory_mb soft_memory_mb =
     Budget.create ?timeout_s ?max_states ?max_memory_mb ?soft_memory_mb ()
@@ -298,9 +297,14 @@ let t_arg =
 (* The substrate a layers/chain/classify run works on: a row of the
    model table. *)
 let model_arg ~default =
+  let model =
+    name_conv ~what:"model" ~hint:(String.concat " | " Models.names)
+      (fun s -> Option.map (fun (r : Models.t) -> r.name) (Models.find s))
+      Fun.id
+  in
   Arg.(
     value
-    & opt (enum (List.map (fun m -> (m, m)) Models.names)) default
+    & opt model default
     & info [ "m"; "model" ] ~docv:"MODEL" ~doc:(String.concat " | " Models.names))
 
 let verify_cmd =
@@ -375,20 +379,7 @@ let layers_cmd =
       & opt (bounded_int ~min:0 ~what:"depth") 2
       & info [ "d"; "depth" ] ~docv:"D" ~doc:"Layers to explore (at least 0).")
   in
-  let spill_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "spill-dir" ] ~docv:"DIR"
-          ~doc:
-            "Out-of-core exploration: under memory pressure (past $(b,--mem-soft), \
-             or past $(b,--max-mem) with no soft watermark set), spill cold dedup \
-             shards and the undelivered level prefix into CRC-validated segment \
-             files under DIR and evict them from the heap.  Output bytes are \
-             identical to an in-core run; a lost segment restarts the sweep \
-             in-core.")
-  in
-  let f model n t depth jobs stats budget ckpt spill_dir symmetry =
+  let f model n t depth jobs stats budget ckpt symmetry =
     if ckpt_invalid ckpt then 2
     else begin
       let checkpoint =
@@ -397,16 +388,10 @@ let layers_cmd =
             { Sweep.dir; every = ckpt.ckpt_every; resume = ckpt.ckpt_resume })
           ckpt.ckpt_dir
       in
-      let spill =
-        Option.map
-          (fun dir ->
-            { Frontier.spill_dir = dir; spill_mode = Frontier.Pressure })
-          spill_dir
-      in
       Stats.reset ();
       match
         Pool.with_pool ~jobs ~budget (fun pool ->
-            Sweep.run ~pool ~budget ?checkpoint ?spill ~symmetry ~model ~n ~t ~depth ())
+            Sweep.run ~pool ~budget ?checkpoint ~symmetry ~model ~n ~t ~depth ())
       with
       | exception Layered_runtime.Checkpoint.Symmetry_mismatch
             { saved; requested } ->
@@ -431,7 +416,7 @@ let layers_cmd =
   Cmd.v (Cmd.info "layers" ~doc)
     Term.(
       const f $ model $ n_arg $ t_arg $ depth $ jobs_arg $ stats_arg $ budget_term
-      $ ckpt_term $ spill_dir $ symmetry_arg)
+      $ ckpt_term $ symmetry_arg)
 
 let chain_cmd =
   let doc =
@@ -461,7 +446,11 @@ let graph_cmd =
   let task =
     Arg.(
       value
-      & opt (enum (List.map (fun t -> (t, t)) Export.task_names)) "consensus"
+      & opt
+          (name_conv ~what:"task" ~hint:(String.concat " | " Export.task_names)
+             (fun s -> List.find_opt (String.equal s) Export.task_names)
+             Fun.id)
+          "consensus"
       & info [ "task" ] ~docv:"TASK" ~doc:(String.concat " | " Export.task_names))
   in
   let f what n t task =
@@ -513,11 +502,12 @@ let chaos_cmd =
   let trials =
     Arg.(
       value
-      & opt (bounded_int ~min:1 ~what:"trials") 60
+      & opt (some (bounded_int ~min:1 ~what:"trials")) None
       & info [ "trials" ] ~docv:"N"
           ~doc:
             "Number of trials, assigned round-robin over the (site, oracle) pairing \
-             table; fewer trials than pairs leaves cells uncovered, which fails.")
+             table (default: one per cell of the selected $(b,--faults) sites); \
+             fewer trials than pairs leaves cells uncovered, which fails.")
   in
   let faults =
     let site_conv =
@@ -544,7 +534,7 @@ let chaos_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as one JSON object.")
   in
   let f seed trials sites jobs json =
-    let r = Chaos.run ~jobs ~sites ~seed ~trials () in
+    let r = Chaos.run ~jobs ~sites ?trials ~seed () in
     if json then print_string (Chaos.to_json r)
     else Format.printf "@[<v>%a@]@." Chaos.pp r;
     if Chaos.ok r then 0 else 1

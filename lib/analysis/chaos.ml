@@ -73,12 +73,6 @@ let pairings =
       [ "serve/crash-recover-eq"; "serve/warm-restart"; "serve/replay-idempotent" ] );
     ( Fault.Serve_crash_before_reply,
       [ "serve/crash-recover-eq"; "serve/warm-restart"; "serve/replay-idempotent" ] );
-    ( Fault.Frontier_spill_torn,
-      [ "spill/in-core-eq"; "spill/torn-fallback"; "spill/resume-compose" ] );
-    ( Fault.Frontier_spill_enospc,
-      [ "spill/in-core-eq"; "spill/torn-fallback"; "spill/resume-compose" ] );
-    ( Fault.Frontier_reload_corrupt,
-      [ "spill/in-core-eq"; "spill/torn-fallback"; "spill/resume-compose" ] );
   ]
 
 (* Any exception out of an oracle counts as the oracle failing — under
@@ -88,11 +82,12 @@ let run_check (o : Oracle.t) ~jobs =
   try o.Oracle.check ~jobs
   with e -> { Oracle.ok = false; detail = "raised " ^ Printexc.to_string e }
 
-let run ?(jobs = 2) ?(sites = Fault.all) ~seed ~trials () =
+let run ?(jobs = 2) ?(sites = Fault.all) ?trials ~seed () =
   let jobs = max 2 jobs in
   let pairs = List.filter (fun (s, _) -> List.mem s sites) pairings in
   let flat = List.concat_map (fun (s, os) -> List.map (fun o -> (s, o)) os) pairs in
   if flat = [] then invalid_arg "Chaos.run: no fault sites selected";
+  let trials = Option.value trials ~default:(List.length flat) in
   let cells =
     List.map
       (fun (site, oracle) ->

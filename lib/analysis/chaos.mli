@@ -27,19 +27,20 @@ type cell = {
 type report = { seed : int; trials : int; cells : cell list }
 
 (** The pairing table: for each site, the oracles required to detect it
-    (three each). *)
+    (at least three each). *)
 val pairings : (Layered_runtime.Fault.site * string list) list
 
-(** [run ~seed ~trials ()] executes the trials.  [jobs] (clamped to at
-    least 2 so worker sites can fire) sizes the pools inside the
-    oracles; [sites] restricts the matrix to a subset of fault sites.
-    Arms and disarms the process-global injector; never leaves it
-    armed. *)
+(** [run ~seed ()] executes the trials.  [jobs] (clamped to at least 2
+    so worker sites can fire) sizes the pools inside the oracles;
+    [sites] restricts the matrix to a subset of fault sites; [trials]
+    defaults to one per cell of the selected matrix, which arms every
+    cell once.  Arms and disarms the process-global injector; never
+    leaves it armed. *)
 val run :
   ?jobs:int ->
   ?sites:Layered_runtime.Fault.site list ->
+  ?trials:int ->
   seed:int ->
-  trials:int ->
   unit ->
   report
 

@@ -3,6 +3,7 @@ module Budget = Layered_runtime.Budget
 module Pool = Layered_runtime.Pool
 module Frontier = Layered_runtime.Frontier
 module Ckpt = Layered_runtime.Checkpoint
+module RStats = Layered_runtime.Stats
 
 type verdict = { ok : bool; detail : string }
 type t = { name : string; what : string; check : jobs:int -> verdict }
@@ -562,156 +563,6 @@ let simgraph_eq model ~jobs:_ =
          (List.length states) (Graph.edge_count reference) (Graph.edge_count bucketed))
 
 (* ------------------------------------------------------------------ *)
-(* Out-of-core spill: the disk tier must never change the traversal's  *)
-(* bytes, whatever the injector does to its segment files.  Faults at  *)
-(* the write sites degrade to keeping data in core (counted as spill   *)
-(* write failures); a fault at the reload site costs an in-core        *)
-(* restart (counted) — both leave the output byte-identical, so the    *)
-(* oracles detect through the counters and the on-disk debris, and an  *)
-(* output mismatch is a hard failure in any leg.                       *)
-
-module RStats = Layered_runtime.Stats
-
-(* A dup-heavy bounded DAG: every state has three successors and up to
-   three predecessors, so each level's candidates probe keys the
-   previous level just spilled — the membership pressure a tree (zero
-   dedup) cannot apply.  121 states over ~41 levels gives every spill
-   fault site far more than the three visits an armed run needs. *)
-let dag_bound = 120
-let dag_succ x = if x >= dag_bound then [] else [ x + 1; x + 2; x + 3 ]
-let dag_key = string_of_int
-let dag_depth = 60
-let forced_spill dir = { Frontier.spill_dir = dir; spill_mode = Frontier.Always }
-let dag_levels o = List.map (List.map dag_key) o.Budget.value
-
-(* Count detections from the counter deltas of one or more spilled legs:
-   a degraded write or an in-core restart is invisible in the output by
-   design, so the counters are where an injected fault surfaces. *)
-let spill_disturbances (d : RStats.snapshot) =
-  d.RStats.spill_write_failures + d.RStats.spill_restarts
-
-let spill_in_core_eq ~jobs =
-  Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-      with_tmp_dir (fun dir ->
-          let reference =
-            Frontier.levels pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-          in
-          let before = RStats.snapshot () in
-          let spilled =
-            Frontier.levels ~spill:(forced_spill dir) pool ~succ:dag_succ
-              ~key:dag_key ~depth:dag_depth 0
-          in
-          let d = RStats.diff (RStats.snapshot ()) before in
-          if dag_levels spilled <> dag_levels reference then
-            fail "spilled levels differ from the in-core run"
-          else if spill_disturbances d > 0 then
-            fail
-              (Printf.sprintf
-                 "detected %d degraded segment write(s) and %d in-core \
-                  restart(s); output still matched"
-                 d.RStats.spill_write_failures d.RStats.spill_restarts)
-          else if d.RStats.spill_segments = 0 then
-            fail "forced spill mode wrote no segments"
-          else pass_))
-
-(* Same differential, but through a checkpoint sink so the undelivered
-   prefix spills too — and with a debris scan: a torn segment may stay
-   on disk, but it must never be *registered* (validated read-back), so
-   any non-intact file in the spill directory proves a write was torn
-   and correctly rejected. *)
-let spill_torn_fallback ~jobs =
-  Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-      with_tmp_dir (fun dir ->
-          let reference =
-            Frontier.levels pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-          in
-          let before = RStats.snapshot () in
-          let save (snap : int Frontier.snapshot) = ignore (Sys.opaque_identity snap) in
-          let spilled =
-            Frontier.levels ~spill:(forced_spill dir)
-              ~checkpoint:{ Frontier.every = 5; save }
-              pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-          in
-          let d = RStats.diff (RStats.snapshot ()) before in
-          let debris =
-            List.filter (fun (_, intact) -> not intact) (Ckpt.scan_dir ~dir)
-          in
-          if dag_levels spilled <> dag_levels reference then
-            fail "spilled levels differ from the in-core run"
-          else if debris <> [] || spill_disturbances d > 0 then
-            fail
-              (Printf.sprintf
-                 "detected %d torn file(s) on disk, %d degraded write(s), %d \
-                  in-core restart(s); none was resumed from and output matched"
-                 (List.length debris) d.RStats.spill_write_failures
-                 d.RStats.spill_restarts)
-          else if d.RStats.spill_segments = 0 then
-            fail "forced spill mode wrote no segments"
-          else pass_))
-
-(* Resume composes with live spill segments: interrupt a spilled +
-   checkpointed run with a states cap, resume it — spill still on — and
-   demand the resumed levels equal an uninterrupted in-core run's. *)
-let spill_resume_compose ~jobs =
-  Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-      with_tmp_dir (fun dir ->
-          let name = "oocore" in
-          let reference =
-            Frontier.levels pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-          in
-          let save (snap : int Frontier.snapshot) =
-            ignore
-              (Ckpt.save ~dir ~name
-                 ~meta:
-                   (Ckpt.make_meta ~progress:(List.length snap.Frontier.levels) ())
-                 ~payload:(Marshal.to_string snap []))
-          in
-          let before = RStats.snapshot () in
-          let budget = Budget.create ~max_states:60 () in
-          let interrupted =
-            Frontier.levels ~budget ~spill:(forced_spill dir)
-              ~checkpoint:{ Frontier.every = 1; save }
-              pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-          in
-          match interrupted.Budget.status with
-          | Budget.Complete -> fail "max_states=60 failed to interrupt the run"
-          | Budget.Truncated _ -> (
-              match Ckpt.load_latest ~dir ~name with
-              | None -> fail "no intact generation to resume from"
-              | Some loaded -> (
-                  match
-                    (Marshal.from_string loaded.Ckpt.payload 0
-                      : int Frontier.snapshot)
-                  with
-                  | exception _ -> fail "intact generation failed to decode"
-                  | snap -> (
-                      let resumed =
-                        Frontier.levels ~resume:snap ~spill:(forced_spill dir)
-                          pool ~succ:dag_succ ~key:dag_key ~depth:dag_depth 0
-                      in
-                      let d = RStats.diff (RStats.snapshot ()) before in
-                      let corrupt = corrupt_generations ~dir [ name ] in
-                      match resumed.Budget.status with
-                      | Budget.Truncated _ -> fail "resumed run did not complete"
-                      | Budget.Complete ->
-                          if dag_levels resumed <> dag_levels reference then
-                            fail
-                              "resumed spilled levels differ from the \
-                               uninterrupted in-core run"
-                          else if corrupt <> [] || spill_disturbances d > 0 then
-                            fail
-                              (Printf.sprintf
-                                 "detected %d corrupt generation(s), %d \
-                                  degraded write(s), %d in-core restart(s); \
-                                  resume still reproduced the run"
-                                 (List.length corrupt)
-                                 d.RStats.spill_write_failures
-                                 d.RStats.spill_restarts)
-                          else if d.RStats.spill_segments = 0 then
-                            fail "forced spill mode wrote no segments"
-                          else pass_)))))
-
-(* ------------------------------------------------------------------ *)
 (* Symmetry: the orbit quotient must reconstruct the unreduced run.    *)
 (* Both oracles keep a serial [Explore] leg as ground truth — that is  *)
 (* where the Drop_successor/Duplicate_state sites live — while the     *)
@@ -938,24 +789,6 @@ let builtin =
       what =
         "the newest intact generation loads with its exact payload; torn/corrupt ones are rejected, never resumed from";
       check = recovery_rollback;
-    };
-    {
-      name = "spill/in-core-eq";
-      what =
-        "a forced-spill BFS equals the in-core run byte-for-byte; degraded writes and restarts are surfaced";
-      check = spill_in_core_eq;
-    };
-    {
-      name = "spill/torn-fallback";
-      what =
-        "torn spill segments are never registered or resumed from; the run degrades to in-core and matches";
-      check = spill_torn_fallback;
-    };
-    {
-      name = "spill/resume-compose";
-      what =
-        "a checkpoint resume composes with live spill segments and reproduces the uninterrupted in-core run";
-      check = spill_resume_compose;
     };
     {
       name = "sym/orbit-eq";

@@ -33,7 +33,7 @@ let mixed_inputs n = Array.init n (fun i -> if i = 0 then Value.zero else Value.
    checkpoint meta; resuming across a different setting raises
    {!Ckpt.Symmetry_mismatch} — the committed keys of one discipline are
    meaningless to the other. *)
-let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
+let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
     ?(size = List.length) ~symmetry
     ~(succ : a -> a list) ~(key : a -> string) ~(x0 : a) ~depth () =
   let cur_min = Atomic.make max_int and cur_max = Atomic.make 0 in
@@ -128,21 +128,9 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
         })
       ckpt
   in
-  (* The post-resume seed values double as the restart baseline: a lost
-     spill segment makes the frontier rerun in-core from the resume
-     point, re-delivering every level, so the accumulators must rewind
-     to exactly what the resume block left them at. *)
-  let seed_sizes = !sizes and seed_stats = !stats and seed_last = !last_level in
-  let on_restart () =
-    sizes := seed_sizes;
-    stats := seed_stats;
-    last_level := seed_last;
-    Atomic.set cur_min max_int;
-    Atomic.set cur_max 0
-  in
   let status =
-    Frontier.iter_levels ?budget ?checkpoint ?resume ?spill ~on_restart ?canon
-      pool ~succ:succ_counted ~key ~depth ~f x0
+    Frontier.iter_levels ?budget ?checkpoint ?resume ?canon pool
+      ~succ:succ_counted ~key ~depth ~f x0
   in
   let sizes = Array.of_list (List.rev !sizes) in
   let harvested = Array.of_list (List.rev !stats) in
@@ -192,7 +180,7 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ?spill ~name ?canon
    domains. *)
 let serial_pool = lazy (Layered_runtime.Pool.create ~jobs:1 ())
 
-let run ?pool ?budget ?checkpoint ?spill ?(symmetry = false) ~model ~n ~t ~depth () =
+let run ?pool ?budget ?checkpoint ?(symmetry = false) ~model ~n ~t ~depth () =
   let row = Models.get ~caller:"Sweep.run" model in
   let pool = match pool with Some p -> p | None -> Lazy.force serial_pool in
   let module E = (val row.Models.engine ~t) in
@@ -209,7 +197,7 @@ let run ?pool ?budget ?checkpoint ?spill ?(symmetry = false) ~model ~n ~t ~depth
     end
   in
   let levels, status =
-    sweep_generic ~pool ?budget ?ckpt:checkpoint ?spill
+    sweep_generic ~pool ?budget ?ckpt:checkpoint
       ~name:(checkpoint_name ~model ~n ~t ~depth)
       ?canon ?size ~symmetry ~succ:E.layer ~key:E.key ~x0:(E.initial ~inputs) ~depth ()
   in

@@ -39,12 +39,9 @@ val checkpoint_name : model:string -> n:int -> t:int -> depth:int -> string
     independent of the job count.  With a [budget], an infeasible sweep
     stops at the budget and reports the levels whose expansion completed
     (layer statistics are gathered during expansion, so truncation never
-    re-pays for cut-off work).  With a [spill] configuration, memory
-    pressure walks the out-of-core ladder (compact, spill to validated
-    segments, backpressure) before [--max-mem] can trip — output bytes
-    are unchanged (see {!Layered_runtime.Frontier}); a lost spill
-    segment restarts the sweep in-core with its accumulators rewound to
-    the resume point.  With [~symmetry:true] (default [false]) a sweep
+    re-pays for cut-off work).  A budget's soft watermark compacts the
+    heap at level boundaries and leaves the output bytes unchanged (see
+    {!Layered_runtime.Frontier}).  With [~symmetry:true] (default [false]) a sweep
     of a row that declares {!Models.t.renaming_closed} is quotiented by
     role-respecting process renamings: one representative per orbit is
     expanded, rows are orbit-weighted and so byte-identical.  On every
@@ -55,7 +52,6 @@ val run :
   ?pool:Layered_runtime.Pool.t ->
   ?budget:Layered_runtime.Budget.t ->
   ?checkpoint:checkpoint ->
-  ?spill:Layered_runtime.Frontier.spill ->
   ?symmetry:bool ->
   model:string ->
   n:int ->

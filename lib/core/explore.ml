@@ -31,18 +31,21 @@ let bfs ?budget spec ~depth ~visit ~stop x =
     end
   in
   push 0 x;
+  let level = ref 0 in
   (try
      while not (Queue.is_empty queue) do
        let d, y = Queue.pop queue in
        (match Budget.exceeded_opt budget with
        | Some reason -> raise_notrace (Cut (reason, d))
        | None -> ());
+       (* the queue pops levels in order: the first state of a deeper
+          level marks a level boundary, where the soft watermark bites *)
+       if d > !level then begin
+         level := d;
+         Budget.relieve budget
+       end;
        Budget.charge_opt budget 1;
        Layered_runtime.Stats.add_states_expanded 1;
-       (* soft-watermark relief: the serial explorer has no disk tier to
-          spill to, but it still spends the budget's one compaction
-          before the hard memory cap can trip *)
-       ignore (Budget.relieve_opt budget : bool);
        visit y;
        (match stop y with
        | Some _ as r ->

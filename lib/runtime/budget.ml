@@ -10,7 +10,7 @@ type t = {
   deadline : float option Atomic.t;  (* absolute, Unix.gettimeofday scale *)
   max_states : int option;
   max_heap_words : int option;
-  soft_heap_words : int option;  (* spill/compact watermark, below the cap *)
+  soft_heap_words : int option;  (* compaction watermark, below the cap *)
   cancelled : bool Atomic.t;
   states : int Atomic.t;
   probe : int Atomic.t;  (* check counter, for sampling the heap *)
@@ -98,19 +98,6 @@ let compact_once t =
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
-(* Direct (un-sampled) pressure reading, for level boundaries where the
-   cost of a [quick_stat] is amortised over a whole level. *)
-let pressure t =
-  let heap = heap_words () in
-  match t.max_heap_words with
-  | Some cap when heap > cap -> `Hard
-  | _ -> (
-      match t.soft_heap_words with
-      | Some soft when heap > soft -> `Soft
-      | _ -> `Ok)
-
-let pressure_opt = function None -> `Ok | Some t -> pressure t
-
 (* A fragmented heap must not trip a run that would fit: on the first
    sampled crossing the budget spends its one compaction and only
    reports [Memory] if the live heap is still over the cap. *)
@@ -140,23 +127,20 @@ let probe_limits t =
               Some Memory
           | _ -> None)
 
-(* Serial engines poll this per state: a sampled soft-watermark check
-   that spends the budget's compaction on the first crossing.  Returns
-   [true] when pressure persists after relief (callers with a disk tier
-   should spill; serial callers just learn the squeeze is real). *)
-let relieve t =
-  match t.soft_heap_words with
-  | None -> false
-  | Some soft ->
-      Atomic.fetch_and_add t.probe 1 land sample_mask = 0
-      && heap_words () > soft
-      && begin
-           Stats.record_mem_soft_event ();
-           ignore (compact_once t);
-           heap_words () > soft
-         end
-
-let relieve_opt = function None -> false | Some t -> relieve t
+(* The soft watermark, read directly at level boundaries, where one
+   [quick_stat] is amortised over a whole level.  A crossing counts one
+   soft event and spends the budget's one compaction; a heap still over
+   after that (at every later crossing the once-per-budget compaction
+   is already spent) is compacted here. *)
+let relieve = function
+  | Some ({ soft_heap_words = Some soft; _ } as t) when heap_words () > soft ->
+      Stats.record_mem_soft_event ();
+      ignore (compact_once t);
+      if heap_words () > soft then begin
+        Gc.compact ();
+        Stats.record_gc_compaction ()
+      end
+  | _ -> ()
 
 let exceeded t =
   match Atomic.get t.first_trip with

@@ -46,11 +46,10 @@ type t
     makes a budget.  The deadline is [timeout_s] wall-clock seconds from
     the call; a [timeout_s] of [0.] is already expired.  All limits
     default to absent: a limit-free budget never trips except through
-    {!cancel}.  [soft_memory_mb] is the {e soft} watermark of the
-    degradation ladder — crossing it never trips the budget; it makes
-    {!pressure} report [`Soft] and {!relieve} engage compaction, and
-    spill-capable traversals start evicting to disk.  Raises
-    [Invalid_argument] on a negative or non-positive limit. *)
+    {!cancel}.  [soft_memory_mb] is the {e soft} watermark: crossing it
+    never trips the budget; it makes {!relieve} compact the heap at the
+    level boundaries of a traversal.  Raises [Invalid_argument] on a
+    negative or non-positive limit. *)
 val create :
   ?timeout_s:float ->
   ?max_states:int ->
@@ -103,31 +102,22 @@ val restrict_deadline : t -> remaining_s:float -> unit
     Cancellation and the states cap are checked on every call; the
     deadline is checked whenever one is set; the heap watermark is
     sampled every 64th call.  A sampled heap over the cap first spends
-    the budget's one {!compact_once} and only reports [Memory] if the
+    the budget's one [Gc.compact] and only reports [Memory] if the
     live heap is still over — a fragmented heap must not trip a run that
     would fit.  Sticky: once some reason is returned, every later call
     returns that same reason. *)
 val exceeded : t -> reason option
 
-(** {1 Memory-pressure ladder} *)
-
-(** Direct (un-sampled) heap reading against this budget's watermarks:
-    [`Hard] above [max_memory_mb], [`Soft] above [soft_memory_mb],
-    [`Ok] otherwise (and always [`Ok] with no memory limits).  One
-    [Gc.quick_stat]; meant for level boundaries, not per-state loops. *)
-val pressure : t -> [ `Ok | `Soft | `Hard ]
-
-(** [compact_once t] spends the budget's single [Gc.compact] (counted in
-    {!Stats}): [true] iff this call performed it.  Idempotent across
-    domains — racing callers get at most one compaction per budget. *)
-val compact_once : t -> bool
-
-(** [relieve t] is the per-state form of the ladder's first two rungs
-    for serial engines: every 64th call it samples the heap against the
-    soft watermark, counts a [memory soft event] and spends
-    {!compact_once} on a crossing, and returns [true] when pressure
-    persists after relief.  Free when no soft watermark is set. *)
-val relieve : t -> bool
+(** [relieve budget] walks the soft watermark at a level boundary of a
+    traversal.  When the heap, read directly (one [Gc.quick_stat]), is
+    above [soft_memory_mb], it counts a [memory soft event], spends the
+    budget's one compaction (the one {!exceeded} would spend before a
+    [Memory] trip), and, if the heap is still above the watermark, runs
+    one more [Gc.compact]; both count in [gc compactions].  Free without
+    a budget or without a soft watermark.  Meant for level boundaries,
+    never for per-state loops; it cannot change what a traversal
+    computes. *)
+val relieve : t option -> unit
 
 (** [check t] raises [Exhausted r] iff [exceeded t = Some r]. *)
 val check : t -> unit
@@ -147,11 +137,6 @@ val truncated : t -> reason:reason -> at_depth:int -> status
 val exceeded_opt : t option -> reason option
 val charge_opt : t option -> int -> unit
 val check_opt : t option -> unit
-
-(** [`Ok] when no budget is present. *)
-val pressure_opt : t option -> [ `Ok | `Soft | `Hard ]
-
-val relieve_opt : t option -> bool
 
 (** {1 Signal integration} *)
 

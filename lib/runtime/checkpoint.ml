@@ -1,9 +1,10 @@
 (* Version 2: meta grew the [symmetry] flag.  Version 3: the [stats]
-   snapshot lost its two statevec counters.  Older snapshots are
+   snapshot lost its two statevec counters.  Version 4: it lost the
+   seven counters of the frontier's disk tier.  Older snapshots are
    rejected as not-intact (fresh start) rather than misread — the first
    meta field is the version int in every layout, so the check below
    reads clean even against an old body. *)
-let current_version = 3
+let current_version = 4
 let magic = "LAYCKPT1"
 
 type meta = {
@@ -204,23 +205,6 @@ let load_latest ~dir ~name =
         | None -> newest_intact (rejected + 1) older)
   in
   newest_intact 0 (List.rev (generations ~dir ~name))
-
-let path_of ~dir ~name generation = path ~dir ~name generation
-
-let scan_dir ~dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-      Array.to_list entries
-      |> List.filter (fun e -> Filename.check_suffix e ".ckpt")
-      |> List.sort compare
-      |> List.map (fun e ->
-             let intact =
-               match read_file (Filename.concat dir e) with
-               | None -> false
-               | Some data -> Option.is_some (decode data)
-             in
-             (e, intact))
 
 let prune ~dir ~name ~keep =
   let keep = max 1 keep in

@@ -88,23 +88,6 @@ type loaded = {
     surfaced, never silent. *)
 val load_latest : dir:string -> name:string -> loaded option
 
-(** [load_generation ~dir ~name g] decodes exactly generation [g] —
-    [None] when it is missing, torn, or corrupt.  The spill tier uses
-    this for read-back validation and segment reloads, where rollback
-    to an older generation would be the wrong behaviour. *)
-val load_generation : dir:string -> name:string -> int -> (meta * string) option
-
-(** On-disk path of generation [g] for [name] under [dir] — exposed so
-    the spill tier's fault sites can tear a just-written segment the
-    way a crash would, and so recovery tooling can point at the exact
-    file it rejected. *)
-val path_of : dir:string -> name:string -> int -> string
-
-(** Every [.ckpt] file directly under [dir] (any name, sorted) paired
-    with whether it validates — the debris view a recovery oracle takes
-    of a spill directory, where each segment is its own name. *)
-val scan_dir : dir:string -> (string * bool) list
-
 (** Sorted generation numbers present on disk for [name]. *)
 val generations : dir:string -> name:string -> int list
 

@@ -15,9 +15,6 @@ type site =
   | Serve_crash_before_reply
   | Serve_cancel_midflight
   | Serve_singleflight_leader_crash
-  | Frontier_spill_torn
-  | Frontier_spill_enospc
-  | Frontier_reload_corrupt
 
 exception Injected of site
 
@@ -28,7 +25,6 @@ let all =
     Corrupt_checkpoint_crc; Serve_handler_raise; Serve_corrupt_response;
     Serve_torn_frame; Serve_stalled_client; Serve_crash_before_reply;
     Serve_cancel_midflight; Serve_singleflight_leader_crash;
-    Frontier_spill_torn; Frontier_spill_enospc; Frontier_reload_corrupt;
   ]
 
 let site_name = function
@@ -48,9 +44,6 @@ let site_name = function
   | Serve_crash_before_reply -> "serve_crash_before_reply"
   | Serve_cancel_midflight -> "serve_cancel_midflight"
   | Serve_singleflight_leader_crash -> "serve_singleflight_leader_crash"
-  | Frontier_spill_torn -> "frontier_spill_torn"
-  | Frontier_spill_enospc -> "frontier_spill_enospc"
-  | Frontier_reload_corrupt -> "frontier_reload_corrupt"
 
 let site_of_name s = List.find_opt (fun site -> site_name site = s) all
 let pp_site ppf s = Format.pp_print_string ppf (site_name s)

@@ -62,8 +62,9 @@ type site =
           slow-loris peer wedging the accept loop *)
   | Serve_crash_before_reply
       (** the daemon dies after dispatching a request — caches filled,
-          spill written — but before the response write, the canonical
-          torn-window crash the supervisor and client replay must mask *)
+          warm-cache spill written — but before the response write, the
+          canonical torn-window crash the supervisor and client replay
+          must mask *)
   | Serve_cancel_midflight
       (** an admitted request's budget token is cancelled at dispatch
           time, as by a client disconnect racing its own request — the
@@ -75,20 +76,6 @@ type site =
           the dispatcher must fail only the leader and re-run the
           computation for the coalesced waiters under a waiter's own
           budget (the cancellation-safe retry) *)
-  | Frontier_spill_torn
-      (** a spill segment is truncated after the rename, as a crash
-          mid-write would leave it — the post-write read-back must
-          reject it and keep the keys in core, never evict against a
-          torn segment *)
-  | Frontier_spill_enospc
-      (** the spill write path sees ENOSPC mid-segment — the frontier
-          must absorb the failure (keys stay in core, a write failure is
-          counted) and keep exploring rather than crash or drop states *)
-  | Frontier_reload_corrupt
-      (** a spilled segment consulted for a membership probe or a
-          checkpoint flush turns out corrupt — the traversal must fall
-          back to in-core re-exploration (wrong dedup is never an
-          option) *)
 
 (** Raised into the runtime by the [Worker_raise] site. *)
 exception Injected of site

@@ -65,29 +65,12 @@ module Shards = struct
             Hashtbl.iter (fun k v -> if v = -1 then acc := k :: !acc) tbl))
       t.tables;
     List.sort compare !acc
-
-  (* Evict every entry — the heap half of a spill.  Only sound at a
-     level boundary, after the caller has durably captured [committed]
-     (at a boundary every entry is committed: each proposed key's
-     minimum candidate claimed it during pass B). *)
-  let clear t =
-    Array.iteri
-      (fun i tbl ->
-        let m = t.mutexes.(i) in
-        Mutex.lock m;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock m)
-          (fun () -> Hashtbl.reset tbl))
-      t.tables
 end
 
 let default_shards = 64
 
 type 'a snapshot = { levels : 'a list list; committed : string list }
 type 'a checkpoint = { every : int; save : 'a snapshot -> unit }
-
-type spill_mode = Pressure | Always
-type spill = { spill_dir : string; spill_mode : spill_mode }
 
 (* Drive the level-synchronous BFS, calling [f] on each level (the root
    singleton included) as it is completed.  Returns the budget status:
@@ -97,266 +80,150 @@ type spill = { spill_dir : string; spill_mode : spill_mode }
    deadline/cancellation firing mid-level (via [Budget.Exhausted] out of
    a pool pass) abandons that level wholesale.
 
-   With [?spill], memory pressure becomes a graded ladder walked at each
-   level boundary: sample the heap (Budget.pressure) -> spend the
-   budget's one Gc.compact -> spill the committed dedup keys and the
-   undelivered prefix to validated disk segments and evict them -> hold
-   the next dispatch behind a forced compaction (backpressure) -> only
-   then can the sampled hard watermark trip the budget.  Spill decisions
-   never affect the traversal's output: the spilled tier answers exactly
-   the membership queries the in-heap table would have, so the bytes are
-   identical whether, when, or how often spilling happens — which is
-   also why the (heap-sampling, hence nondeterministic) trigger needs no
-   cross-jobs coordination. *)
-let iter_levels ?budget ?checkpoint ?resume ?spill ?(on_restart = fun () -> ())
-    ?canon pool ~succ ~key ~depth ~f x0 =
+   Each level boundary also walks the budget's soft watermark
+   (Budget.relieve: count the crossing, compact).  The pool is quiescent
+   there, and a compaction changes no state and drops no key, so the bytes
+   are identical whether, when, or how often the (heap-reading, hence
+   nondeterministic) watermark bites. *)
+let iter_levels ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth ~f x0 =
   (* Dedup key: with [?canon], states are claimed by orbit representative
      — the whole orbit shares one shard entry, so the traversal explores
      one member per orbit (the minimum candidate index, deterministic
-     across job counts).  Committed keys, spill fingerprints and the
-     checkpoint's [committed] list all hold canon keys, which is what
-     makes snapshots refuse to cross a symmetry-setting change. *)
+     across job counts).  Committed keys and the checkpoint's [committed]
+     list hold canon keys, which is what makes snapshots refuse to cross
+     a symmetry-setting change. *)
   let dedup_key = match canon with Some c -> c | None -> key in
-  let attempt ~spill () =
-    let tbl = Shards.create ~shards:default_shards in
-    let disk = Option.map (fun s -> (s, Spill.create ~dir:s.spill_dir)) spill in
-    let spilled_member k =
-      match disk with None -> false | Some (_, d) -> Spill.member d k
+  let tbl = Shards.create ~shards:default_shards in
+  let expand frontier =
+    Stats.add_states_expanded (List.length frontier);
+    let candidates = List.concat (Pool.parallel_map ?budget pool succ frontier) in
+    let cands = Array.of_list candidates in
+    let keys = Array.of_list (Pool.parallel_map ?budget pool dedup_key candidates) in
+    let idxs = List.init (Array.length cands) Fun.id in
+    Pool.parallel_iter ?budget pool (fun i -> Shards.propose tbl keys.(i) i) idxs;
+    let winners =
+      Pool.parallel_map ?budget pool
+        (fun i -> if Shards.claim tbl keys.(i) i then Some cands.(i) else None)
+        idxs
     in
-    let expand frontier =
-      Stats.add_states_expanded (List.length frontier);
-      let candidates = List.concat (Pool.parallel_map ?budget pool succ frontier) in
-      let cands = Array.of_list candidates in
-      let keys = Array.of_list (Pool.parallel_map ?budget pool dedup_key candidates) in
-      let idxs = List.init (Array.length cands) Fun.id in
-      (* a key living in a spilled segment is committed: it never gets a
-         candidate, so pass B's find-nothing answer is the right "no" *)
-      Pool.parallel_iter ?budget pool
-        (fun i -> if not (spilled_member keys.(i)) then Shards.propose tbl keys.(i) i)
-        idxs;
-      let winners =
-        Pool.parallel_map ?budget pool
-          (fun i -> if Shards.claim tbl keys.(i) i then Some cands.(i) else None)
-          idxs
-      in
-      let next = List.filter_map Fun.id winners in
-      Stats.add_dedup_hits (Array.length cands - List.length next);
-      (* orbit hits: what the orbit dedup dropped beyond a raw-key dedup
-         of the same candidates — distinct states merged into another
-         member's orbit *)
-      if Option.is_some canon then begin
-        let raw = Hashtbl.create (Array.length cands) in
-        Array.iter (fun c -> Hashtbl.replace raw (key c) ()) cands;
-        Stats.add_orbit_hits (Hashtbl.length raw - List.length next)
-      end;
-      (* chaos sites: drop or duplicate a state *after* dedup has settled
-         the level, where the damage cannot be absorbed by rediscovery
-         (the dropped state's key stays committed in the shards) *)
-      Fault.mangle_level next
-    in
-    (* Checkpoint plumbing.  The completed-level prefix is accumulated
-       only when a sink is present; snapshots are cut exclusively at level
-       boundaries, after [f] returned, so their content (levels + committed
-       keys) is identical for every job count.  A level whose [f] raised
-       [Exhausted] is never recorded: the snapshot always describes work
-       the consumer actually absorbed.  Under spill, parts of the prefix
-       and of the committed keys may live on disk; flushes pull them back
-       so snapshot content is indistinguishable from an in-core run's. *)
-    let kept = ref [] (* delivered levels not yet spilled, newest first *) in
-    let unsaved = ref 0 in
-    let committed_all () =
-      match disk with
-      | None -> Shards.committed tbl
-      | Some (_, d) ->
-          List.sort compare
-            (List.rev_append (Spill.all_keys d) (Shards.committed tbl))
-    in
-    let prefix_levels () =
-      match disk with
-      | None -> List.rev !kept
-      | Some (_, d) ->
-          List.concat_map
-            (fun payload -> (Marshal.from_string payload 0 : 'a list list))
-            (Spill.prefix_payloads d)
-          @ List.rev !kept
-    in
-    let record level =
-      match checkpoint with
-      | None -> ()
-      | Some _ ->
-          kept := level :: !kept;
-          incr unsaved
-    in
-    let flush ~force =
-      match checkpoint with
-      | Some ck when !unsaved > 0 && (force || !unsaved >= max 1 ck.every) ->
-          ck.save { levels = prefix_levels (); committed = committed_all () };
-          unsaved := 0
-      | _ -> ()
-    in
-    (* The degradation ladder, walked at level boundaries (the pool is
-       quiescent there, so evicting and compacting cannot race a pass). *)
-    let relieve () =
-      match disk with
-      | None -> ignore (Budget.relieve_opt budget)
-      | Some (cfg, d) ->
-          let p = Budget.pressure_opt budget in
-          if cfg.spill_mode = Always || p <> `Ok then begin
-            (* rung 1: one compaction before paying for disk *)
-            (if p <> `Ok then begin
-               Stats.record_mem_soft_event ();
-               match budget with
-               | Some b -> ignore (Budget.compact_once b)
-               | None -> ()
-             end);
-            let p = Budget.pressure_opt budget in
-            if cfg.spill_mode = Always || p <> `Ok then begin
-              (* rung 2: spill cold dedup shards, evict only what the
-                 disk verifiably holds *)
-              let keys = Shards.committed tbl in
-              if Spill.spill_keys d keys then Shards.clear tbl;
-              (* ... and the undelivered prefix (checkpointed runs) *)
-              (match !kept with
-              | [] -> ()
-              | levels ->
-                  let payload =
-                    Marshal.to_string (List.rev levels : 'a list list) []
-                  in
-                  if Spill.spill_prefix d payload then kept := []);
-              (* rung 3: backpressure — hold the next dispatch until the
-                 eviction is actually reflected in the heap *)
-              if Budget.pressure_opt budget <> `Ok then begin
-                Stats.record_spill_backpressure ();
-                Gc.compact ();
-                Stats.record_gc_compaction ()
-              end
-            end
-          end
-    in
-    (* [go d frontier]: [frontier] is the completed level [d]; expanding it
-       yields level [d + 1].  A truncation while (or before) expanding
-       level [d]'s successors reports [at_depth = d]. *)
-    let rec go d frontier =
-      if d >= depth || frontier = [] then None
-      else
-        match Budget.exceeded_opt budget with
-        | Some reason -> Some (reason, d)
-        | None -> (
-            match expand frontier with
-            | exception Budget.Exhausted reason -> Some (reason, d)
-            | [] -> None
-            | next -> (
-                Budget.charge_opt budget (List.length next);
-                match f next with
-                | exception Budget.Exhausted reason -> Some (reason, d + 1)
-                | () ->
-                    record next;
-                    flush ~force:false;
-                    relieve ();
-                    go (d + 1) next))
-    in
-    let run () =
-      let trunc =
-        match resume with
-        | Some { levels = _ :: _ as prefix; committed } ->
-            (* Re-seed the dedup table from the snapshot and restart at its
-               last completed level.  The prefix is neither re-delivered to
-               [f] nor re-charged to the budget: callers rebuild their own
-               accumulators from the snapshot, and the budget is expected to
-               be re-charged from the snapshot's recorded consumption.
-               Re-expanding the restart level rediscovers exactly the
-               successors the interrupted run would have claimed next, since
-               every earlier claim is committed.  (Under spill, the seeded
-               keys are the first thing the ladder evicts — resume composes
-               with live spill segments.) *)
-            List.iter (Shards.commit tbl) committed;
-            if Option.is_some checkpoint then kept := List.rev prefix;
-            relieve ();
-            let d0 = List.length prefix - 1 in
-            go d0 (List.nth prefix d0)
-        | Some { levels = []; _ } | None -> (
-            Shards.commit tbl (dedup_key x0);
-            Budget.charge_opt budget 1;
-            match f [ x0 ] with
-            | exception Budget.Exhausted reason -> Some (reason, 0)
-            | () ->
-                record [ x0 ];
-                flush ~force:false;
-                go 0 [ x0 ])
-      in
-      (* Budget exhaustion (deadline, cap, SIGINT-driven cancellation) and
-         clean completion alike flush whatever levels are not yet on disk. *)
-      flush ~force:true;
-      match trunc with
-      | None -> Budget.Complete
-      | Some (reason, at_depth) -> (
-          match budget with
-          | Some b -> Budget.truncated b ~reason ~at_depth
-          | None -> assert false (* Exhausted only arises from a budget *))
-    in
-    (* Registered segments are scratch (the final flush above already
-       pulled everything durable back); torn debris survives for the
-       recovery oracles. *)
-    match disk with
-    | None -> run ()
-    | Some (_, d) -> Fun.protect ~finally:(fun () -> Spill.discard d) run
+    let next = List.filter_map Fun.id winners in
+    Stats.add_dedup_hits (Array.length cands - List.length next);
+    (* orbit hits: what the orbit dedup dropped beyond a raw-key dedup
+       of the same candidates — distinct states merged into another
+       member's orbit *)
+    if Option.is_some canon then begin
+      let raw = Hashtbl.create (Array.length cands) in
+      Array.iter (fun c -> Hashtbl.replace raw (key c) ()) cands;
+      Stats.add_orbit_hits (Hashtbl.length raw - List.length next)
+    end;
+    (* chaos sites: drop or duplicate a state *after* dedup has settled
+       the level, where the damage cannot be absorbed by rediscovery
+       (the dropped state's key stays committed in the shards) *)
+    Fault.mangle_level next
   in
-  match attempt ~spill () with
-  | status -> status
-  | exception Spill.Segment_lost _ ->
-      (* A spilled segment could not be consulted intact: the dedup
-         knowledge it held is gone, and guessing would corrupt the
-         traversal.  Roll back to re-exploration — rerun the whole
-         traversal in-core (spill disabled, so a second loss is
-         impossible).  [on_restart] lets callers reset accumulators; the
-         rerun re-delivers every level to [f] and re-charges the budget
-         (conservative: a restarted run never gets more budget than a
-         clean one). *)
-      Stats.record_spill_restart ();
-      on_restart ();
-      attempt ~spill:None ()
+  (* Checkpoint plumbing.  The completed-level prefix is accumulated
+     only when a sink is present; snapshots are cut exclusively at level
+     boundaries, after [f] returned, so their content (levels + committed
+     keys) is identical for every job count.  A level whose [f] raised
+     [Exhausted] is never recorded: the snapshot always describes work
+     the consumer actually absorbed. *)
+  let kept = ref [] (* delivered levels, newest first *) in
+  let unsaved = ref 0 in
+  let record level =
+    match checkpoint with
+    | None -> ()
+    | Some _ ->
+        kept := level :: !kept;
+        incr unsaved
+  in
+  let flush ~force =
+    match checkpoint with
+    | Some ck when !unsaved > 0 && (force || !unsaved >= max 1 ck.every) ->
+        ck.save { levels = List.rev !kept; committed = Shards.committed tbl };
+        unsaved := 0
+    | _ -> ()
+  in
+  (* [go d frontier]: [frontier] is the completed level [d]; expanding it
+     yields level [d + 1].  A truncation while (or before) expanding
+     level [d]'s successors reports [at_depth = d]. *)
+  let rec go d frontier =
+    if d >= depth || frontier = [] then None
+    else
+      match Budget.exceeded_opt budget with
+      | Some reason -> Some (reason, d)
+      | None -> (
+          match expand frontier with
+          | exception Budget.Exhausted reason -> Some (reason, d)
+          | [] -> None
+          | next -> (
+              Budget.charge_opt budget (List.length next);
+              match f next with
+              | exception Budget.Exhausted reason -> Some (reason, d + 1)
+              | () ->
+                  record next;
+                  flush ~force:false;
+                  Budget.relieve budget;
+                  go (d + 1) next))
+  in
+  let trunc =
+    match resume with
+    | Some { levels = _ :: _ as prefix; committed } ->
+        (* Re-seed the dedup table from the snapshot and restart at its
+           last completed level.  The prefix is neither re-delivered to
+           [f] nor re-charged to the budget: callers rebuild their own
+           accumulators from the snapshot, and the budget is expected to
+           be re-charged from the snapshot's recorded consumption.
+           Re-expanding the restart level rediscovers exactly the
+           successors the interrupted run would have claimed next, since
+           every earlier claim is committed. *)
+        List.iter (Shards.commit tbl) committed;
+        if Option.is_some checkpoint then kept := List.rev prefix;
+        let d0 = List.length prefix - 1 in
+        go d0 (List.nth prefix d0)
+    | Some { levels = []; _ } | None -> (
+        Shards.commit tbl (dedup_key x0);
+        Budget.charge_opt budget 1;
+        match f [ x0 ] with
+        | exception Budget.Exhausted reason -> Some (reason, 0)
+        | () ->
+            record [ x0 ];
+            flush ~force:false;
+            go 0 [ x0 ])
+  in
+  (* Budget exhaustion (deadline, cap, SIGINT-driven cancellation) and
+     clean completion alike flush whatever levels are not yet saved. *)
+  flush ~force:true;
+  match trunc with
+  | None -> Budget.Complete
+  | Some (reason, at_depth) -> (
+      match budget with
+      | Some b -> Budget.truncated b ~reason ~at_depth
+      | None -> assert false (* Exhausted only arises from a budget *))
 
 (* The wrappers seed their accumulators from the resume prefix, because
-   [iter_levels ~resume] does not re-deliver prefix levels to [f] — and
-   re-seed them via [on_restart] when a lost spill segment forces a
-   fresh in-core traversal. *)
-let levels ?budget ?checkpoint ?resume ?spill ?(on_restart = fun () -> ())
-    ?canon pool ~succ ~key ~depth x0 =
-  let initial () = match resume with Some r -> List.rev r.levels | None -> [] in
-  let acc = ref (initial ()) in
+   [iter_levels ~resume] does not re-deliver prefix levels to [f]. *)
+let levels ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth x0 =
+  let acc = ref (match resume with Some r -> List.rev r.levels | None -> []) in
   let status =
-    iter_levels ?budget ?checkpoint ?resume ?spill
-      ~on_restart:(fun () ->
-        acc := initial ();
-        on_restart ())
-      ?canon pool ~succ ~key ~depth
+    iter_levels ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth
       ~f:(fun level -> acc := level :: !acc)
       x0
   in
   { Budget.value = List.rev !acc; status }
 
-let reachable ?budget ?checkpoint ?resume ?spill ?on_restart ?canon pool ~succ
-    ~key ~depth x0 =
-  let o =
-    levels ?budget ?checkpoint ?resume ?spill ?on_restart ?canon pool ~succ
-      ~key ~depth x0
-  in
+let reachable ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth x0 =
+  let o = levels ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth x0 in
   { o with Budget.value = List.concat o.Budget.value }
 
-let count_reachable ?budget ?checkpoint ?resume ?spill ?(on_restart = fun () -> ())
-    ?canon pool ~succ ~key ~depth x0 =
-  let initial () =
-    match resume with
-    | Some r -> List.fold_left (fun a l -> a + List.length l) 0 r.levels
-    | None -> 0
+let count_reachable ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth x0 =
+  let n =
+    ref
+      (match resume with
+      | Some r -> List.fold_left (fun a l -> a + List.length l) 0 r.levels
+      | None -> 0)
   in
-  let n = ref (initial ()) in
   let status =
-    iter_levels ?budget ?checkpoint ?resume ?spill
-      ~on_restart:(fun () ->
-        n := initial ();
-        on_restart ())
-      ?canon pool ~succ ~key ~depth
+    iter_levels ?budget ?checkpoint ?resume ?canon pool ~succ ~key ~depth
       ~f:(fun level -> n := !n + List.length level)
       x0
   in

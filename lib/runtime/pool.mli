@@ -32,8 +32,8 @@
     after all of its chunks have settled, and workers run nothing
     between combinator calls.  Between two calls the pool is therefore
     {e quiescent} — no task is touching caller state — which is the
-    invariant {!Frontier}'s out-of-core ladder relies on when it evicts
-    the dedup table and compacts the heap at level boundaries. *)
+    invariant {!Frontier} relies on when it snapshots the dedup table
+    and compacts the heap at level boundaries. *)
 
 type t
 

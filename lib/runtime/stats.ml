@@ -17,13 +17,6 @@ type snapshot = {
   gc_compactions : int;
   ckpt_rejected : int;
   mem_soft_events : int;
-  spill_segments : int;
-  spill_keys : int;
-  spill_bytes : int;
-  spill_write_failures : int;
-  spill_reloads : int;
-  spill_restarts : int;
-  spill_backpressure : int;
   orbit_hits : int;
 }
 
@@ -44,13 +37,6 @@ let singleflight_joins = Atomic.make 0
 let gc_compactions = Atomic.make 0
 let ckpt_rejected = Atomic.make 0
 let mem_soft_events = Atomic.make 0
-let spill_segments = Atomic.make 0
-let spill_keys = Atomic.make 0
-let spill_bytes = Atomic.make 0
-let spill_write_failures = Atomic.make 0
-let spill_reloads = Atomic.make 0
-let spill_restarts = Atomic.make 0
-let spill_backpressure = Atomic.make 0
 let orbit_hits = Atomic.make 0
 
 (* One bit per pool slot; popcount = "domains utilised". *)
@@ -74,15 +60,6 @@ let record_gc_compaction () = add gc_compactions 1
 let add_ckpt_rejected n = add ckpt_rejected n
 let record_mem_soft_event () = add mem_soft_events 1
 
-let record_spill_segment ~keys ~bytes =
-  add spill_segments 1;
-  add spill_keys keys;
-  add spill_bytes bytes
-
-let record_spill_write_failure () = add spill_write_failures 1
-let record_spill_reload () = add spill_reloads 1
-let record_spill_restart () = add spill_restarts 1
-let record_spill_backpressure () = add spill_backpressure 1
 let add_simgraph_maskings n = add simgraph_maskings n
 let add_simgraph_candidates n = add simgraph_candidates n
 let add_orbit_hits n = add orbit_hits n
@@ -122,13 +99,6 @@ let snapshot () =
     gc_compactions = Atomic.get gc_compactions;
     ckpt_rejected = Atomic.get ckpt_rejected;
     mem_soft_events = Atomic.get mem_soft_events;
-    spill_segments = Atomic.get spill_segments;
-    spill_keys = Atomic.get spill_keys;
-    spill_bytes = Atomic.get spill_bytes;
-    spill_write_failures = Atomic.get spill_write_failures;
-    spill_reloads = Atomic.get spill_reloads;
-    spill_restarts = Atomic.get spill_restarts;
-    spill_backpressure = Atomic.get spill_backpressure;
     orbit_hits = Atomic.get orbit_hits;
   }
 
@@ -150,13 +120,6 @@ let reset () =
   Atomic.set gc_compactions 0;
   Atomic.set ckpt_rejected 0;
   Atomic.set mem_soft_events 0;
-  Atomic.set spill_segments 0;
-  Atomic.set spill_keys 0;
-  Atomic.set spill_bytes 0;
-  Atomic.set spill_write_failures 0;
-  Atomic.set spill_reloads 0;
-  Atomic.set spill_restarts 0;
-  Atomic.set spill_backpressure 0;
   Atomic.set orbit_hits 0;
   Atomic.set domain_mask 0
 
@@ -182,13 +145,6 @@ let restore s =
   Atomic.set gc_compactions s.gc_compactions;
   Atomic.set ckpt_rejected s.ckpt_rejected;
   Atomic.set mem_soft_events s.mem_soft_events;
-  Atomic.set spill_segments s.spill_segments;
-  Atomic.set spill_keys s.spill_keys;
-  Atomic.set spill_bytes s.spill_bytes;
-  Atomic.set spill_write_failures s.spill_write_failures;
-  Atomic.set spill_reloads s.spill_reloads;
-  Atomic.set spill_restarts s.spill_restarts;
-  Atomic.set spill_backpressure s.spill_backpressure;
   Atomic.set orbit_hits s.orbit_hits;
   Atomic.set domain_mask (mask_of_count s.domains_utilised)
 
@@ -210,13 +166,6 @@ let merge s =
   add gc_compactions s.gc_compactions;
   add ckpt_rejected s.ckpt_rejected;
   add mem_soft_events s.mem_soft_events;
-  add spill_segments s.spill_segments;
-  add spill_keys s.spill_keys;
-  add spill_bytes s.spill_bytes;
-  add spill_write_failures s.spill_write_failures;
-  add spill_reloads s.spill_reloads;
-  add spill_restarts s.spill_restarts;
-  add spill_backpressure s.spill_backpressure;
   add orbit_hits s.orbit_hits;
   let rec or_mask m =
     let cur = Atomic.get domain_mask in
@@ -248,13 +197,6 @@ let diff a b =
     gc_compactions = d a.gc_compactions b.gc_compactions;
     ckpt_rejected = d a.ckpt_rejected b.ckpt_rejected;
     mem_soft_events = d a.mem_soft_events b.mem_soft_events;
-    spill_segments = d a.spill_segments b.spill_segments;
-    spill_keys = d a.spill_keys b.spill_keys;
-    spill_bytes = d a.spill_bytes b.spill_bytes;
-    spill_write_failures = d a.spill_write_failures b.spill_write_failures;
-    spill_reloads = d a.spill_reloads b.spill_reloads;
-    spill_restarts = d a.spill_restarts b.spill_restarts;
-    spill_backpressure = d a.spill_backpressure b.spill_backpressure;
     orbit_hits = d a.orbit_hits b.orbit_hits;
   }
 
@@ -279,18 +221,9 @@ let pp ppf s =
     \  gc compactions        %d@,\
     \  checkpoint generations rejected  %d@,\
     \  memory soft events    %d@,\
-    \  spill segments written  %d@,\
-    \  spill keys evicted    %d@,\
-    \  spill bytes written   %d@,\
-    \  spill write failures  %d@,\
-    \  spill segment reloads  %d@,\
-    \  spill restarts        %d@,\
-    \  spill backpressure waits  %d@,\
     \  orbit hits            %d@]@."
     s.states_expanded s.dedup_hits s.valence_cache_hits s.valence_cache_misses
     s.tasks_executed s.domains_utilised s.workers_respawned s.interned_states
     s.intern_hits s.simgraph_maskings s.simgraph_candidates s.result_cache_hits
     s.result_cache_misses s.requests_cancelled s.singleflight_joins
-    s.gc_compactions s.ckpt_rejected s.mem_soft_events s.spill_segments
-    s.spill_keys s.spill_bytes s.spill_write_failures s.spill_reloads
-    s.spill_restarts s.spill_backpressure s.orbit_hits
+    s.gc_compactions s.ckpt_rejected s.mem_soft_events s.orbit_hits

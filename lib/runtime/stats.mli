@@ -48,32 +48,16 @@ type snapshot = {
       (** serve requests that coalesced onto an identical in-flight
           computation instead of starting their own engine walk *)
   gc_compactions : int;
-      (** [Gc.compact] calls issued by the memory-pressure ladder — a
-          fragmented heap is compacted (once per budget) before the
-          [Memory] hard trip or a spill is allowed to fire *)
+      (** [Gc.compact] calls issued by the memory watermarks: the
+          budget's one compaction (spent before a [Memory] hard trip or
+          at the first soft crossing) and the soft watermark's
+          compaction at every later level boundary above it *)
   ckpt_rejected : int;
       (** checkpoint generations {!Checkpoint.load_latest} skipped
           because they were torn or corrupt (rolled back past) *)
   mem_soft_events : int;
-      (** level boundaries at which the sampled heap was found above the
-          soft watermark (the degradation ladder engaged) *)
-  spill_segments : int;
-      (** dedup/prefix segments written to the spill directory and
-          validated by the post-write read-back *)
-  spill_keys : int;  (** committed dedup keys evicted from the heap to disk *)
-  spill_bytes : int;  (** payload bytes written into validated spill segments *)
-  spill_write_failures : int;
-      (** segment writes abandoned (torn read-back, ENOSPC, I/O error);
-          their keys stayed in core — graceful degradation, not data loss *)
-  spill_reloads : int;
-      (** spilled segments read back from disk into the probe cache *)
-  spill_restarts : int;
-      (** traversals restarted in-core because a spilled segment was
-          lost or corrupt at reload time — re-exploration, never wrong
-          dedup *)
-  spill_backpressure : int;
-      (** level dispatches held back (compaction forced) because the
-          heap was still above the watermark after spilling *)
+      (** level boundaries at which the heap was found above the soft
+          watermark (and compacted) *)
   orbit_hits : int;
       (** candidates the canon-keyed frontier dedup dropped beyond what
           a raw-key dedup of the same level would drop: per level,
@@ -136,33 +120,15 @@ val record_request_cancelled : unit -> unit
     single-flight waiter. *)
 val record_singleflight_join : unit -> unit
 
-(** One [Gc.compact] issued by the memory-pressure ladder. *)
+(** One [Gc.compact] issued by a memory watermark. *)
 val record_gc_compaction : unit -> unit
 
 (** [add_ckpt_rejected n] counts [n] torn/corrupt checkpoint generations
     rolled back past by {!Checkpoint.load_latest}. *)
 val add_ckpt_rejected : int -> unit
 
-(** The sampled heap crossed the soft watermark at a level boundary. *)
+(** The heap was above the soft watermark at a level boundary. *)
 val record_mem_soft_event : unit -> unit
-
-(** [record_spill_segment ~keys ~bytes] counts one validated spill
-    segment holding [keys] evicted keys and [bytes] payload bytes. *)
-val record_spill_segment : keys:int -> bytes:int -> unit
-
-(** One segment write was abandoned; its keys stayed in core. *)
-val record_spill_write_failure : unit -> unit
-
-(** One spilled segment was read back from disk for a membership probe
-    or a checkpoint flush. *)
-val record_spill_reload : unit -> unit
-
-(** One traversal fell back to in-core re-exploration after losing a
-    spilled segment. *)
-val record_spill_restart : unit -> unit
-
-(** One level dispatch was held until eviction took effect. *)
-val record_spill_backpressure : unit -> unit
 
 (** [record_task ~slot] counts one executed chunk and marks pool slot
     [slot] as utilised (slots >= 62 share the last bit). *)

@@ -27,7 +27,6 @@ serve/warm-valence       wall_ns <= 1 serve/cold-valence   1
 serve/warm-after-restart wall_ns <= 1 serve/cold-valence   1
 serve/saturation-conc    wall_ns <= 1 serve/saturation-seq 2
 oocore/smp6-jobs4        wall_ns <= 1 oocore/smp6-serial   2
-oocore/smp6-spill-jobs4  wall_ns <= 3 oocore/smp6-jobs4    2
 oocore/iis5-sym-jobs4    states  <  1 oocore/iis5-jobs4    1
 oocore/iis5-sym-jobs4    wall_ns <= 1 oocore/iis5-jobs4    2
 '

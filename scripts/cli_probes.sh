@@ -5,7 +5,8 @@
 #
 #   124  cmdliner usage error: a bad --jobs, -n below 2, a negative
 #        --max-new or --rounds, and a name (model, experiment, task,
-#        oracle) that is not in the table it is looked up in;
+#        oracle) that is not in the table it is looked up in -- exactly:
+#        a prefix of a known name is refused too;
 #     2  --resume without --checkpoint-dir.
 #
 # No probe's stderr may contain "internal error" (cmdliner's report of
@@ -55,9 +56,11 @@ probe 124 verify --rounds=-1
 probe 124 layers -m nope
 probe 124 chain -m nope
 probe 124 classify -m nope
+probe 124 layers -m mo
 
 probe 124 run E99
 probe 124 graph task --task nope
+probe 124 graph task --task co
 probe 124 oracles simgraph-eq/sync simgraph-eq/nope
 
 probe 2 all --resume

@@ -119,6 +119,22 @@ let test_chaos_site_filter () =
   check_int "three cells" 3 (List.length r.Chaos.cells);
   check "all detected" true (Chaos.ok r)
 
+(* Without [~trials], a run arms every cell of the selected sites once:
+   the default is read off the pairing table, not kept by hand. *)
+let test_chaos_default_trials () =
+  let sites = [ Fault.Spurious_cancel; Fault.Flip_valence_bit ] in
+  let r = Chaos.run ~jobs:2 ~seed:3 ~sites () in
+  check_int "one trial per cell" (List.length r.Chaos.cells) r.Chaos.trials;
+  check_int "six cells" 6 (List.length r.Chaos.cells);
+  List.iter
+    (fun (c : Chaos.cell) ->
+      check_int
+        (Printf.sprintf "%s x %s armed once" (Fault.site_name c.Chaos.site)
+           c.Chaos.oracle)
+        1 c.Chaos.armed_trials)
+    r.Chaos.cells;
+  check "all detected" true (Chaos.ok r)
+
 let () =
   (* The serve oracles register themselves from outside the analysis
      library; the pairing table names them, so tests must see them. *)
@@ -144,5 +160,7 @@ let () =
           Alcotest.test_case "full round detects everything" `Quick
             test_chaos_full_round;
           Alcotest.test_case "site filter" `Quick test_chaos_site_filter;
+          Alcotest.test_case "default trials arm every cell" `Quick
+            test_chaos_default_trials;
         ] );
     ]

@@ -172,6 +172,30 @@ let test_corrupt_crc_rolls_back () =
       flip_byte (gen_path dir "c" 1);
       check "all-corrupt loads None" true (Ckpt.load_latest ~dir ~name:"c" = None))
 
+(* A generation written by the previous format version is refused as
+   not-intact — skipped, counted as rejected — and the loader rolls back
+   to the older, current-version generation. *)
+let test_older_version_refused () =
+  with_tmp_dir (fun dir ->
+      ignore (Ckpt.save ~dir ~name:"v" ~meta:(meta 1) ~payload:"current");
+      ignore
+        (Ckpt.save ~dir ~name:"v"
+           ~meta:{ (meta 2) with Ckpt.version = Ckpt.current_version - 1 }
+           ~payload:"older format");
+      Alcotest.(check (list (pair int bool)))
+        "scan flags the older-version generation"
+        [ (1, true); (2, false) ]
+        (Ckpt.scan ~dir ~name:"v");
+      let before = (Stats.snapshot ()).Stats.ckpt_rejected in
+      match Ckpt.load_latest ~dir ~name:"v" with
+      | Some l ->
+          check_int "rolled back to generation 1" 1 l.Ckpt.generation;
+          check_int "one newer generation rejected" 1 l.Ckpt.rejected;
+          check_int "rejection counted" 1
+            ((Stats.snapshot ()).Stats.ckpt_rejected - before);
+          Alcotest.(check string) "current-version payload" "current" l.Ckpt.payload
+      | None -> Alcotest.fail "rollback load failed")
+
 (* The same contract driven by the injection sites inside [save]: three
    saves under an armed fault tear or corrupt exactly one generation
    (the seed-derived firing index is < 3), and the loader returns the
@@ -295,6 +319,37 @@ let test_cap_recharge_determinism () =
             (List.map (List.map key) interrupted.Budget.value)
             (List.map (List.map key) resumed.Budget.value)))
 
+(* Resume composes with the soft watermark: a capped run and its resume
+   both compact at every level boundary (~16 MB of live ballast over an
+   8 MB watermark), and the resumed levels equal an uninterrupted
+   unbudgeted run's. *)
+let test_resume_under_soft_watermark () =
+  let ballast = Array.init (2 * 1024 * 1024) Fun.id in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      with_tmp_dir (fun dir ->
+          let reference = Frontier.levels pool ~succ ~key ~depth:20 1 in
+          let before = (Stats.snapshot ()).Stats.mem_soft_events in
+          let interrupted =
+            Frontier.levels
+              ~budget:(Budget.create ~max_states:40 ~soft_memory_mb:8 ())
+              ~checkpoint:{ Frontier.every = 1; save = save_sink dir "soft" }
+              pool ~succ ~key ~depth:20 1
+          in
+          check "interrupted" true (interrupted.Budget.status <> Budget.Complete);
+          let resumed =
+            Frontier.levels
+              ~budget:(Budget.create ~soft_memory_mb:8 ())
+              ~resume:(load_snap dir "soft") pool ~succ ~key ~depth:20 1
+          in
+          check "the watermark bit" true
+            ((Stats.snapshot ()).Stats.mem_soft_events > before);
+          check "resumed run completes" true (resumed.Budget.status = Budget.Complete);
+          Alcotest.(check (list (list string)))
+            "resumed levels equal the uninterrupted unbudgeted run"
+            (List.map (List.map key) reference.Budget.value)
+            (List.map (List.map key) resumed.Budget.value)));
+  ignore (Sys.opaque_identity ballast)
+
 (* A snapshot of a completed traversal resumes to an immediate,
    identical completion — the idempotence the CLI's --resume relies on
    when a run was interrupted after its final flush. *)
@@ -331,6 +386,7 @@ let () =
         [
           Alcotest.test_case "torn latest generation" `Quick test_torn_latest_rolls_back;
           Alcotest.test_case "corrupt CRC" `Quick test_corrupt_crc_rolls_back;
+          Alcotest.test_case "older version refused" `Quick test_older_version_refused;
           Alcotest.test_case "injected torn write" `Quick
             (fault_site_rolls_back Fault.Torn_checkpoint_write);
           Alcotest.test_case "injected CRC corruption" `Quick
@@ -345,5 +401,7 @@ let () =
           Alcotest.test_case "cap recharge is deterministic" `Quick
             test_cap_recharge_determinism;
           Alcotest.test_case "resume of a complete run" `Quick test_resume_of_complete_run;
+          Alcotest.test_case "resume composes with mem-soft" `Quick
+            test_resume_under_soft_watermark;
         ] );
     ]

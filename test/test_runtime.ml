@@ -371,8 +371,9 @@ let test_stats_monotone_and_reset () =
 
 (* ------------------------------------------------------------------ *)
 (* Memory watermarks: the hard cap trips sticky (after spending one
-   compaction), the soft watermark relieves, and a tripped budget never
-   memoises cut valence nodes. *)
+   compaction), the soft watermark compacts at every level boundary
+   without changing any traversal's answer or snapshot, and a tripped
+   budget never memoises cut valence nodes. *)
 
 (* ~16 MB of live unboxed ints: compaction cannot shrink a live array,
    so an 8 MB cap must trip — and stay tripped — however often it is
@@ -402,21 +403,104 @@ let test_memory_hard_trip_sticky () =
   done;
   ignore (Sys.opaque_identity ballast)
 
-let test_memory_soft_relieve () =
-  let b = Budget.create ~max_memory_mb:65536 ~soft_memory_mb:8 () in
+(* The soft watermark's workload: the same ~16 MB of live ballast over
+   an 8 MB soft watermark, so every level boundary of a traversal of this
+   eight-level DAG finds the heap above it.  [soft_jobs f] runs [f] at
+   jobs 1 and 4 with the ballast held live. *)
+let soft_succ x = if x >= 120 then [] else [ x + 1; x + 2; x + 3 ]
+let soft_key = string_of_int
+let soft_depth = 8
+let soft_budget () = Budget.create ~soft_memory_mb:8 ()
+
+let soft_jobs f =
   let ballast = Array.init (2 * 1024 * 1024) Fun.id in
-  let before = Stats.snapshot () in
-  let squeezed = ref false in
-  for _ = 1 to 256 do
-    if Budget.relieve b then squeezed := true
-  done;
-  let d = Stats.diff (Stats.snapshot ()) before in
-  check "soft pressure reported" true !squeezed;
-  check "soft events counted" true (d.Stats.mem_soft_events > 0);
-  check_int "the one compaction spent exactly once" 1 d.Stats.gc_compactions;
-  check "hard cap untouched" true (Budget.tripped b = None);
-  check "pressure reads Soft" true (Budget.pressure b = `Soft);
+  List.iter (fun jobs -> Pool.with_pool ~jobs (f ~jobs)) [ 1; 4 ];
   ignore (Sys.opaque_identity ballast)
+
+(* Each boundary counts a soft event and compacts (the budget's one
+   compaction and a second one at the first boundary, one at every later
+   boundary); the levels stay those of an unbudgeted run. *)
+let test_memory_soft_every_boundary () =
+  soft_jobs (fun ~jobs pool ->
+      let levels ?budget () =
+        Frontier.levels ?budget pool ~succ:soft_succ ~key:soft_key
+          ~depth:soft_depth 0
+      in
+      let reference = levels () in
+      let budget = soft_budget () in
+      let before = Stats.snapshot () in
+      let o = levels ~budget () in
+      let d = Stats.diff (Stats.snapshot ()) before in
+      let boundaries = List.length o.Budget.value - 1 in
+      check "at least five level boundaries" true (boundaries >= 5);
+      check_int "one soft event per level boundary" boundaries
+        d.Stats.mem_soft_events;
+      check_int "the budget's compaction plus one per boundary"
+        (boundaries + 1) d.Stats.gc_compactions;
+      check "complete" true (o.Budget.status = Budget.Complete);
+      check "never trips" true (Budget.tripped budget = None);
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "levels of the unbudgeted run at jobs=%d" jobs)
+        reference.Budget.value o.Budget.value)
+
+(* The other traversals bite at the same boundaries, and their answers —
+   the reachable set, its size, a found and a missed witness — are those
+   of an unbudgeted run. *)
+let test_frontier_soft_answers () =
+  soft_jobs (fun ~jobs pool ->
+      let same name run =
+        let reference = run None in
+        let before = Stats.snapshot () in
+        let o = run (Some (soft_budget ())) in
+        let d = Stats.diff (Stats.snapshot ()) before in
+        let at = Printf.sprintf "%s at jobs=%d" name jobs in
+        check (at ^ ": the watermark bit") true (d.Stats.mem_soft_events > 0);
+        check (at ^ ": the unbudgeted answer") true (o = reference);
+        o
+      in
+      let exists pred budget =
+        Frontier.exists_reachable ?budget pool ~succ:soft_succ ~key:soft_key
+          ~depth:soft_depth ~pred 0
+      in
+      ignore
+        (same "reachable" (fun budget ->
+             Frontier.reachable ?budget pool ~succ:soft_succ ~key:soft_key
+               ~depth:soft_depth 0));
+      ignore
+        (same "count_reachable" (fun budget ->
+             Frontier.count_reachable ?budget pool ~succ:soft_succ
+               ~key:soft_key ~depth:soft_depth 0));
+      let found = same "exists_reachable 17" (exists (( = ) 17)) in
+      let missed = same "exists_reachable 100" (exists (( = ) 100)) in
+      check "17 is found" true found.Budget.value;
+      check "100 is missed" false missed.Budget.value)
+
+(* Snapshots cut every two levels, and the final flush, are those of an
+   unbudgeted run: a boundary compacts after its snapshot is cut, and a
+   compaction drops no committed key. *)
+let test_frontier_soft_snapshots () =
+  soft_jobs (fun ~jobs pool ->
+      let run budget =
+        let snaps = ref [] in
+        let save (snap : int Frontier.snapshot) =
+          snaps := (snap.Frontier.levels, snap.Frontier.committed) :: !snaps
+        in
+        let o =
+          Frontier.levels ?budget ~checkpoint:{ Frontier.every = 2; save } pool
+            ~succ:soft_succ ~key:soft_key ~depth:soft_depth 0
+        in
+        check "complete" true (o.Budget.status = Budget.Complete);
+        List.rev !snaps
+      in
+      let reference = run None in
+      let before = Stats.snapshot () in
+      let snaps = run (Some (soft_budget ())) in
+      let d = Stats.diff (Stats.snapshot ()) before in
+      check "the watermark bit" true (d.Stats.mem_soft_events > 0);
+      check "at least three snapshots" true (List.length reference >= 3);
+      check
+        (Printf.sprintf "snapshots of the unbudgeted run at jobs=%d" jobs)
+        true (snaps = reference))
 
 let test_budget_create_validation () =
   Alcotest.check_raises "soft_memory_mb must be >= 1"
@@ -509,6 +593,10 @@ let () =
           Alcotest.test_case "exists_reachable" `Quick test_frontier_exists;
           Alcotest.test_case "levels partition" `Quick test_frontier_levels;
           Alcotest.test_case "exception propagation" `Quick test_frontier_exception;
+          Alcotest.test_case "mem-soft answers = unbudgeted" `Quick
+            test_frontier_soft_answers;
+          Alcotest.test_case "snapshots identical under mem-soft" `Quick
+            test_frontier_soft_snapshots;
         ] );
       ( "shards",
         [
@@ -530,8 +618,8 @@ let () =
             test_budget_complete_identical;
           Alcotest.test_case "memory hard trip is sticky" `Quick
             test_memory_hard_trip_sticky;
-          Alcotest.test_case "soft watermark relieves once" `Quick
-            test_memory_soft_relieve;
+          Alcotest.test_case "soft watermark bites per level" `Quick
+            test_memory_soft_every_boundary;
           Alcotest.test_case "create validation" `Quick
             test_budget_create_validation;
           Alcotest.test_case "no memoisation of cut valence nodes" `Quick
