@@ -165,14 +165,13 @@ let e8_clean_round () =
   let module E = (val sync_engine (Layered_protocols.Sync_early.make ~t:1)) in
   let succ = E.layer (E.st ~t:1) in
   let v = Valence.create (E.valence_spec ~succ) in
-  let spec = { Explore.succ; key = E.key } in
   List.iter
     (fun x0 ->
       List.iter
         (fun x ->
           if x.E.round <= 1 then
             ignore (Valence.classify v ~depth:3 (E.apply E.Crash x (E.omit []))))
-        (Explore.reachable spec ~depth:1 x0))
+        (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:1 x0).Budget.value)
     (E.initial_states ~n:3 ~values)
 
 (* E9: the exhaustive 1-thick-connectivity condition for binary consensus
@@ -211,8 +210,9 @@ let e10_diameter () =
 let e11_kset_explore () =
   let module P = (val Layered_protocols.Mp_kset.make ~n:3) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let spec = { Explore.succ = E.sper; key = E.key } in
-  ignore (Explore.count_reachable spec ~depth:2 (E.initial ~inputs:[| 0; 1; 2 |]))
+  ignore
+    (Frontier.count_reachable Pool.serial ~succ:E.sper ~ident:E.ident ~depth:2
+       (E.initial ~inputs:[| 0; 1; 2 |]))
 
 (* E12: one covering-valence classification over three-valued inputs. *)
 let e12_covering_classify () =
@@ -325,34 +325,35 @@ let ablation_valence_warm =
    budgeted entry point, measuring the budget probes too). *)
 let ablation_growth_sync () =
   let module E = (val make_sync_engine ~t:1) in
-  let spec = { Explore.succ = E.layer (E.st ~t:1); key = E.key } in
   ignore
-    (Explore.count_reachable_outcome ~budget:(bench_budget ()) spec ~depth:2
+    (Frontier.count_reachable ~budget:(bench_budget ()) Pool.serial
+       ~succ:(E.layer (E.st ~t:1)) ~ident:E.ident ~depth:2
        (E.initial ~inputs:[| 0; 1; 1 |]))
 
 let ablation_growth_sm () =
   let module P = (val Layered_protocols.Sm_voting.make ~horizon:2) in
   let module E = Layered_async_sm.Engine.Make (P) in
-  let spec = { Explore.succ = E.srw; key = E.key } in
   ignore
-    (Explore.count_reachable_outcome ~budget:(bench_budget ()) spec ~depth:2
+    (Frontier.count_reachable ~budget:(bench_budget ()) Pool.serial ~succ:E.srw
+       ~ident:E.ident ~depth:2
        (E.initial ~inputs:[| 0; 1; 1 |]))
 
 let ablation_growth_mp () =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon:2) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let spec = { Explore.succ = E.sper; key = E.key } in
   ignore
-    (Explore.count_reachable_outcome ~budget:(bench_budget ()) spec ~depth:2
+    (Frontier.count_reachable ~budget:(bench_budget ()) Pool.serial ~succ:E.sper
+       ~ident:E.ident ~depth:2
        (E.initial ~inputs:[| 0; 1; 1 |]))
 
-(* Multicore frontier exploration: the serial Explore BFS vs the pooled
-   level-synchronous Frontier at 1/2/4 domains, same (4,1) S^t image. *)
+(* Multicore frontier exploration: the Frontier on the shared one-job
+   pool (what the experiments use) vs a bench pool of 1/2/4 domains,
+   same (4,1) S^t image. *)
 let ablation_frontier_serial =
   let module E = (val make_sync_engine ~t:1) in
-  let spec = { Explore.succ = E.layer (E.st ~t:1); key = E.key } in
+  let succ = E.layer (E.st ~t:1) in
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
-  fun () -> ignore (Explore.count_reachable spec ~depth:2 x)
+  fun () -> ignore (Frontier.count_reachable Pool.serial ~succ ~ident:E.ident ~depth:2 x)
 
 let ablation_frontier jobs =
   let module E = (val make_sync_engine ~t:1) in
@@ -360,7 +361,7 @@ let ablation_frontier jobs =
   let x = E.initial ~inputs:[| 0; 1; 1; 0 |] in
   fun () ->
     ignore
-      (Frontier.count_reachable ~budget:(bench_budget ()) (pool jobs) ~succ ~key:E.key
+      (Frontier.count_reachable ~budget:(bench_budget ()) (pool jobs) ~succ ~ident:E.ident
          ~depth:2 x)
 
 (* Multicore E1: classify every (3,1) initial state, one cold valence
@@ -416,7 +417,7 @@ let checkpoint_write =
     in
     ignore
       (Frontier.count_reachable ~budget:(bench_budget ())
-         ~checkpoint:{ Frontier.every = 1; save } (pool 1) ~succ ~key:E.key
+         ~checkpoint:{ Frontier.every = 1; save } (pool 1) ~succ ~ident:E.ident
          ~depth:2 x)
 
 let checkpoint_restore =
@@ -438,7 +439,7 @@ let checkpoint_restore =
        in
        ignore
          (Frontier.count_reachable ~checkpoint:{ Frontier.every = 1; save }
-            (pool 1) ~succ ~key:E.key ~depth:2 x))
+            (pool 1) ~succ ~ident:E.ident ~depth:2 x))
   in
   fun () ->
     Lazy.force fixture;
@@ -449,7 +450,7 @@ let checkpoint_restore =
         let snap = (Marshal.from_string loaded.Ckpt.payload 0 : _ Frontier.snapshot) in
         ignore
           (Frontier.count_reachable ~budget:(bench_budget ()) ~resume:snap
-             (pool 1) ~succ ~key:E.key ~depth:2 x)
+             (pool 1) ~succ ~ident:E.ident ~depth:2 x)
 
 let cleanup_ckpt_dirs () =
   List.iter
@@ -459,7 +460,8 @@ let cleanup_ckpt_dirs () =
 (* ------------------------------------------------------------------ *)
 (* Large frontier: one (6,1) synchronic-MP instance — the largest
    bench instance, big enough that the pooled frontier pays off —
-   explored serially and with the pooled Frontier at 1 and 4 domains.
+   explored on the shared one-job pool and on bench pools of 1 and 4
+   domains.
    The trio gives the speedup curve CI watches. *)
 
 module Oocore_P = (val Layered_protocols.Sync_floodset.make ~t:1)
@@ -471,14 +473,13 @@ let oocore_x0 =
 
 let oocore_serial () =
   ignore
-    (Explore.count_reachable
-       { Explore.succ = Oocore_E.smp; key = Oocore_E.key }
+    (Frontier.count_reachable Pool.serial ~succ:Oocore_E.smp ~ident:Oocore_E.ident
        ~depth:2 oocore_x0)
 
 let oocore_jobs jobs () =
   ignore
     (Frontier.count_reachable ~budget:(bench_budget ()) (pool jobs)
-       ~succ:Oocore_E.smp ~key:Oocore_E.key ~depth:2 oocore_x0)
+       ~succ:Oocore_E.smp ~ident:Oocore_E.ident ~depth:2 oocore_x0)
 
 (* ------------------------------------------------------------------ *)
 (* Similarity-graph construction: the all-pairs reference vs the
@@ -491,10 +492,12 @@ module Sim_E = (val make_sync_engine ~t:1)
 
 let simgraph_states =
   lazy
-    (let spec = { Explore.succ = Sim_E.layer (Sim_E.st ~t:1); key = Sim_E.key } in
-     Sim_E.dedup
+    (Sim_E.dedup
        (List.concat_map
-          (fun x0 -> Explore.reachable spec ~depth:2 x0)
+          (fun x0 ->
+            (Frontier.reachable Pool.serial ~succ:(Sim_E.layer (Sim_E.st ~t:1))
+               ~ident:Sim_E.ident ~depth:2 x0)
+              .Budget.value)
           (Sim_E.initial_states ~n:4 ~values)))
 
 let simgraph_pairwise () =

@@ -138,6 +138,13 @@ let name_conv ~what ~hint find name_of =
   in
   Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (name_of x))
 
+(* A closed set of names, matched exactly: cmdliner's [enum] would take
+   any unambiguous prefix. *)
+let exact_conv ~what choices =
+  name_conv ~what ~hint:(String.concat " | " (List.map fst choices))
+    (fun s -> List.assoc_opt s choices)
+    (fun x -> fst (List.find (fun (_, y) -> y = x) choices))
+
 let jobs_arg =
   Arg.(
     value
@@ -316,7 +323,7 @@ let verify_cmd =
     Arg.(
       value
       & opt
-          (enum
+          (exact_conv ~what:"protocol"
              [
                ("floodset", `Floodset); ("eig", `Eig); ("early", `Early);
                ("clean", `Clean); ("uniform", `Uniform); ("coordinator", `Coordinator);
@@ -329,7 +336,7 @@ let verify_cmd =
     Arg.(
       value
       & opt
-          (enum
+          (exact_conv ~what:"failure model"
              [
                ("crash", Consensus_check.Crash); ("omission", Consensus_check.Omission);
                ("general", Consensus_check.General_omission);
@@ -395,8 +402,8 @@ let layers_cmd =
       with
       | exception Layered_runtime.Checkpoint.Symmetry_mismatch
             { saved; requested } ->
-          (* Structured refusal: the snapshot's committed keys belong to
-             the other dedup discipline; resuming would misread them. *)
+          (* Structured refusal: the snapshot's levels belong to the
+             other dedup discipline; resuming would misread them. *)
           Format.eprintf
             "layered: error=checkpoint-symmetry-mismatch saved=%s \
              requested=%s@.layered: rerun with the matching --symmetry \
@@ -440,7 +447,11 @@ let graph_cmd =
   let what =
     Arg.(
       required
-      & pos 0 (some (enum [ ("con0", `Con0); ("layer", `Layer); ("task", `Task) ])) None
+      & pos 0
+          (some
+             (exact_conv ~what:"structure"
+                [ ("con0", `Con0); ("layer", `Layer); ("task", `Task) ]))
+          None
       & info [] ~docv:"WHAT" ~doc:"con0 | layer | task")
   in
   let task =

@@ -3,7 +3,6 @@ open Layered_core
 let run_one ~n ~values ~depth =
   let module P = (val Layered_protocols.Mp_kset.make ~n) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let spec = { Explore.succ = E.sper; key = E.key } in
   let bound_ok = ref true
   and validity_ok = ref true
   and liveness_ok = ref true
@@ -24,7 +23,9 @@ let run_one ~n ~values ~depth =
           if Vset.cardinal decided > 2 then bound_ok := false;
           if Vset.cardinal decided = 2 then two_decisions_witnessed := true;
           if not (Vset.subset decided allowed) then validity_ok := false)
-        (Explore.reachable spec ~depth x0))
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ:E.sper ~ident:E.ident ~depth x0)
+            .Budget.value))
     (Inputs.vectors ~n ~values);
   let params = Printf.sprintf "n=%d |V|=%d depth=%d" n (List.length values) depth in
   [

@@ -12,7 +12,9 @@ let run_one ~n ~horizon ~length =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =
     List.concat_map
-      (fun x0 -> Explore.reachable { Explore.succ; key = E.key } ~depth:1 x0)
+      (fun x0 ->
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:1 x0).Budget.value))
       initials
   in
   let params = Printf.sprintf "n=%d horizon=%d" n horizon in

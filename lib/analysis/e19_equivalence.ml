@@ -12,9 +12,8 @@ type outcome = {
    assignment, checking the 2-set bound and validity; run the fair
    schedule for liveness. *)
 let measure (type a) ~(initials : (Vset.t * a) list) ~(succ : a -> a list)
-    ~(key : a -> string) ~(decided : a -> Vset.t) ~(fair : a -> a)
+    ~(ident : a -> int) ~(decided : a -> Vset.t) ~(fair : a -> a)
     ~(terminal : a -> bool) ~depth =
-  let spec = { Explore.succ; key } in
   let states = ref 0
   and bound_ok = ref true
   and validity_ok = ref true
@@ -30,7 +29,8 @@ let measure (type a) ~(initials : (Vset.t * a) list) ~(succ : a -> a list)
           if Vset.cardinal d > 2 then bound_ok := false;
           if Vset.cardinal d = 2 then two_witnessed := true;
           if not (Vset.subset d allowed) then validity_ok := false)
-        (Explore.reachable spec ~depth x0))
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident ~depth x0).Budget.value))
     initials;
   {
     states = !states;
@@ -51,7 +51,7 @@ let mp ~n ~depth =
       (List.map
          (fun inputs -> (Vset.of_list (Array.to_list inputs), E.initial ~inputs))
          (Inputs.vectors ~n ~values))
-    ~succ:E.sper ~key:E.key ~decided:E.decided_vset
+    ~succ:E.sper ~ident:E.ident ~decided:E.decided_vset
     ~fair:(fun x -> E.apply x full)
     ~terminal:E.terminal ~depth
 
@@ -64,7 +64,7 @@ let sm ~n ~depth =
       (List.map
          (fun inputs -> (Vset.of_list (Array.to_list inputs), E.initial ~inputs))
          (Inputs.vectors ~n ~values))
-    ~succ:E.srw ~key:E.key ~decided:E.decided_vset
+    ~succ:E.srw ~ident:E.ident ~decided:E.decided_vset
     ~fair:(fun x -> E.apply x clean)
     ~terminal:E.terminal ~depth
 
@@ -76,7 +76,7 @@ let iis ~n ~depth =
       (List.map
          (fun inputs -> (Vset.of_list (Array.to_list inputs), E.initial ~inputs))
          (Inputs.vectors ~n ~values))
-    ~succ:E.layer ~key:E.key ~decided:E.decided_vset
+    ~succ:E.layer ~ident:E.ident ~decided:E.decided_vset
     ~fair:(fun x -> E.apply x [ Pid.all n ])
     ~terminal:E.terminal ~depth
 

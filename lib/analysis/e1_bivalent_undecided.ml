@@ -9,7 +9,6 @@ let check_sync ~protocol ~n ~t =
   let succ = E.layer (E.st ~t) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 3 in
-  let spec = { Explore.succ; key = E.key } in
   let ok = ref true and bivalent_states = ref 0 in
   List.iter
     (fun x0 ->
@@ -24,7 +23,9 @@ let check_sync ~protocol ~n ~t =
               in
               if undecided < n - t then ok := false
           | Valence.Univalent _ | Valence.Unknown -> ())
-        (Explore.reachable spec ~depth:(t + 1) x0))
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:(t + 1) x0)
+            .Budget.value))
     (E.initial_states ~n ~values:[ Value.zero; Value.one ]);
   (!ok, !bivalent_states)
 
@@ -38,7 +39,6 @@ let check_async ~horizon ~n =
   let module E = Layered_async_mp.Engine.Make (P) in
   let succ = E.sper in
   let valence = Valence.create (E.valence_spec ~succ) in
-  let spec = { Explore.succ; key = E.key } in
   let depth = horizon + 1 in
   let ok = ref true and witnesses = ref 0 in
   List.iter
@@ -49,10 +49,16 @@ let check_async ~horizon ~n =
           | Valence.Bivalent when not (Vset.is_empty (E.decided_vset x)) ->
               incr witnesses;
               let violates y = Vset.cardinal (E.decided_vset y) >= 2 in
-              if not (Explore.exists_reachable spec ~depth ~pred:violates x) then
-                ok := false
+              if
+                not
+                  Layered_runtime.(
+                    (Frontier.exists_reachable Pool.serial ~succ ~ident:E.ident ~depth
+                       ~pred:violates x)
+                      .Budget.value)
+              then ok := false
           | Valence.Bivalent | Valence.Univalent _ | Valence.Unknown -> ())
-        (Explore.reachable spec ~depth:2 x0))
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:2 x0).Budget.value))
     (E.initial_states ~n ~values:[ Value.zero; Value.one ]);
   (!ok, !witnesses)
 

@@ -15,11 +15,13 @@ let run_one ~n ~horizon =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =
     List.concat_map
-      (fun x0 -> Explore.reachable { Explore.succ; key = E.key } ~depth:2 x0)
+      (fun x0 ->
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:2 x0).Budget.value))
       initials
   in
   (* (i) layering validity *)
-  let violations = Layering.validate ~micro ~key:E.key ~bound:1 ~states:sample succ in
+  let violations = Layering.validate ~micro ~ident:E.ident ~bound:1 ~states:sample succ in
   let layering_ok = violations = [] in
   (* (ii) Lemma 3.3 consequence: similarity within a layer implies shared
      valence *)

@@ -17,7 +17,9 @@ let run_one ~n ~horizon ~length =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =
     List.concat_map
-      (fun x0 -> Explore.reachable { Explore.succ; key = E.key } ~depth:1 x0)
+      (fun x0 ->
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:1 x0).Budget.value))
       initials
   in
   let perms = Mp.Engine.permutations (Pid.all n) in

@@ -7,7 +7,6 @@ let run_one ~pname ~protocol ~n ~t =
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   let classify x = Valence.classify valence ~depth x in
-  let spec = { Explore.succ; key = E.key } in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let ok = ref true and checked = ref 0 in
   List.iter
@@ -21,7 +20,8 @@ let run_one ~pname ~protocol ~n ~t =
             | Valence.Univalent _ -> ()
             | Valence.Bivalent | Valence.Unknown -> ok := false
           end)
-        (Explore.reachable spec ~depth:t x0))
+        Layered_runtime.(
+          (Frontier.reachable Pool.serial ~succ ~ident:E.ident ~depth:t x0).Budget.value))
     initials;
   [
     Report.check ~id:"E8" ~claim:"Lemma 6.4"

@@ -28,14 +28,39 @@ let timed f =
   Unix.gettimeofday () -. t0
 
 (* ------------------------------------------------------------------ *)
-(* Differential: serial BFS vs parallel frontier BFS, byte-for-byte.   *)
+(* The reference BFS: serial and keyed by rendered strings, with no     *)
+(* budget, no counters and no fault site.  It shares no code with       *)
+(* {!Frontier} and no identity with the [Intern] ids the frontier       *)
+(* dedups by, so a fault in either shows up as a difference.            *)
 
-let serial_parallel (type a) ~(succ : a -> a list) ~(key : a -> string) ~depth
-    (x0 : a) ~jobs =
+let reachable ~succ ~key ~depth x0 =
+  let seen = Hashtbl.create 256 in
+  let queue = Queue.create () in
+  let push d y =
+    let k = key y in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      Queue.add (d, y) queue
+    end
+  in
+  push 0 x0;
+  let acc = ref [] in
+  while not (Queue.is_empty queue) do
+    let d, y = Queue.pop queue in
+    acc := y :: !acc;
+    if d < depth then List.iter (push (d + 1)) (succ y)
+  done;
+  List.rev !acc
+
+(* ------------------------------------------------------------------ *)
+(* Differential: reference BFS vs pooled frontier BFS, byte-for-byte.  *)
+
+let serial_parallel (type a) ~(succ : a -> a list) ~(key : a -> string)
+    ~(ident : a -> int) ~depth (x0 : a) ~jobs =
   Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-      let serial = List.map key (Explore.reachable { Explore.succ; key } ~depth x0) in
+      let serial = List.map key (reachable ~succ ~key ~depth x0) in
       let par =
-        List.map key (Frontier.reachable pool ~succ ~key ~depth x0).Budget.value
+        List.map key (Frontier.reachable pool ~succ ~ident ~depth x0).Budget.value
       in
       if serial = par then pass_
       else
@@ -47,13 +72,14 @@ let serial_parallel (type a) ~(succ : a -> a list) ~(key : a -> string) ~depth
    opened locally, so continuations over a workload must be explicitly
    polymorphic. *)
 type workload_user = {
-  use : 'a. succ:('a -> 'a list) -> key:('a -> string) -> x0:'a -> verdict;
+  use :
+    'a. succ:('a -> 'a list) -> key:('a -> string) -> ident:('a -> int) -> x0:'a -> verdict;
 }
 
 (* The layering of a model-table row, from the mixed initial state. *)
 let with_model model ~n ~t { use } =
   let module E = (val (Models.get ~caller:"Oracle" model).Models.engine ~t) in
-  use ~succ:E.layer ~key:E.key ~x0:(E.initial ~inputs:(mixed_inputs n))
+  use ~succ:E.layer ~key:E.key ~ident:E.ident ~x0:(E.initial ~inputs:(mixed_inputs n))
 
 (* A synthetic binary tree: no dedup pressure, every state fresh, so a
    dropped or duplicated state can never be papered over. *)
@@ -61,29 +87,28 @@ let tree_succ x = if x < 255 then [ (2 * x) + 1; (2 * x) + 2 ] else []
 let tree_key = string_of_int
 
 let sp_sync ~jobs =
-  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
-      serial_parallel ~succ ~key ~depth:3 x0 ~jobs) }
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~ident ~x0 ->
+      serial_parallel ~succ ~key ~ident ~depth:3 x0 ~jobs) }
 
 let sp_mobile ~jobs =
-  with_model "mobile" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
-      serial_parallel ~succ ~key ~depth:2 x0 ~jobs) }
+  with_model "mobile" ~n:3 ~t:1 { use = (fun ~succ ~key ~ident ~x0 ->
+      serial_parallel ~succ ~key ~ident ~depth:2 x0 ~jobs) }
 
-let sp_tree ~jobs = serial_parallel ~succ:tree_succ ~key:tree_key ~depth:8 0 ~jobs
+let sp_tree ~jobs =
+  serial_parallel ~succ:tree_succ ~key:tree_key ~ident:Fun.id ~depth:8 0 ~jobs
 
 (* ------------------------------------------------------------------ *)
 (* Conservation: levels are disjoint, their union is the serial        *)
 (* reachable set, and the counting traversal agrees.                   *)
 
 let conservation_sync ~jobs =
-  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~ident ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-          let o = Frontier.levels pool ~succ ~key ~depth:2 x0 in
+          let o = Frontier.levels pool ~succ ~ident ~depth:2 x0 in
           let flat = List.map key (List.concat o.Budget.value) in
-          let serial =
-            List.map key (Explore.reachable { Explore.succ; key } ~depth:2 x0)
-          in
+          let serial = List.map key (reachable ~succ ~key ~depth:2 x0) in
           let count =
-            (Frontier.count_reachable pool ~succ ~key ~depth:2 x0).Budget.value
+            (Frontier.count_reachable pool ~succ ~ident ~depth:2 x0).Budget.value
           in
           let distinct = List.sort_uniq compare flat in
           if o.Budget.status <> Budget.Complete then fail "unbudgeted run not Complete"
@@ -100,11 +125,11 @@ let conservation_sync ~jobs =
 (* Metamorphic: a states-capped run is a prefix of the full run.       *)
 
 let prefix_sync ~jobs =
-  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:4 ~t:1 { use = (fun ~succ ~key ~ident ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-          let full = Frontier.levels pool ~succ ~key ~depth:3 x0 in
+          let full = Frontier.levels pool ~succ ~ident ~depth:3 x0 in
           let budget = Budget.create ~max_states:5 () in
-          let capped = Frontier.levels ~budget pool ~succ ~key ~depth:3 x0 in
+          let capped = Frontier.levels ~budget pool ~succ ~ident ~depth:3 x0 in
           let keys o = List.map (List.map key) o.Budget.value in
           let rec is_prefix a b =
             match (a, b) with
@@ -191,13 +216,12 @@ let containment_map ~jobs =
 let containment_frontier ~jobs =
   Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
       let expect =
-        List.map tree_key
-          (Explore.reachable { Explore.succ = tree_succ; key = tree_key } ~depth:8 0)
+        List.map tree_key (reachable ~succ:tree_succ ~key:tree_key ~depth:8 0)
       in
       let troubles = ref [] in
       for pass = 1 to 4 do
         match
-          (Frontier.reachable pool ~succ:tree_succ ~key:tree_key ~depth:8 0)
+          (Frontier.reachable pool ~succ:tree_succ ~ident:Fun.id ~depth:8 0)
             .Budget.value
         with
         | got ->
@@ -258,9 +282,9 @@ let containment_registry ~jobs =
 let generous () = Budget.create ~max_states:1_000_000 ()
 
 let complete_frontier ~jobs =
-  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key:_ ~ident ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
-          let o = Frontier.reachable ~budget:(generous ()) pool ~succ ~key ~depth:3 x0 in
+          let o = Frontier.reachable ~budget:(generous ()) pool ~succ ~ident ~depth:3 x0 in
           match o.Budget.status with
           | Budget.Complete ->
               if o.Budget.value = [] then fail "empty reachable set" else pass_
@@ -316,12 +340,12 @@ let timing_map ~jobs =
       timing (if !bad then fail "wrong result" else pass_) elapsed)
 
 let timing_frontier ~jobs =
-  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key ~x0 ->
+  with_model "sync" ~n:3 ~t:1 { use = (fun ~succ ~key:_ ~ident ~x0 ->
       Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
           let n = ref 0 in
           let elapsed =
             timed (fun () ->
-                n := (Frontier.count_reachable pool ~succ ~key ~depth:3 x0).Budget.value)
+                n := (Frontier.count_reachable pool ~succ ~ident ~depth:3 x0).Budget.value)
           in
           timing (if !n > 0 then pass_ else fail "empty reachable set") elapsed)) }
 
@@ -399,7 +423,7 @@ let resume_frontier ~jobs =
           let name = "frontier" in
           let depth = 8 in
           let keys o = List.map (List.map tree_key) o.Budget.value in
-          let full = Frontier.levels pool ~succ:tree_succ ~key:tree_key ~depth 0 in
+          let full = Frontier.levels pool ~succ:tree_succ ~ident:Fun.id ~depth 0 in
           let save (snap : int Frontier.snapshot) =
             ignore
               (Ckpt.save ~dir ~name
@@ -411,7 +435,7 @@ let resume_frontier ~jobs =
           let interrupted =
             Frontier.levels ~budget
               ~checkpoint:{ Frontier.every = 1; save }
-              pool ~succ:tree_succ ~key:tree_key ~depth 0
+              pool ~succ:tree_succ ~ident:Fun.id ~depth 0
           in
           match interrupted.Budget.status with
           | Budget.Complete -> fail "max_states=80 failed to interrupt the run"
@@ -427,7 +451,7 @@ let resume_frontier ~jobs =
                   | snap -> (
                       let resumed =
                         Frontier.levels ~resume:snap pool ~succ:tree_succ
-                          ~key:tree_key ~depth 0
+                          ~ident:Fun.id ~depth 0
                       in
                       let corrupt = corrupt_generations ~dir [ name ] in
                       match resumed.Budget.status with
@@ -564,10 +588,10 @@ let simgraph_eq model ~jobs:_ =
 
 (* ------------------------------------------------------------------ *)
 (* Symmetry: the orbit quotient must reconstruct the unreduced run.    *)
-(* Both oracles keep a serial [Explore] leg as ground truth — that is  *)
-(* where the Drop_successor/Duplicate_state sites live — while the     *)
-(* quotient leg runs through the pooled frontier, where the dedup      *)
-(* shard site lives, so every paired fault surfaces as a weighted      *)
+(* Both oracles take the fault-free reference BFS as ground truth,     *)
+(* while the quotient leg runs through the pooled frontier, where all  *)
+(* three frontier fault sites live (Drop_successor, Duplicate_state,   *)
+(* Corrupt_dedup_shard), so every paired fault surfaces as a weighted  *)
 (* count or orbit-set mismatch.                                        *)
 
 module type SYM_INSTANCE = sig
@@ -577,6 +601,7 @@ module type SYM_INSTANCE = sig
   val x0 : state
   val succ : state -> state list
   val key : state -> string
+  val ident : state -> int
   val ckey : state -> string
   val weight : state -> int
 end
@@ -592,6 +617,7 @@ let sym_instance () =
     let x0 = E.initial ~inputs
     let succ = E.layer
     let key = E.key
+    let ident = E.ident
     let roles = Canon.roles_of ~eq:Value.equal inputs
     let ckey x = (E.canon ~roles x).Intern.ckey
     let weight x = (E.canon ~roles x).Intern.weight
@@ -599,12 +625,10 @@ let sym_instance () =
 
 let sym_orbit_eq ~jobs =
   let module I = (val sym_instance ()) in
-  let serial =
-    Explore.reachable { Explore.succ = I.succ; key = I.key } ~depth:I.depth I.x0
-  in
+  let serial = reachable ~succ:I.succ ~key:I.key ~depth:I.depth I.x0 in
   Pool.with_pool ~jobs:(clamp jobs) (fun pool ->
       let quotient =
-        (Frontier.reachable pool ~succ:I.succ ~key:I.key ~canon:I.ckey
+        (Frontier.reachable pool ~succ:I.succ ~ident:I.ident ~canon:I.ckey
            ~depth:I.depth I.x0)
           .Budget.value
       in
@@ -635,8 +659,7 @@ let sym_report_eq ~jobs =
       let on_render, on_sweep, on_states = leg true in
       let module I = (val sym_instance ()) in
       let serial =
-        Explore.count_reachable { Explore.succ = I.succ; key = I.key }
-          ~depth:I.depth I.x0
+        List.length (reachable ~succ:I.succ ~key:I.key ~depth:I.depth I.x0)
       in
       let final_reachable =
         match List.rev on_sweep.Sweep.levels with

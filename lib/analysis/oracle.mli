@@ -30,6 +30,20 @@ type t = {
           and is caught by the caller. *)
 }
 
+(** {1 Reference traversal}
+
+    The serial BFS the frontier oracles and [test/] compare the pooled
+    {!Layered_runtime.Frontier} against.  It keys states by their
+    rendered [key] (canonical: equal keys iff equal states), so its
+    identity is independent of the [Intern] ids the frontier dedups by,
+    and it has no budget, no counters and no fault site. *)
+
+(** [reachable ~succ ~key ~depth x] lists the distinct states reachable
+    from [x] within [depth] applications of [succ], in BFS order ([x]
+    first). *)
+val reachable :
+  succ:('a -> 'a list) -> key:('a -> string) -> depth:int -> 'a -> 'a list
+
 (** The built-in oracles plus everything {!register}ed so far, builtins
     first, then registration order. *)
 val all : unit -> t list

@@ -4,6 +4,7 @@ module Budget = Layered_runtime.Budget
 module Ckpt = Layered_runtime.Checkpoint
 module Stats = Layered_runtime.Stats
 module Frontier = Layered_runtime.Frontier
+module Pool = Layered_runtime.Pool
 
 type level = { depth : int; reachable : int; layer_min : int; layer_max : int }
 type t = { model : string; n : int; levels : level list; status : Budget.status }
@@ -17,8 +18,7 @@ let mixed_inputs n = Array.init n (fun i -> if i = 0 then Value.zero else Value.
 
 (* A single level-synchronous BFS yields every per-depth figure at once:
    the boundary at depth d is exactly level d, and the reachable count at
-   depth d is the cumulative level size.  (The seed recomputed a full
-   [Explore.reachable] per depth — O(depth) redundant sweeps.) *)
+   depth d is the cumulative level size. *)
 (* Per-level layer-size statistics are accumulated while the BFS itself
    expands each level (an instrumented [succ]), not by a second sweep
    over the states: a truncated run therefore never re-pays for work the
@@ -31,11 +31,11 @@ let mixed_inputs n = Array.init n (fun i -> if i = 0 then Value.zero else Value.
    unchanged because |succ| is constant on orbits (the renaming action
    is a bijection commuting with [succ]).  [~symmetry] is stamped into
    checkpoint meta; resuming across a different setting raises
-   {!Ckpt.Symmetry_mismatch} — the committed keys of one discipline are
-   meaningless to the other. *)
+   {!Ckpt.Symmetry_mismatch} — levels of orbit representatives are
+   meaningless to the unreduced traversal, and vice versa. *)
 let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
     ?(size = List.length) ~symmetry
-    ~(succ : a -> a list) ~(key : a -> string) ~(x0 : a) ~depth () =
+    ~(succ : a -> a list) ~(ident : a -> int) ~(x0 : a) ~depth () =
   let cur_min = Atomic.make max_int and cur_max = Atomic.make 0 in
   let rec fold_atomic better a v =
     let c = Atomic.get a in
@@ -130,7 +130,7 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
   in
   let status =
     Frontier.iter_levels ?budget ?checkpoint ?resume ?canon pool
-      ~succ:succ_counted ~key ~depth ~f x0
+      ~succ:succ_counted ~ident ~depth ~f x0
   in
   let sizes = Array.of_list (List.rev !sizes) in
   let harvested = Array.of_list (List.rev !stats) in
@@ -138,19 +138,21 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
   (* Stats for the deepest delivered level: a died-out BFS expanded it
      (the accumulator holds its counts); a depth-capped one never did, so
      compute them directly — the one place a successor is recomputed, and
-     only on a complete sweep. *)
-  let final_stats =
+     only on a complete sweep.  The pass runs under the traversal's
+     budget: an exhaustion there truncates the sweep at [depth], exactly
+     as a sweep one level deeper truncates before expanding that level. *)
+  let final_stats, status =
     match status with
-    | Budget.Truncated _ -> (0, 0)
-    | Budget.Complete when delivered < depth + 1 -> harvest ()
-    | Budget.Complete ->
-        let counts =
-          Layered_runtime.Pool.parallel_map pool
-            (fun x -> List.length (succ x))
-            !last_level
-        in
-        ( List.fold_left min max_int counts |> (fun m -> if counts = [] then 0 else m),
-          List.fold_left max 0 counts )
+    | Budget.Truncated _ -> ((0, 0), status)
+    | Budget.Complete when delivered < depth + 1 -> (harvest (), status)
+    | Budget.Complete -> (
+        match Pool.parallel_map ?budget pool (fun x -> List.length (succ x)) !last_level with
+        | counts ->
+            ( ( List.fold_left min max_int counts |> (fun m -> if counts = [] then 0 else m),
+                List.fold_left max 0 counts ),
+              status )
+        | exception Budget.Exhausted reason ->
+            ((0, 0), Budget.truncated (Option.get budget) ~reason ~at_depth:depth))
   in
   (* A complete sweep reports one row per requested depth (trailing empty
      levels included, exactly as before budgets existed); a truncated one
@@ -176,13 +178,9 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
   in
   (rows, status)
 
-(* Serial pool for call sites that don't thread one through; spawns no
-   domains. *)
-let serial_pool = lazy (Layered_runtime.Pool.create ~jobs:1 ())
-
 let run ?pool ?budget ?checkpoint ?(symmetry = false) ~model ~n ~t ~depth () =
   let row = Models.get ~caller:"Sweep.run" model in
-  let pool = match pool with Some p -> p | None -> Lazy.force serial_pool in
+  let pool = Option.value pool ~default:Pool.serial in
   let module E = (val row.Models.engine ~t) in
   let inputs = mixed_inputs n in
   (* Symmetry reduction is sound exactly on the rows that declare
@@ -199,7 +197,7 @@ let run ?pool ?budget ?checkpoint ?(symmetry = false) ~model ~n ~t ~depth () =
   let levels, status =
     sweep_generic ~pool ?budget ?ckpt:checkpoint
       ~name:(checkpoint_name ~model ~n ~t ~depth)
-      ?canon ?size ~symmetry ~succ:E.layer ~key:E.key ~x0:(E.initial ~inputs) ~depth ()
+      ?canon ?size ~symmetry ~succ:E.layer ~ident:E.ident ~x0:(E.initial ~inputs) ~depth ()
   in
   { model; n; levels; status }
 

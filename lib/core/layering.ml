@@ -1,10 +1,11 @@
 type 'a successor = 'a -> 'a list
 
-let validate ~micro ~key ?(bound = 8) ~states succ =
-  let spec = { Explore.succ = micro; key } in
+let validate ~micro ~ident ?(bound = 8) ~states succ =
   let reachable_from x y =
-    let ky = key y in
-    Explore.exists_reachable spec ~depth:bound ~pred:(fun z -> String.equal (key z) ky) x
+    let iy = ident y in
+    (Layered_runtime.Frontier.exists_reachable Layered_runtime.Pool.serial ~succ:micro
+       ~ident ~depth:bound ~pred:(fun z -> ident z = iy) x)
+      .Layered_runtime.Budget.value
   in
   List.concat_map
     (fun x ->

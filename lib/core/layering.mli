@@ -12,14 +12,18 @@
 
 type 'a successor = 'a -> 'a list
 
-(** [validate ~micro ~key ~states succ] checks the layering property
+(** [validate ~micro ~ident ~states succ] checks the layering property
     against a micro-step relation of the original model: every [succ]
     successor of every state in [states] must be reachable from it by at
-    most [bound] micro-steps (default 8).  Returns the list of violating
-    [(state, successor)] pairs (empty = valid). *)
+    most [bound] micro-steps (default 8), by a
+    {!Layered_runtime.Frontier} traversal on {!Layered_runtime.Pool.serial}
+    that identifies states by [ident] (canonical: equal ids iff equal
+    states — an engine's [E.ident], or [Fun.id] for int states).
+    Returns the list of violating [(state, successor)] pairs (empty =
+    valid). *)
 val validate :
   micro:'a successor ->
-  key:('a -> string) ->
+  ident:('a -> int) ->
   ?bound:int ->
   states:'a list ->
   'a successor ->

@@ -1,10 +1,12 @@
 (* Version 2: meta grew the [symmetry] flag.  Version 3: the [stats]
    snapshot lost its two statevec counters.  Version 4: it lost the
-   seven counters of the frontier's disk tier.  Older snapshots are
+   seven counters of the frontier's disk tier.  Version 5: the frontier
+   snapshot lost its committed dedup keys (a resume re-seeds them from
+   the snapshot's levels).  Older snapshots are
    rejected as not-intact (fresh start) rather than misread — the first
    meta field is the version int in every layout, so the check below
    reads clean even against an old body. *)
-let current_version = 4
+let current_version = 5
 let magic = "LAYCKPT1"
 
 type meta = {

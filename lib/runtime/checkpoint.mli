@@ -49,14 +49,14 @@ type meta = {
           chaos injection — lets a resumed run know it is tainted *)
   symmetry : bool;
       (** whether the traversal ran under symmetry reduction
-          ([--symmetry]): its committed dedup keys are orbit keys, which
-          an unreduced run cannot consume (and vice versa), so resume
-          must {!Symmetry_mismatch}-refuse to cross the setting *)
+          ([--symmetry]): its levels hold one representative per orbit,
+          which an unreduced run cannot consume (and vice versa), so
+          resume must {!Symmetry_mismatch}-refuse to cross the setting *)
 }
 
 (** Raised by consumers (e.g. [Sweep]) when a snapshot's {!meta}
     [symmetry] flag disagrees with the resuming run's — resuming across
-    the setting would silently misinterpret the committed key set.
+    the setting would silently misinterpret the snapshot's levels.
     Carries both settings; registered with a [Printexc] printer. *)
 exception Symmetry_mismatch of { saved : bool; requested : bool }
 

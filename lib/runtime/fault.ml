@@ -117,9 +117,9 @@ let fired () = Atomic.get fire_count
 let mangle_level level =
   if not (Atomic.get enabled) then level
   else
-    match level with
-    | [] -> level
-    | x :: rest ->
-        if point Drop_successor then rest
-        else if point Duplicate_state then x :: x :: rest
-        else level
+    List.concat_map
+      (fun x ->
+        if point Drop_successor then []
+        else if point Duplicate_state then [ x; x ]
+        else [ x ])
+      level

@@ -30,7 +30,9 @@ type site =
   | Drop_successor  (** a freshly-discovered state is silently discarded *)
   | Duplicate_state  (** a state enters the frontier twice, past dedup *)
   | Corrupt_dedup_shard
-      (** a dedup shard marks an unseen key as already claimed *)
+      (** the frontier's first-seen pass marks an unclaimed id as
+          already claimed, losing its state (there are no shards any
+          more; the name stays because [chaos] prints it) *)
   | Worker_raise
       (** a pool worker raises around a task, outside the task's own
           handlers, and its domain dies *)
@@ -125,7 +127,9 @@ val hits : unit -> int
 val fired : unit -> int
 
 (** [mangle_level level] applies the [Drop_successor] / [Duplicate_state]
-    sites to a completed BFS level: drops the head if [Drop_successor]
-    fires, duplicates it if [Duplicate_state] fires, else returns the
-    list unchanged.  Free when injection is disarmed (one flag read). *)
+    sites to a freshly deduplicated BFS level, visiting them once per
+    state: a state is dropped if [Drop_successor] fires at it, and
+    enqueued twice if [Duplicate_state] does.  Returns the level
+    unchanged, at the cost of one flag read, when injection is
+    disarmed. *)
 val mangle_level : 'a list -> 'a list

@@ -79,6 +79,10 @@ let create ?jobs () =
     stop = false;
   }
 
+(* Created eagerly, not behind a [lazy]: two domains forcing one
+   unforced lazy at once raise [CamlinternalLazy.Undefined]. *)
+let serial = create ~jobs:1 ()
+
 (* Spawn every worker that is not running: on the pool's first dispatch
    (so standing a pool up costs no domain), or after a contained
    catastrophic task failure killed one — only the latter counts as a

@@ -48,6 +48,13 @@ val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
+(** A one-job pool, created when the program starts, for callers that
+    traverse on the calling domain (the experiments, [Layering.validate],
+    a sweep given no pool).  It spawns no domain and its combinators
+    touch no pool state, so any number of domains may use it at once.
+    Never shut it down. *)
+val serial : t
+
 (** [parallel_map t f xs] = [List.map f xs], computed on up to
     [jobs t] domains.  If one or more applications of [f] raise, the
     first exception observed is re-raised on the calling domain after

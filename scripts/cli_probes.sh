@@ -5,8 +5,9 @@
 #
 #   124  cmdliner usage error: a bad --jobs, -n below 2, a negative
 #        --max-new or --rounds, and a name (model, experiment, task,
-#        oracle) that is not in the table it is looked up in -- exactly:
-#        a prefix of a known name is refused too;
+#        oracle, verify protocol and failure model, graph structure)
+#        that is not in the table it is looked up in -- exactly: a
+#        prefix of a known name is refused too;
 #     2  --resume without --checkpoint-dir.
 #
 # No probe's stderr may contain "internal error" (cmdliner's report of
@@ -62,6 +63,9 @@ probe 124 run E99
 probe 124 graph task --task nope
 probe 124 graph task --task co
 probe 124 oracles simgraph-eq/sync simgraph-eq/nope
+probe 124 verify -p flood
+probe 124 verify --model gen
+probe 124 graph c
 
 probe 2 all --resume
 probe 2 layers --resume

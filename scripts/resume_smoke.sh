@@ -2,6 +2,10 @@
 # Resume smoke: SIGKILL an `all --checkpoint-dir` run mid-flight, resume
 # it from its snapshots, and require the resumed report to be
 # byte-identical to an uninterrupted one -- at --jobs 1 and --jobs 4.
+# Then the same for a multi-level `layers` sweep that checkpoints every
+# two levels, interrupted by SIGINT at staggered delays: the handler
+# cancels the traversal mid-level and the final snapshot it flushes must
+# resume to the uninterrupted table.
 #
 # The kill is racy by design and every outcome must converge: a kill
 # that lands after the run completed resumes from a complete snapshot
@@ -45,6 +49,27 @@ for jobs in 1 4; do
     exit 1
   fi
   echo "resume-smoke: jobs=$jobs OK ($snapshots snapshot(s) survived the kill)"
+done
+
+sweep=(layers -m smp -n 5 -t 1 -d 3 --checkpoint-every 2)
+for jobs in 1 4; do
+  ref="$WORK/sweep-ref-j$jobs.txt"
+  "$BIN" "${sweep[@]}" --jobs "$jobs" > "$ref"
+  for delay in 0.2 0.4 0.6 0.8 1.0; do
+    ckpt="$WORK/sweep-ckpt-j$jobs-$delay"
+    out="$WORK/sweep-out-j$jobs-$delay.txt"
+    "$BIN" "${sweep[@]}" --jobs "$jobs" --checkpoint-dir "$ckpt" > /dev/null 2>&1 &
+    pid=$!
+    sleep "$delay"
+    kill -INT "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+    "$BIN" "${sweep[@]}" --jobs "$jobs" --checkpoint-dir "$ckpt" --resume > "$out" 2>/dev/null
+    if ! diff -u "$ref" "$out"; then
+      echo "resume-smoke: layers jobs=$jobs SIGINT at ${delay}s: table differs after resume" >&2
+      exit 1
+    fi
+  done
+  echo "resume-smoke: layers jobs=$jobs OK (SIGINT at 0.2 0.4 0.6 0.8 1.0 s)"
 done
 
 echo "resume-smoke: PASS"

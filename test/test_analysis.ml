@@ -79,6 +79,19 @@ let test_sweep_budget () =
     (generous.Sweep.levels = full.Sweep.levels
     && generous.Sweep.status = Budget.Complete)
 
+(* The last level's layer sizes are computed under the sweep's budget: a
+   cap the traversal already exceeded truncates a depth-2 sweep there,
+   exactly as it truncates the depth-3 sweep before expanding level 2. *)
+let test_sweep_budget_last_level () =
+  let capped depth =
+    let s =
+      Sweep.run ~budget:(Budget.create ~max_states:100 ()) ~model:"mp" ~n:4 ~t:1 ~depth ()
+    in
+    check (Printf.sprintf "depth %d truncated" depth) true (s.Sweep.status <> Budget.Complete);
+    Format.asprintf "%a" Sweep.pp s
+  in
+  Alcotest.(check string) "capped depth 2 prints the capped depth 3" (capped 3) (capped 2)
+
 (* Budgeted checkers stop early and say so; verdict booleans cover the
    explored prefix only. *)
 let test_checker_budget () =
@@ -419,32 +432,133 @@ let test_export_dot () =
   let identity = Export.task_thickness ~name:"identity" ~n:3 in
   check "identity thickness has edges" true (contains identity " -- ")
 
+(* ------------------------------------------------------------------ *)
+(* Golden bytes: one committed MD5 per report surface.  Self-comparison
+   oracles (serial vs pooled, resumed vs uninterrupted) cannot see a
+   change that moves every configuration alike; a digest committed by an
+   earlier build can.  [golden.txt] holds one line "key md5" per `all`
+   experiment block (as `layered all` prints it), per perfbench sweep
+   (what `layered layers` prints) and for the iis (4,1) depth-3 sweep
+   under --symmetry.  After a deliberate output change, regenerate it
+   from the repo root with
+
+     LAYERED_GOLDEN_WRITE=test/golden.txt dune exec test/test_analysis.exe
+
+   and list every changed digest with its reason in CHANGES.md. *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* perfbench/bench.ml's sweeps: (model, n, t, depth) *)
+let golden_sweeps =
+  [
+    ("smp", 5, 1, 2); ("mp", 3, 2, 5); ("iis", 5, 1, 3); ("sm", 5, 1, 3);
+    ("sync", 7, 2, 3); ("mobile", 6, 1, 3);
+  ]
+
+let sweep_key (model, n, t, depth) = Printf.sprintf "sweep/%s/%d/%d/%d" model n t depth
+let render_sweep s = Format.asprintf "%a" Sweep.pp s
+
+let golden_digests ~jobs =
+  Pool.with_pool ~jobs (fun pool ->
+      let reports =
+        List.map
+          (fun ((e : Registry.experiment), rows) ->
+            ( "report/" ^ e.id,
+              md5 (Format.asprintf "== %s: %s@.%a@." e.id e.title Report.pp_table rows) ))
+          (Registry.run_all ~pool Registry.all)
+      in
+      let sweep ?symmetry (model, n, t, depth) =
+        md5 (render_sweep (Sweep.run ~pool ?symmetry ~model ~n ~t ~depth ()))
+      in
+      let sym = ("iis", 4, 1, 3) in
+      reports
+      @ List.map (fun s -> (sweep_key s, sweep s)) golden_sweeps
+      @ [ (sweep_key sym ^ "/symmetry", sweep ~symmetry:true sym) ])
+  |> List.sort compare
+
+let read_digests path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ key; hex ] -> Some (key, hex)
+         | _ -> None)
+
+(* A sweep cut by a states cap at jobs 1, resumed without the cap at
+   jobs 4 from its every-2-levels checkpoint. *)
+let resumed_sweep_digest () =
+  let ((model, n, t, depth) as s) = ("mp", 3, 2, 5) in
+  with_tmp_dir (fun dir ->
+      let run ~jobs ?budget ~resume () =
+        Pool.with_pool ~jobs (fun pool ->
+            Sweep.run ~pool ?budget ~checkpoint:{ Sweep.dir; every = 2; resume } ~model ~n
+              ~t ~depth ())
+      in
+      let cut = run ~jobs:1 ~budget:(Budget.create ~max_states:1000 ()) ~resume:false () in
+      check "the states cap cut the sweep" true (cut.Sweep.status <> Budget.Complete);
+      (sweep_key s, md5 (render_sweep (run ~jobs:4 ~resume:true ()))))
+
+let test_golden_digests () =
+  let golden = read_digests "golden.txt" in
+  let expect (key, hex) =
+    Alcotest.(check (option string)) key (List.assoc_opt key golden) (Some hex)
+  in
+  List.iter
+    (fun jobs ->
+      let got = golden_digests ~jobs in
+      Alcotest.(check (list string))
+        (Printf.sprintf "surfaces at jobs %d" jobs)
+        (List.map fst golden) (List.map fst got);
+      List.iter expect got)
+    [ 1; 4 ];
+  expect (resumed_sweep_digest ());
+  let perfbench = read_digests "../perfbench/expected.txt" in
+  let shared = List.filter (fun (k, _) -> List.mem_assoc k perfbench) golden in
+  check "golden shares the report and sweep keys with perfbench" true
+    (List.length shared = 22);
+  List.iter
+    (fun (key, hex) ->
+      Alcotest.(check string) ("perfbench " ^ key) (List.assoc key perfbench) hex)
+    shared
+
 let () =
-  Alcotest.run "layered_analysis"
-    [
-      ("registry", [ Alcotest.test_case "ids" `Quick test_registry_ids ]);
-      ( "tools",
+  match Sys.getenv_opt "LAYERED_GOLDEN_WRITE" with
+  | Some path ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter
+            (fun (key, hex) -> Printf.fprintf oc "%s %s\n" key hex)
+            (golden_digests ~jobs:1))
+  | None ->
+      Alcotest.run "layered_analysis"
         [
-          Alcotest.test_case "sweep" `Quick test_sweep;
-          Alcotest.test_case "sweep under budget" `Quick test_sweep_budget;
-          Alcotest.test_case "checkers under budget" `Quick test_checker_budget;
-          Alcotest.test_case "omission budget paths" `Quick test_omission_budget_paths;
-          Alcotest.test_case "checker verdicts pinned" `Quick test_checker_pinned;
-          Alcotest.test_case "registry isolates failures" `Quick
-            test_registry_exception_row;
-          Alcotest.test_case "retry runs on the caller domain" `Quick
-            test_registry_retry_on_caller_domain;
-          Alcotest.test_case "registry survives a worker crash" `Quick
-            test_registry_survives_worker_crash;
-          Alcotest.test_case "retry rolls back failed-attempt stats" `Quick
-            test_registry_retry_stats_rollback;
-          Alcotest.test_case "registry checkpoint resume" `Quick
-            test_registry_checkpoint_resume;
-          Alcotest.test_case "sweep checkpoint resume" `Quick
-            test_sweep_checkpoint_resume;
-          Alcotest.test_case "chains" `Quick test_chains;
-          Alcotest.test_case "unknown model refused" `Quick test_unknown_model;
-          Alcotest.test_case "dot export" `Quick test_export_dot;
-        ] );
-      ("experiments", List.map experiment_case Registry.all);
-    ]
+          ("registry", [ Alcotest.test_case "ids" `Quick test_registry_ids ]);
+          ( "tools",
+            [
+              Alcotest.test_case "sweep" `Quick test_sweep;
+              Alcotest.test_case "sweep under budget" `Quick test_sweep_budget;
+              Alcotest.test_case "last level under the sweep budget" `Quick
+                test_sweep_budget_last_level;
+              Alcotest.test_case "checkers under budget" `Quick test_checker_budget;
+              Alcotest.test_case "omission budget paths" `Quick test_omission_budget_paths;
+              Alcotest.test_case "checker verdicts pinned" `Quick test_checker_pinned;
+              Alcotest.test_case "registry isolates failures" `Quick
+                test_registry_exception_row;
+              Alcotest.test_case "retry runs on the caller domain" `Quick
+                test_registry_retry_on_caller_domain;
+              Alcotest.test_case "registry survives a worker crash" `Quick
+                test_registry_survives_worker_crash;
+              Alcotest.test_case "retry rolls back failed-attempt stats" `Quick
+                test_registry_retry_stats_rollback;
+              Alcotest.test_case "registry checkpoint resume" `Quick
+                test_registry_checkpoint_resume;
+              Alcotest.test_case "sweep checkpoint resume" `Quick
+                test_sweep_checkpoint_resume;
+              Alcotest.test_case "chains" `Quick test_chains;
+              Alcotest.test_case "unknown model refused" `Quick test_unknown_model;
+              Alcotest.test_case "dot export" `Quick test_export_dot;
+            ] );
+          ("experiments", List.map experiment_case Registry.all);
+          ( "golden",
+            [ Alcotest.test_case "report digests match the table" `Quick test_golden_digests ]
+          );
+        ]

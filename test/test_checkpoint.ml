@@ -229,6 +229,7 @@ let fault_site_rolls_back site () =
 (* A graph big enough that a 40-state cap truncates well before depth. *)
 let succ x = if x >= 500 then [] else [ ((3 * x) + 1) mod 601; (x + 7) mod 601 ]
 let key = string_of_int
+let ident = Fun.id
 
 let save_sink ?budget dir name =
   fun (snap : int Frontier.snapshot) ->
@@ -249,18 +250,18 @@ let test_frontier_resume_equivalence () =
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           with_tmp_dir (fun dir ->
-              let reference = (Frontier.levels pool ~succ ~key ~depth:20 1).Budget.value in
+              let reference = (Frontier.levels pool ~succ ~ident ~depth:20 1).Budget.value in
               let b = Budget.create ~max_states:40 () in
               let o =
                 Frontier.levels ~budget:b
                   ~checkpoint:{ Frontier.every = 1; save = save_sink dir "bfs" }
-                  pool ~succ ~key ~depth:20 1
+                  pool ~succ ~ident ~depth:20 1
               in
               (match o.Budget.status with
               | Budget.Truncated _ -> ()
               | Budget.Complete -> Alcotest.fail "expected the cap to truncate");
               let resumed =
-                Frontier.levels ~resume:(load_snap dir "bfs") pool ~succ ~key ~depth:20 1
+                Frontier.levels ~resume:(load_snap dir "bfs") pool ~succ ~ident ~depth:20 1
               in
               check
                 (Printf.sprintf "resumed run completes at jobs=%d" jobs)
@@ -272,28 +273,83 @@ let test_frontier_resume_equivalence () =
                 (List.map (List.map key) resumed.Budget.value))))
     [ 1; 4 ]
 
-(* Snapshot content — delivered levels and committed keys — is identical
-   across job counts: a checkpoint taken at jobs=4 resumes a jobs=1 run
-   and vice versa. *)
+(* Snapshot content — the delivered levels — is identical across job
+   counts: a checkpoint taken at jobs=4 resumes a jobs=1 run and vice
+   versa. *)
 let test_snapshot_identical_across_jobs () =
   let capture jobs =
     Pool.with_pool ~jobs (fun pool ->
         let snaps = ref [] in
         let save (snap : int Frontier.snapshot) =
-          snaps := (snap.Frontier.levels, snap.Frontier.committed) :: !snaps
+          snaps := snap.Frontier.levels :: !snaps
         in
         ignore
-          (Frontier.levels ~checkpoint:{ Frontier.every = 1; save } pool ~succ ~key
+          (Frontier.levels ~checkpoint:{ Frontier.every = 1; save } pool ~succ ~ident
              ~depth:6 1);
         List.rev !snaps)
   in
   let s1 = capture 1 and s4 = capture 4 in
   check_int "same snapshot count" (List.length s1) (List.length s4);
-  List.iter2
-    (fun (l1, c1) (l4, c4) ->
-      Alcotest.(check (list (list int))) "levels identical" l1 l4;
-      Alcotest.(check (list string)) "committed keys identical" c1 c4)
-    s1 s4
+  List.iter2 (Alcotest.(check (list (list int))) "levels identical") s1 s4
+
+(* A consumer that gives up mid-run: [f] raises [Exhausted] on the
+   fourth level, after the traversal had already claimed that level's
+   states.  The final flush must still describe only what [f] absorbed,
+   so resuming from it yields the uninterrupted levels. *)
+let dag x = List.map (fun k -> ((3 * x) + k) mod 331) [ 1; 2; 3 ]
+
+let test_exhausted_level_resumes () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let full = (Frontier.levels pool ~succ:dag ~ident ~depth:6 0).Budget.value in
+          let last = ref None and seen = ref 0 in
+          let save snap = last := Some snap in
+          let f _ =
+            incr seen;
+            if !seen = 4 then raise (Budget.Exhausted Budget.Interrupted)
+          in
+          let status =
+            Frontier.iter_levels ~budget:(Budget.create ())
+              ~checkpoint:{ Frontier.every = 2; save } pool ~succ:dag ~ident ~depth:6 ~f 0
+          in
+          check "the consumer's exhaustion truncates" true (status <> Budget.Complete);
+          let snap = Option.get !last in
+          check_int "the final snapshot holds the three absorbed levels" 3
+            (List.length snap.Frontier.levels);
+          let resumed = Frontier.levels ~resume:snap pool ~succ:dag ~ident ~depth:6 0 in
+          check "resumed run completes" true (resumed.Budget.status = Budget.Complete);
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "resumed levels equal uninterrupted at jobs=%d" jobs)
+            full resumed.Budget.value))
+    [ 1; 4 ]
+
+(* Every prefix of a full run's levels is a resume point, with and
+   without [?canon].  The orbit of [x] is [{x, -x}]: successors depend
+   on [abs x] only, so the orbit quotient is sound. *)
+let signed x =
+  let m = abs x in
+  if m >= 60 then [] else [ m + 1; -(m + 1); m + 3; -(m + 5) ]
+
+let test_every_prefix_resumes () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun canon ->
+          let run ?resume () =
+            (Frontier.levels ?resume ?canon pool ~succ:signed ~ident ~depth:8 0).Budget.value
+          in
+          let full = run () in
+          check "a multi-level run" true (List.length full >= 5);
+          List.iteri
+            (fun i _ ->
+              let prefix = List.filteri (fun j _ -> j <= i) full in
+              Alcotest.(check (list (list int)))
+                (Printf.sprintf "resumed from %d levels (%s)" (i + 1)
+                   (if canon = None then "states" else "orbits"))
+                full
+                (run ~resume:{ Frontier.levels = prefix } ()))
+            full)
+        [ None; Some (fun x -> string_of_int (abs x)) ])
 
 (* Re-imposing the interrupted run's consumption makes the cap trip at
    the same boundary: a resumed capped run reproduces the truncated
@@ -305,13 +361,13 @@ let test_cap_recharge_determinism () =
           let interrupted =
             Frontier.levels ~budget:b
               ~checkpoint:{ Frontier.every = 1; save = save_sink ~budget:b dir "cap" }
-              pool ~succ ~key ~depth:20 1
+              pool ~succ ~ident ~depth:20 1
           in
           let loaded = Option.get (Ckpt.load_latest ~dir ~name:"cap") in
           let snap = (Marshal.from_string loaded.Ckpt.payload 0 : int Frontier.snapshot) in
           let b' = Budget.create ~max_states:40 () in
           Budget.charge b' loaded.Ckpt.meta.Ckpt.states_charged;
-          let resumed = Frontier.levels ~budget:b' ~resume:snap pool ~succ ~key ~depth:20 1 in
+          let resumed = Frontier.levels ~budget:b' ~resume:snap pool ~succ ~ident ~depth:20 1 in
           check "same truncation status" true
             (resumed.Budget.status = interrupted.Budget.status);
           Alcotest.(check (list (list string)))
@@ -327,19 +383,19 @@ let test_resume_under_soft_watermark () =
   let ballast = Array.init (2 * 1024 * 1024) Fun.id in
   Pool.with_pool ~jobs:2 (fun pool ->
       with_tmp_dir (fun dir ->
-          let reference = Frontier.levels pool ~succ ~key ~depth:20 1 in
+          let reference = Frontier.levels pool ~succ ~ident ~depth:20 1 in
           let before = (Stats.snapshot ()).Stats.mem_soft_events in
           let interrupted =
             Frontier.levels
               ~budget:(Budget.create ~max_states:40 ~soft_memory_mb:8 ())
               ~checkpoint:{ Frontier.every = 1; save = save_sink dir "soft" }
-              pool ~succ ~key ~depth:20 1
+              pool ~succ ~ident ~depth:20 1
           in
           check "interrupted" true (interrupted.Budget.status <> Budget.Complete);
           let resumed =
             Frontier.levels
               ~budget:(Budget.create ~soft_memory_mb:8 ())
-              ~resume:(load_snap dir "soft") pool ~succ ~key ~depth:20 1
+              ~resume:(load_snap dir "soft") pool ~succ ~ident ~depth:20 1
           in
           check "the watermark bit" true
             ((Stats.snapshot ()).Stats.mem_soft_events > before);
@@ -359,10 +415,10 @@ let test_resume_of_complete_run () =
           let full =
             Frontier.levels
               ~checkpoint:{ Frontier.every = 1; save = save_sink dir "done" }
-              pool ~succ ~key ~depth:6 1
+              pool ~succ ~ident ~depth:6 1
           in
           let resumed =
-            Frontier.levels ~resume:(load_snap dir "done") pool ~succ ~key ~depth:6 1
+            Frontier.levels ~resume:(load_snap dir "done") pool ~succ ~ident ~depth:6 1
           in
           check "still complete" true (resumed.Budget.status = Budget.Complete);
           Alcotest.(check (list (list string)))
@@ -403,5 +459,9 @@ let () =
           Alcotest.test_case "resume of a complete run" `Quick test_resume_of_complete_run;
           Alcotest.test_case "resume composes with mem-soft" `Quick
             test_resume_under_soft_watermark;
+          Alcotest.test_case "exhausted level leaves a resumable snapshot" `Quick
+            test_exhausted_level_resumes;
+          Alcotest.test_case "every level prefix resumes to the full run" `Quick
+            test_every_prefix_resumes;
         ] );
     ]

@@ -131,32 +131,49 @@ let prop_graph_diameter_symmetry =
         (List.init 7 Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Explore on a synthetic branching system *)
+(* The reference BFS and the frontier on a synthetic branching system *)
+
+module Budget = Layered_runtime.Budget
+module Frontier = Layered_runtime.Frontier
+module Pool = Layered_runtime.Pool
+module Oracle = Layered_analysis.Oracle
+
+(* Both traversals: the string-keyed reference and the id-keyed frontier
+   on the one-job pool. *)
+let reference ~succ ~depth x = Oracle.reachable ~succ ~key:string_of_int ~depth x
+
+let frontier ~succ ~depth x =
+  (Frontier.reachable Pool.serial ~succ ~ident:Fun.id ~depth x).Budget.value
 
 (* States are ints; successors of i are 2i+1 and 2i+2 (infinite binary
    tree, explored to bounded depth). *)
-let tree_spec = { Explore.succ = (fun i -> [ (2 * i) + 1; (2 * i) + 2 ]); key = string_of_int }
+let tree_succ i = [ (2 * i) + 1; (2 * i) + 2 ]
 
 let test_explore_tree () =
-  check_int "depth 0" 1 (Explore.count_reachable tree_spec ~depth:0 0);
-  check_int "depth 1" 3 (Explore.count_reachable tree_spec ~depth:1 0);
-  check_int "depth 2" 7 (Explore.count_reachable tree_spec ~depth:2 0);
-  let runs = ref 0 in
-  Explore.iter_runs tree_spec ~depth:3 0 ~f:(fun run ->
-      incr runs;
-      check_int "run length" 4 (List.length run));
-  check_int "runs at depth 3" 8 !runs;
-  check "exists 5" true (Explore.exists_reachable tree_spec ~depth:2 ~pred:(fun i -> i = 5) 0);
-  check "not exists 7 at depth 2" false
-    (Explore.exists_reachable tree_spec ~depth:2 ~pred:(fun i -> i = 7) 0);
-  check "find returns BFS-first" true
-    (Explore.find_reachable tree_spec ~depth:3 ~pred:(fun i -> i > 2) 0 = Some 3)
+  List.iter
+    (fun (depth, n) ->
+      check_int (Printf.sprintf "reference depth %d" depth) n
+        (List.length
+           (Oracle.reachable ~succ:tree_succ ~key:string_of_int ~depth 0));
+      check_int (Printf.sprintf "frontier depth %d" depth) n
+        (List.length (frontier ~succ:tree_succ ~depth 0)))
+    [ (0, 1); (1, 3); (2, 7) ];
+  Alcotest.(check (list int)) "same BFS order" (reference ~succ:tree_succ ~depth:3 0)
+    (frontier ~succ:tree_succ ~depth:3 0);
+  let exists ~depth i =
+    (Frontier.exists_reachable Pool.serial ~succ:tree_succ ~ident:Fun.id ~depth
+       ~pred:(fun j -> j = i) 0)
+      .Budget.value
+  in
+  check "exists 5" true (exists ~depth:2 5);
+  check "not exists 7 at depth 2" false (exists ~depth:2 7)
 
 let test_explore_dedup () =
   (* A diamond: 0 -> {1, 2} -> 3; state 3 must be visited once. *)
   let succ = function 0 -> [ 1; 2 ] | 1 | 2 -> [ 3 ] | _ -> [ 3 ] in
-  let spec = { Explore.succ; key = string_of_int } in
-  check_int "diamond dedup" 4 (Explore.count_reachable spec ~depth:5 0)
+  check_int "diamond dedup" 4 (List.length (reference ~succ ~depth:5 0));
+  Alcotest.(check (list int)) "frontier = reference" (reference ~succ ~depth:5 0)
+    (frontier ~succ ~depth:5 0)
 
 (* ------------------------------------------------------------------ *)
 (* Valence on a hand-built automaton *)
@@ -234,9 +251,7 @@ let prop_valence_exhaustive_is_exact =
       let v = Valence.create spec in
       let n = Array.length dag in
       (* Brute force: reachable terminal decisions from 0. *)
-      let reach =
-        Explore.reachable { Explore.succ = spec.Valence.succ; key = string_of_int } ~depth:n 0
-      in
+      let reach = reference ~succ:spec.Valence.succ ~depth:n 0 in
       let brute =
         List.fold_left (fun acc i -> Vset.union acc (spec.Valence.decided i)) Vset.empty reach
       in
@@ -326,9 +341,9 @@ let test_layering_validate () =
   let valid i = [ i + 2 ] in
   let invalid i = [ i - 1 ] in
   check "valid layering" true
-    (Layering.validate ~micro ~key:string_of_int ~bound:3 ~states:[ 0; 5 ] valid = []);
+    (Layering.validate ~micro ~ident:Fun.id ~bound:3 ~states:[ 0; 5 ] valid = []);
   check_int "invalid layering reported" 2
-    (List.length (Layering.validate ~micro ~key:string_of_int ~bound:3 ~states:[ 0; 5 ] invalid))
+    (List.length (Layering.validate ~micro ~ident:Fun.id ~bound:3 ~states:[ 0; 5 ] invalid))
 
 let test_find_bivalent () =
   let classify i = if i = 3 then Valence.Bivalent else Valence.Unknown in

@@ -88,19 +88,21 @@ let test_lazy_spawn () =
       Pool.with_pool ~jobs:1 (fun pool -> Pool.post pool ~run:ignore ~fail:ignore))
 
 (* ------------------------------------------------------------------ *)
-(* Frontier vs the serial Explore BFS *)
+(* Frontier vs the string-keyed reference BFS *)
 
-let frontier_agrees ~jobs ~name ~succ ~key ~depth x0 =
+module Oracle = Layered_analysis.Oracle
+
+let frontier_agrees ~jobs ~name ~succ ~key ~ident ~depth x0 =
   Pool.with_pool ~jobs (fun pool ->
-      let serial = Explore.reachable { Explore.succ; key } ~depth x0 in
-      let par = (Frontier.reachable pool ~succ ~key ~depth x0).Budget.value in
+      let serial = Oracle.reachable ~succ ~key ~depth x0 in
+      let par = (Frontier.reachable pool ~succ ~ident ~depth x0).Budget.value in
       Alcotest.(check (list string))
         (Printf.sprintf "%s: reachable agrees at jobs=%d" name jobs)
         (List.map key serial) (List.map key par);
       check_int
         (Printf.sprintf "%s: count agrees at jobs=%d" name jobs)
-        (Explore.count_reachable { Explore.succ; key } ~depth x0)
-        (Frontier.count_reachable pool ~succ ~key ~depth x0).Budget.value)
+        (List.length (Oracle.reachable ~succ ~key ~depth x0))
+        (Frontier.count_reachable pool ~succ ~ident ~depth x0).Budget.value)
 
 let test_frontier_sync_floodset () =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
@@ -109,7 +111,7 @@ let test_frontier_sync_floodset () =
   List.iter
     (fun jobs ->
       frontier_agrees ~jobs ~name:"S^t floodset (3,1)" ~succ:(E.layer (E.st ~t:1)) ~key:E.key
-        ~depth:3 x0)
+        ~ident:E.ident ~depth:3 x0)
     [ 1; 2; 4 ]
 
 let test_frontier_mobile () =
@@ -119,7 +121,7 @@ let test_frontier_mobile () =
   List.iter
     (fun jobs ->
       frontier_agrees ~jobs ~name:"S1 mobile (3,1)"
-        ~succ:(E.layer E.s1) ~key:E.key ~depth:3 x0)
+        ~succ:(E.layer E.s1) ~key:E.key ~ident:E.ident ~depth:3 x0)
     [ 1; 2; 4 ]
 
 let test_frontier_exists () =
@@ -129,14 +131,14 @@ let test_frontier_exists () =
   let succ = E.layer (E.st ~t:1) in
   Pool.with_pool ~jobs:4 (fun pool ->
       check "terminal state reachable at depth 3" true
-        (Frontier.exists_reachable pool ~succ ~key:E.key ~depth:3 ~pred:E.terminal x0)
+        (Frontier.exists_reachable pool ~succ ~ident:E.ident ~depth:3 ~pred:E.terminal x0)
           .Budget.value;
       check "none at depth 0" false
-        (Frontier.exists_reachable pool ~succ ~key:E.key ~depth:0 ~pred:E.terminal x0)
+        (Frontier.exists_reachable pool ~succ ~ident:E.ident ~depth:0 ~pred:E.terminal x0)
           .Budget.value;
-      check "agrees with Explore"
-        (Explore.exists_reachable { Explore.succ; key = E.key } ~depth:2 ~pred:E.terminal x0)
-        (Frontier.exists_reachable pool ~succ ~key:E.key ~depth:2 ~pred:E.terminal x0)
+      check "agrees with the reference"
+        (List.exists E.terminal (Oracle.reachable ~succ ~key:E.key ~depth:2 x0))
+        (Frontier.exists_reachable pool ~succ ~ident:E.ident ~depth:2 ~pred:E.terminal x0)
           .Budget.value)
 
 (* Levels partition the reachable set by first-reached depth. *)
@@ -144,11 +146,11 @@ let test_frontier_levels () =
   let succ x = if x >= 16 then [] else [ (2 * x) mod 19; ((2 * x) + 1) mod 19 ] in
   let key = string_of_int in
   Pool.with_pool ~jobs:2 (fun pool ->
-      let levels = (Frontier.levels pool ~succ ~key ~depth:6 1).Budget.value in
+      let levels = (Frontier.levels pool ~succ ~ident:Fun.id ~depth:6 1).Budget.value in
       let flat = List.concat levels in
       Alcotest.(check (list string))
         "concat levels = reachable"
-        (List.map key (Explore.reachable { Explore.succ; key } ~depth:6 1))
+        (List.map key (Oracle.reachable ~succ ~key ~depth:6 1))
         (List.map key flat);
       let sorted = List.sort_uniq compare flat in
       check_int "levels are disjoint" (List.length flat) (List.length sorted))
@@ -159,56 +161,52 @@ let test_frontier_exception () =
   Pool.with_pool ~jobs:4 (fun pool ->
       let succ x = if x = 5 then failwith "bad succ" else if x < 40 then [ x + 1; x + 2 ] else [] in
       Alcotest.check_raises "succ exception propagates" (Failure "bad succ") (fun () ->
-          ignore (Frontier.reachable pool ~succ ~key:string_of_int ~depth:10 0));
+          ignore (Frontier.reachable pool ~succ ~ident:Fun.id ~depth:10 0));
       (* same pool still works afterwards *)
       check_int "pool alive" 3
         (Frontier.count_reachable pool ~succ:(fun x -> if x < 2 then [ x + 1 ] else [])
-           ~key:string_of_int ~depth:5 0)
+           ~ident:Fun.id ~depth:5 0)
           .Budget.value)
 
 (* ------------------------------------------------------------------ *)
-(* Shards: the frontier's dedup table under forced collisions.  With a
-   single shard every key lands in one bucket behind one mutex — the
-   worst case the propose/claim discipline must survive unchanged. *)
+(* The first-seen pass: the frontier's dedup over one level's candidates. *)
 
-let test_shards_min_index_wins () =
-  let t = Frontier.Shards.create ~shards:1 in
-  List.iter (fun (k, i) -> Frontier.Shards.propose t k i)
-    [ ("a", 5); ("b", 3); ("a", 2); ("a", 9); ("b", 7) ];
-  check "losing candidate cannot claim a" false (Frontier.Shards.claim t "a" 5);
-  check "losing candidate cannot claim b" false (Frontier.Shards.claim t "b" 7);
-  check "minimum index claims a" true (Frontier.Shards.claim t "a" 2);
-  check "minimum index claims b" true (Frontier.Shards.claim t "b" 3);
-  (* claims are exclusive: even the winner cannot claim twice *)
-  check "second claim of a refused" false (Frontier.Shards.claim t "a" 2);
-  Alcotest.(check (list string)) "committed keys, sorted" [ "a"; "b" ]
-    (Frontier.Shards.committed t)
+let test_first_seen_first_wins () =
+  let claimed = Hashtbl.create 8 in
+  Alcotest.(check (list string))
+    "the first candidate of each id is kept, in candidate order" [ "a"; "b"; "d" ]
+    (Frontier.first_seen claimed [| 5; 3; 5; 9; 3 |] [| "a"; "b"; "c"; "d"; "e" |]);
+  Alcotest.(check (list int)) "every kept id is claimed" [ 3; 5; 9 ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys claimed)))
 
-let test_shards_committed_never_displaced () =
-  let t = Frontier.Shards.create ~shards:1 in
-  Frontier.Shards.commit t "k";
-  (* a later level proposes the same key with an attractive low index *)
-  Frontier.Shards.propose t "k" 0;
-  check "no candidate can claim a committed key" false (Frontier.Shards.claim t "k" 0);
-  Alcotest.(check (list string)) "still committed" [ "k" ]
-    (Frontier.Shards.committed t)
+let test_first_seen_never_reclaimed () =
+  let claimed = Hashtbl.create 8 in
+  Hashtbl.replace claimed 7 ();
+  Alcotest.(check (list string)) "an earlier level's claim is final" [ "c" ]
+    (Frontier.first_seen claimed [| 7; 7; 8 |] [| "a"; "b"; "c" |]);
+  Alcotest.(check (list string)) "so is this level's" []
+    (Frontier.first_seen claimed [| 8; 7; 8 |] [| "d"; "e"; "f" |])
 
-(* The discipline is shard-count invariant: any interleaving of the same
-   proposals yields the same winner, whether keys collide in one bucket
-   or spread over many. *)
-let test_shards_claim_determinism () =
-  let keys = List.init 40 (fun i -> Printf.sprintf "k%d" (i mod 10)) in
-  let run shards order =
-    let t = Frontier.Shards.create ~shards in
-    List.iter (fun (k, i) -> Frontier.Shards.propose t k i) order;
-    List.filteri (fun i _ -> Frontier.Shards.claim t (List.nth keys i) i)
-      (List.init (List.length keys) Fun.id)
-    |> List.length
+(* Ids computed in a pooled pass, candidates colliding heavily: the
+   winners, and the levels of a whole traversal, are the same at every
+   job count. *)
+let test_first_seen_jobs_invariant () =
+  let cands = Array.init 400 (fun i -> (i * 7919) mod 1009) in
+  let succ x = if x >= 500 then [] else [ ((3 * x) + 1) mod 601; (x + 7) mod 601 ] in
+  let run jobs =
+    Pool.with_pool ~jobs (fun pool ->
+        let ids = Array.of_list (Pool.parallel_map pool (fun c -> c mod 37) (Array.to_list cands)) in
+        ( Frontier.first_seen (Hashtbl.create 64) ids cands,
+          (Frontier.levels pool ~succ ~ident:Fun.id ~depth:20 1).Budget.value ))
   in
-  let indexed = List.mapi (fun i k -> (k, i)) keys in
-  let forward = run 1 indexed and reverse = run 64 (List.rev indexed) in
-  check_int "winner set independent of shards and proposal order" forward reverse;
-  check_int "one winner per distinct key" 10 forward
+  let winners, levels = run 1 in
+  check_int "one winner per distinct id" 37 (List.length winners);
+  List.iter
+    (fun jobs ->
+      let w, l = run jobs in
+      Alcotest.(check (list int)) (Printf.sprintf "winners at jobs=%d" jobs) winners w;
+      Alcotest.(check (list (list int))) (Printf.sprintf "levels at jobs=%d" jobs) levels l)
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Budgets *)
@@ -226,11 +224,11 @@ let test_budget_deadline_prefix () =
   let key = string_of_int in
   let serial =
     Pool.with_pool ~jobs:1 (fun pool ->
-        (Frontier.levels pool ~succ:succ_pure ~key ~depth:12 1).Budget.value)
+        (Frontier.levels pool ~succ:succ_pure ~ident:Fun.id ~depth:12 1).Budget.value)
   in
   Pool.with_pool ~jobs:2 (fun pool ->
       let b = Budget.create ~timeout_s:0.05 () in
-      let o = Frontier.levels ~budget:b pool ~succ:succ_slow ~key ~depth:12 1 in
+      let o = Frontier.levels ~budget:b pool ~succ:succ_slow ~ident:Fun.id ~depth:12 1 in
       (match o.Budget.status with
       | Budget.Truncated { Budget.reason = Budget.Deadline; _ } -> ()
       | Budget.Truncated _ -> Alcotest.fail "truncated for the wrong reason"
@@ -255,7 +253,7 @@ let test_budget_max_states_deterministic () =
   let run jobs =
     Pool.with_pool ~jobs (fun pool ->
         let b = Budget.create ~max_states:40 () in
-        let o = Frontier.levels ~budget:b pool ~succ ~key ~depth:20 1 in
+        let o = Frontier.levels ~budget:b pool ~succ ~ident:Fun.id ~depth:20 1 in
         (List.map (List.map key) o.Budget.value, o.Budget.status))
   in
   let ref_levels, ref_status = run 1 in
@@ -293,14 +291,14 @@ let test_budget_cancel_parallel_map () =
         (Pool.parallel_map pool (fun x -> x) [ 1; 2; 3 ]))
 
 (* A budget generous enough never to trip must be invisible: Complete
-   status and results identical to the serial Explore BFS, at every job
+   status and results identical to the reference BFS, at every job
    count. *)
 let test_budget_complete_identical () =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
   let module E = Layered_sync.Engine.Make (P) in
   let x0 = E.initial ~inputs:[| 0; 1; 1 |] in
   let succ = E.layer (E.st ~t:1) and key = E.key in
-  let serial = Explore.reachable { Explore.succ; key } ~depth:3 x0 in
+  let serial = Oracle.reachable ~succ ~key ~depth:3 x0 in
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
@@ -308,13 +306,13 @@ let test_budget_complete_identical () =
             Budget.create ~timeout_s:3600.0 ~max_states:1_000_000
               ~max_memory_mb:65536 ()
           in
-          let o = Frontier.reachable ~budget:b pool ~succ ~key ~depth:3 x0 in
+          let o = Frontier.reachable ~budget:b pool ~succ ~ident:E.ident ~depth:3 x0 in
           check
             (Printf.sprintf "complete at jobs=%d" jobs)
             true
             (o.Budget.status = Budget.Complete);
           Alcotest.(check (list string))
-            (Printf.sprintf "identical to Explore at jobs=%d" jobs)
+            (Printf.sprintf "identical to the reference at jobs=%d" jobs)
             (List.map key serial)
             (List.map key o.Budget.value)))
     [ 1; 2; 4 ]
@@ -337,13 +335,12 @@ let is_zero (s : Stats.snapshot) =
 let test_stats_monotone_and_reset () =
   Stats.reset ();
   check "zero after reset" true (is_zero (Stats.snapshot ()));
-  (* a diamond: 0 -> {1,2} -> 3, so the serial BFS both expands and dedups *)
+  (* a diamond: 0 -> {1,2} -> 3, so the BFS both expands and dedups *)
   let succ x = if x = 0 then [ 1; 2 ] else if x < 3 then [ 3 ] else [] in
-  let spec = { Explore.succ; key = string_of_int } in
-  ignore (Explore.reachable spec ~depth:3 0);
+  ignore (Frontier.reachable Pool.serial ~succ ~ident:Fun.id ~depth:3 0);
   let s1 = Stats.snapshot () in
-  check "explore counted expansions" true (s1.Stats.states_expanded >= 4);
-  check "explore counted the dedup hit" true (s1.Stats.dedup_hits >= 1);
+  check "frontier counted expansions" true (s1.Stats.states_expanded >= 4);
+  check "frontier counted the dedup hit" true (s1.Stats.dedup_hits >= 1);
   (* a memoised valence engine: the second classify must hit the cache *)
   let vspec =
     {
@@ -408,7 +405,6 @@ let test_memory_hard_trip_sticky () =
    eight-level DAG finds the heap above it.  [soft_jobs f] runs [f] at
    jobs 1 and 4 with the ballast held live. *)
 let soft_succ x = if x >= 120 then [] else [ x + 1; x + 2; x + 3 ]
-let soft_key = string_of_int
 let soft_depth = 8
 let soft_budget () = Budget.create ~soft_memory_mb:8 ()
 
@@ -423,7 +419,7 @@ let soft_jobs f =
 let test_memory_soft_every_boundary () =
   soft_jobs (fun ~jobs pool ->
       let levels ?budget () =
-        Frontier.levels ?budget pool ~succ:soft_succ ~key:soft_key
+        Frontier.levels ?budget pool ~succ:soft_succ ~ident:Fun.id
           ~depth:soft_depth 0
       in
       let reference = levels () in
@@ -459,17 +455,17 @@ let test_frontier_soft_answers () =
         o
       in
       let exists pred budget =
-        Frontier.exists_reachable ?budget pool ~succ:soft_succ ~key:soft_key
+        Frontier.exists_reachable ?budget pool ~succ:soft_succ ~ident:Fun.id
           ~depth:soft_depth ~pred 0
       in
       ignore
         (same "reachable" (fun budget ->
-             Frontier.reachable ?budget pool ~succ:soft_succ ~key:soft_key
+             Frontier.reachable ?budget pool ~succ:soft_succ ~ident:Fun.id
                ~depth:soft_depth 0));
       ignore
         (same "count_reachable" (fun budget ->
              Frontier.count_reachable ?budget pool ~succ:soft_succ
-               ~key:soft_key ~depth:soft_depth 0));
+               ~ident:Fun.id ~depth:soft_depth 0));
       let found = same "exists_reachable 17" (exists (( = ) 17)) in
       let missed = same "exists_reachable 100" (exists (( = ) 100)) in
       check "17 is found" true found.Budget.value;
@@ -477,17 +473,17 @@ let test_frontier_soft_answers () =
 
 (* Snapshots cut every two levels, and the final flush, are those of an
    unbudgeted run: a boundary compacts after its snapshot is cut, and a
-   compaction drops no committed key. *)
+   compaction drops no state. *)
 let test_frontier_soft_snapshots () =
   soft_jobs (fun ~jobs pool ->
       let run budget =
         let snaps = ref [] in
         let save (snap : int Frontier.snapshot) =
-          snaps := (snap.Frontier.levels, snap.Frontier.committed) :: !snaps
+          snaps := snap.Frontier.levels :: !snaps
         in
         let o =
           Frontier.levels ?budget ~checkpoint:{ Frontier.every = 2; save } pool
-            ~succ:soft_succ ~key:soft_key ~depth:soft_depth 0
+            ~succ:soft_succ ~ident:Fun.id ~depth:soft_depth 0
         in
         check "complete" true (o.Budget.status = Budget.Complete);
         List.rev !snaps
@@ -598,13 +594,13 @@ let () =
           Alcotest.test_case "snapshots identical under mem-soft" `Quick
             test_frontier_soft_snapshots;
         ] );
-      ( "shards",
+      ( "first-seen",
         [
-          Alcotest.test_case "min index wins under collisions" `Quick
-            test_shards_min_index_wins;
-          Alcotest.test_case "committed keys never displaced" `Quick
-            test_shards_committed_never_displaced;
-          Alcotest.test_case "claim determinism" `Quick test_shards_claim_determinism;
+          Alcotest.test_case "first candidate wins" `Quick test_first_seen_first_wins;
+          Alcotest.test_case "claimed id never reclaimed" `Quick
+            test_first_seen_never_reclaimed;
+          Alcotest.test_case "winners identical across job counts" `Quick
+            test_first_seen_jobs_invariant;
         ] );
       ( "budget",
         [

@@ -184,7 +184,7 @@ let test_st_layers_are_legal () =
   let x = initial [ 0; 1; 1 ] in
   let micro y = List.map (E.apply E.Crash y) ((E.crash ~max_new:1 ~t:1).actions y) in
   let violations =
-    Layering.validate ~micro ~key:E.key ~bound:1 ~states:[ x ] (E.layer (E.st ~t:1))
+    Layering.validate ~micro ~ident:E.ident ~bound:1 ~states:[ x ] (E.layer (E.st ~t:1))
   in
   check "no violations" true (violations = [])
 
