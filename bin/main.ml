@@ -15,6 +15,7 @@
 
 open Layered_core
 open Layered_analysis
+open Layered_check
 module Pool = Layered_runtime.Pool
 module Stats = Layered_runtime.Stats
 module Budget = Layered_runtime.Budget
@@ -479,7 +480,7 @@ let graph_cmd =
 let oracles_cmd =
   let doc = "Run the differential/metamorphic runtime oracles." in
   let oracle =
-    name_conv ~what:"oracle" ~hint:"see `layered oracles` output" Oracle.find
+    name_conv ~what:"oracle" ~hint:"see `layered oracles` output" Chaos.find
       (fun (o : Oracle.t) -> o.name)
   in
   let names =
@@ -494,7 +495,7 @@ let oracles_cmd =
       | [] -> None
       | os -> Some (List.map (fun (o : Oracle.t) -> o.name) os)
     in
-    let rows = Oracle.rows ~jobs ?names () in
+    let rows = Chaos.rows ~jobs ?names () in
     Format.printf "%a" Report.pp_table rows;
     if rows <> [] && Report.all_pass rows then 0 else 1
   in
@@ -849,10 +850,6 @@ let serve_client_cmd =
       const f $ socket_arg $ output_only $ timeout $ retry_overloaded $ pipeline)
 
 let () =
-  (* The serve oracles live in layered_serve (which depends on the
-     analysis library, not vice versa); registration here makes them
-     visible to `layered oracles` and `layered chaos`. *)
-  Layered_serve.Serve_oracles.register ();
   let doc = "layered-analysis reproduction of Moses & Rajsbaum (PODC 1998)" in
   let info = Cmd.info "layered" ~doc in
   exit

@@ -1,4 +1,21 @@
 module Fault = Layered_runtime.Fault
+module Report = Layered_core.Report
+
+let oracles = Oracle.all @ Serve_oracles.all
+let find name = List.find_opt (fun (o : Oracle.t) -> o.name = name) oracles
+
+let rows ?(jobs = 2) ?names () =
+  let selected =
+    match names with
+    | None -> oracles
+    | Some ns -> List.filter (fun (o : Oracle.t) -> List.mem o.name ns) oracles
+  in
+  List.map
+    (fun (o : Oracle.t) ->
+      let v = o.check ~jobs in
+      Report.check ~id:"ORACLE" ~claim:o.name ~params:"" ~expected:o.what
+        ~measured:v.detail v.ok)
+    selected
 
 type cell = {
   site : Fault.site;
@@ -109,7 +126,7 @@ let run ?(jobs = 2) ?(sites = Fault.all) ?trials ~seed () =
   for i = 0 to trials - 1 do
     let site, oname = List.nth flat (i mod npairs) in
     let oracle =
-      match Oracle.find oname with
+      match find oname with
       | Some o -> o
       | None -> invalid_arg ("Chaos.run: unknown oracle " ^ oname)
     in

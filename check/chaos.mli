@@ -14,6 +14,20 @@
     is byte-identical across [--jobs] values as long as every cell is
     clean (anomaly notes may quote exception text). *)
 
+(** {1 The oracles} *)
+
+(** Every oracle: {!Oracle.all}, then {!Serve_oracles.all}.  Names are
+    unique. *)
+val oracles : Oracle.t list
+
+val find : string -> Oracle.t option
+
+(** Run every oracle (or those in [names]) and render the verdicts as
+    report rows, [id]s ["ORACLE"]. *)
+val rows : ?jobs:int -> ?names:string list -> unit -> Layered_core.Report.row list
+
+(** {1 Fault-injection trials} *)
+
 type cell = {
   site : Layered_runtime.Fault.site;
   oracle : string;
@@ -26,8 +40,8 @@ type cell = {
 
 type report = { seed : int; trials : int; cells : cell list }
 
-(** The pairing table: for each site, the oracles required to detect it
-    (at least three each). *)
+(** The pairing table: for each site, the names of the oracles required
+    to detect it (at least three each). *)
 val pairings : (Layered_runtime.Fault.site * string list) list
 
 (** [run ~seed ()] executes the trials.  [jobs] (clamped to at least 2

@@ -1,4 +1,5 @@
 open Layered_core
+open Layered_analysis
 module Budget = Layered_runtime.Budget
 module Pool = Layered_runtime.Pool
 module Frontier = Layered_runtime.Frontier
@@ -161,12 +162,13 @@ let perm_invariant (type a) ~(spec : a Valence.spec) ~depth (states : a list) =
   if List.for_all2 Valence.verdict_equal forward backward then pass_
   else fail "classification differs between traversal orders"
 
-let vp_floodset ~jobs:_ =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
-  let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.layer (E.st ~t:1) in
-  perm_invariant ~spec:(E.valence_spec ~succ) ~depth:3
+(* Con_0 of a model-table row at t = 1. *)
+let vp_row model ~depth =
+  let module E = (val (Models.get ~caller:"Oracle" model).Models.engine ~t:1) in
+  perm_invariant ~spec:(E.valence_spec ~succ:E.layer) ~depth
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
+
+let vp_floodset ~jobs:_ = vp_row "sync" ~depth:3
 
 let vp_early ~jobs:_ =
   let module P = (val Layered_protocols.Sync_early.make ~t:1) in
@@ -175,12 +177,7 @@ let vp_early ~jobs:_ =
   perm_invariant ~spec:(E.valence_spec ~succ) ~depth:2
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
-let vp_mobile ~jobs:_ =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
-  let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.layer E.s1 in
-  perm_invariant ~spec:(E.valence_spec ~succ) ~depth:2
-    (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
+let vp_mobile ~jobs:_ = vp_row "mobile" ~depth:2
 
 (* ------------------------------------------------------------------ *)
 (* Containment: a worker crash must surface as an exception (or not at *)
@@ -397,7 +394,7 @@ let with_tmp_dir f =
   let rec fresh () =
     let dir =
       Filename.concat base
-        (Printf.sprintf "layered-oracle-%d-%d" (Unix.getpid ())
+        (Printf.sprintf "layered-check-%d-%d" (Unix.getpid ())
            (Atomic.fetch_and_add tmp_counter 1))
     in
     match Unix.mkdir dir 0o700 with
@@ -607,8 +604,7 @@ module type SYM_INSTANCE = sig
 end
 
 let sym_instance () =
-  let module P = (val Layered_protocols.Iis_voting.make ~horizon:2) in
-  let module E = Layered_iis.Engine.Make (P) in
+  let module E = (val (Models.get ~caller:"Oracle" "iis").Models.engine ~t:1) in
   let inputs = mixed_inputs 4 in
   (module struct
     type state = E.state
@@ -678,7 +674,7 @@ let sym_report_eq ~jobs =
              final_reachable serial)
       else pass_)
 
-let builtin =
+let all =
   [
     {
       name = "serial-parallel/sync";
@@ -826,31 +822,3 @@ let builtin =
       check = sym_report_eq;
     };
   ]
-
-(* Registered extensions live after the builtins so report ordering is
-   stable: builtins first, then registration order.  The analysis layer
-   cannot depend on the serve library, so serve's oracles arrive here at
-   program start via [register]. *)
-let extra : t list ref = ref []
-
-let register o =
-  if
-    (not (List.exists (fun b -> b.name = o.name) builtin))
-    && not (List.exists (fun e -> e.name = o.name) !extra)
-  then extra := !extra @ [ o ]
-
-let all () = builtin @ !extra
-let find name = List.find_opt (fun o -> o.name = name) (all ())
-
-let rows ?(jobs = 2) ?names () =
-  let selected =
-    match names with
-    | None -> all ()
-    | Some ns -> List.filter (fun o -> List.mem o.name ns) (all ())
-  in
-  List.map
-    (fun o ->
-      let v = o.check ~jobs in
-      Report.check ~id:"ORACLE" ~claim:o.name ~params:"" ~expected:o.what
-        ~measured:v.detail v.ok)
-    selected

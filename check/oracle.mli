@@ -5,10 +5,11 @@
     expectation) and answers whether the invariant held.  The checks are
     useful twice over:
 
-    - {b standalone} ([layered oracles], {!rows}): cheap cross-checks of
-      the runtime — serial and parallel BFS agree byte-for-byte, budgeted
-      runs are prefixes of unbudgeted ones, valence classification is
-      order-invariant, crashed workers are contained;
+    - {b standalone} ([layered oracles], {!Chaos.rows}): cheap
+      cross-checks of the runtime — serial and parallel BFS agree
+      byte-for-byte, budgeted runs are prefixes of unbudgeted ones,
+      valence classification is order-invariant, crashed workers are
+      contained;
     - {b as chaos detectors} ({!Chaos}): an armed fault site must make at
       least one paired oracle fail, and a disarmed control run must pass.
 
@@ -20,7 +21,7 @@ type verdict = { ok : bool; detail : string }
 (** [detail] is ["ok"] when [ok], else a one-line diagnosis. *)
 
 type t = {
-  name : string;  (** e.g. ["serial-parallel/sync"]; unique in {!all} *)
+  name : string;  (** e.g. ["serial-parallel/sync"]; unique in {!Chaos.oracles} *)
   what : string;  (** one-line statement of the invariant *)
   check : jobs:int -> verdict;
       (** runs the workload; [jobs] sizes the pools used by parallel
@@ -44,18 +45,12 @@ type t = {
 val reachable :
   succ:('a -> 'a list) -> key:('a -> string) -> depth:int -> 'a -> 'a list
 
-(** The built-in oracles plus everything {!register}ed so far, builtins
-    first, then registration order. *)
-val all : unit -> t list
+(** The oracles over the analysis libraries and the runtime, in report
+    order.  The serve daemon's follow them in {!Chaos.oracles}. *)
+val all : t list
 
-(** [register o] appends an oracle defined outside this library (the
-    serve daemon's differential oracles live in [layered_serve], which
-    depends on this library and not vice versa).  Idempotent: a name
-    already present — builtin or registered — is ignored. *)
-val register : t -> unit
-
-val find : string -> t option
-
-(** Run every oracle (or those in [names]) and render the verdicts as
-    report rows, [id]s ["ORACLE"]. *)
-val rows : ?jobs:int -> ?names:string list -> unit -> Layered_core.Report.row list
+(** [with_tmp_dir f] runs [f] on a fresh, private directory under the
+    system temp dir and removes it afterwards, whatever [f] does.  The
+    name is retried until [mkdir] succeeds, and the cleanup never
+    raises. *)
+val with_tmp_dir : (string -> 'a) -> 'a

@@ -1,4 +1,4 @@
-module Oracle = Layered_analysis.Oracle
+open Layered_serve
 module Fault = Layered_runtime.Fault
 
 let pass_ = { Oracle.ok = true; detail = "ok" }
@@ -442,6 +442,13 @@ let fair_share ~jobs =
 (* even though the bytes came back right.  Control runs have no        *)
 (* recovery events and pass clean.                                     *)
 
+let run_inprocess ~config run =
+  Supervisor.supervise config (fun () ->
+      match run () with
+      | code when code = Server.exit_crashed -> `Crashed (Printf.sprintf "exit %d" code)
+      | code -> `Clean code
+      | exception e -> `Crashed (Printexc.to_string e))
+
 let sup_config =
   {
     Supervisor.default with
@@ -451,27 +458,6 @@ let sup_config =
     backoff_max_s = 0.05;
     verbose = false;
   }
-
-let spill_counter = Atomic.make 0
-
-let with_spill_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lsrv-spill-%d-%d" (Unix.getpid ())
-         (Atomic.fetch_and_add spill_counter 1))
-  in
-  let rec rm path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter (fun x -> rm (Filename.concat path x)) (Sys.readdir path);
-        Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then try rm dir with Sys_error _ -> ())
-    (fun () -> f dir)
 
 (* One supervised in-process daemon session: spill dir armed, spill on
    every response, no deadlines (verdicts must not depend on timing
@@ -494,7 +480,7 @@ let with_supervised_server ~jobs ~dir f =
   in
   let dom =
     Domain.spawn (fun () ->
-        Supervisor.run_inprocess ~config:sup_config (fun () -> Server.run cfg))
+        run_inprocess ~config:sup_config (fun () -> Server.run cfg))
   in
   let rec wait n =
     if Sys.file_exists path then true
@@ -576,7 +562,7 @@ let absorbed ~restarts ~replays ~elapsed verdict =
   else verdict
 
 let crash_recover_eq ~jobs =
-  with_spill_dir (fun dir ->
+  Oracle.with_tmp_dir (fun dir ->
       let verdict, restarts, replays, elapsed =
         with_supervised_server ~jobs:(clamp jobs) ~dir (fun c ->
             let rec go = function
@@ -598,7 +584,7 @@ let crash_recover_eq ~jobs =
       absorbed ~restarts ~replays ~elapsed verdict)
 
 let warm_restart ~jobs =
-  with_spill_dir (fun dir ->
+  Oracle.with_tmp_dir (fun dir ->
       let phase f = with_supervised_server ~jobs:(clamp jobs) ~dir f in
       (* Phase 1: compute cold, spill (every response spills, and the
          drain spills again), stop cleanly. *)
@@ -640,7 +626,7 @@ let warm_restart ~jobs =
         absorbed ~restarts:(r1 + r2) ~replays:(p1 + p2) ~elapsed:(e1 +. e2) v2)
 
 let replay_idempotent ~jobs =
-  with_spill_dir (fun dir ->
+  Oracle.with_tmp_dir (fun dir ->
       let verdict, restarts, replays, elapsed =
         with_supervised_server ~jobs:(clamp jobs) ~dir (fun c ->
             match Client.request c ~id:7 q1 ~timeout_s with
@@ -677,7 +663,7 @@ let replay_idempotent ~jobs =
       in
       absorbed ~restarts ~replays ~elapsed verdict)
 
-let oracles =
+let all =
   [
     {
       Oracle.name = "serve/oneshot-eq";
@@ -739,5 +725,3 @@ let oracles =
       check = replay_idempotent;
     };
   ]
-
-let register () = List.iter Oracle.register oracles

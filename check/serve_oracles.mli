@@ -1,6 +1,4 @@
-(** Differential oracles for the serve daemon, registered into
-    {!Layered_analysis.Oracle} (the analysis library cannot depend on
-    this one, so serve's detectors arrive via its extension point).
+(** Differential oracles for the serve daemon.
 
     Each oracle spawns a real in-process daemon — own domain, own Unix
     socket, signals not installed — talks to it over the wire, and
@@ -33,5 +31,14 @@
     flights, so an armed serve fault site (firing index < 3) is
     guaranteed to fire on a response the oracle verifies. *)
 
-(** Register the oracles.  Idempotent. *)
-val register : unit -> unit
+(** The nine oracles above, in that order. *)
+val all : Oracle.t list
+
+(** [run_inprocess ~config run] supervises [run] as a function call in
+    this process ({!Layered_serve.Supervisor.supervise}):
+    {!Layered_serve.Server.exit_crashed} and raised exceptions count as
+    crashes, every other exit code ends the loop.  The oracle and test
+    flavour of [serve --supervise]: a simulated crash must not kill the
+    test process. *)
+val run_inprocess :
+  config:Layered_serve.Supervisor.config -> (unit -> int) -> Layered_serve.Supervisor.outcome

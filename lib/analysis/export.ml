@@ -22,8 +22,7 @@ let dot_of_rel ~name ~label ~rel states =
   Buffer.contents buf
 
 let con0_similarity ~n ~t =
-  let module P = (val Layered_protocols.Sync_floodset.make ~t) in
-  let module E = Layered_sync.Engine.Make (P) in
+  let module E = (val (Models.get ~caller:"Export" "sync").Models.engine ~t) in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   (* Reconstruct the input bits from the enumeration order. *)
   let label_of idx =

@@ -17,8 +17,6 @@
 
 type witness = int array
 
-let uniform_roles ~len = Array.init len (fun i -> if i = 0 then -1 else 0)
-
 let roles_of ~eq inputs =
   let n = Array.length inputs in
   let roles = Array.make (n + 1) (-1) in

@@ -28,10 +28,6 @@
     ([apply_witness] maps the original parts to the canonical parts). *)
 type witness = int array
 
-(** All positions interchangeable (one role), header fixed.  [len] is
-    the part-array length including the header slot. *)
-val uniform_roles : len:int -> int array
-
 (** [roles_of ~eq inputs] derives a role array (length
     [Array.length inputs + 1], header slot first) from an initial input
     assignment: processes with [eq]-equal inputs share a role.  This is

@@ -18,11 +18,6 @@ let check ~id ~claim ~params ~expected ~measured ok =
 let all_pass rows = List.for_all (fun r -> r.status <> Fail) rows
 
 let status_string = function Pass -> "PASS" | Fail -> "FAIL" | Info -> "info"
-let pp_status ppf s = Format.pp_print_string ppf (status_string s)
-
-let pp_row ppf r =
-  Format.fprintf ppf "[%s] %s %s (%s): expected %s, measured %s" (status_string r.status)
-    r.id r.claim r.params r.expected r.measured
 
 let columns r =
   [ r.id; r.claim; r.params; r.expected; r.measured; status_string r.status ]

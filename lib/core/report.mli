@@ -33,8 +33,6 @@ val check :
   id:string -> claim:string -> params:string -> expected:string -> measured:string -> bool -> row
 
 val all_pass : row list -> bool
-val pp_status : Format.formatter -> status -> unit
-val pp_row : Format.formatter -> row -> unit
 
 (** Aligned plain-text table. *)
 val pp_table : Format.formatter -> row list -> unit

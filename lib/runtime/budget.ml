@@ -189,7 +189,3 @@ let pp_reason ppf r = Format.pp_print_string ppf (reason_string r)
 let pp_truncation ppf { reason; at_depth; states_seen } =
   Format.fprintf ppf "%a at depth %d after %d states" pp_reason reason at_depth
     states_seen
-
-let pp_status ppf = function
-  | Complete -> Format.pp_print_string ppf "complete"
-  | Truncated tr -> Format.fprintf ppf "truncated (%a)" pp_truncation tr

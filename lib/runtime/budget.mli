@@ -149,4 +149,3 @@ val with_sigint : t -> (unit -> 'a) -> 'a
 
 val pp_reason : Format.formatter -> reason -> unit
 val pp_truncation : Format.formatter -> truncation -> unit
-val pp_status : Format.formatter -> status -> unit

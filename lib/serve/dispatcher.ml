@@ -111,8 +111,6 @@ let add_conn t ~write ~on_dead =
     closing = false;
   }
 
-let conn_alive c = c.alive
-
 (* ------------------------------------------------------------------ *)
 (* Reply path: per-connection FIFO                                    *)
 

@@ -64,8 +64,6 @@ val shutdown_requested : t -> bool
 val add_conn :
   t -> write:(Protocol.response -> bool) -> on_dead:(unit -> unit) -> conn
 
-val conn_alive : conn -> bool
-
 (** [submit t conn line] decodes, admits and enqueues one request line.
     Control requests answer immediately; compute requests join an
     existing flight, hit the result cache, or queue a new flight.  A

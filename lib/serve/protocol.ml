@@ -278,6 +278,3 @@ let cache_key = function
       Some (Printf.sprintf "sweep/%s/%d/%d/%d" model n t depth)
   | Run_experiment { id } -> Some ("run/" ^ id)
   | Stats_query | Shutdown -> None
-
-let response_id = function
-  | Resp_ok { id; _ } | Resp_error { id; _ } | Resp_overloaded { id; _ } -> id

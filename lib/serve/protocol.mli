@@ -104,5 +104,3 @@ val decode_response : string -> (response, string) result
     (identical keys must yield byte-identical responses), [None] for
     [Stats_query] and [Shutdown], which are never cached. *)
 val cache_key : request -> string option
-
-val response_id : response -> int option

@@ -54,13 +54,10 @@ let write_pid_file cfg pid =
       with Sys_error _ -> ())
     cfg.pid_file
 
-(* The supervision loop, abstracted over how one daemon incarnation
-   runs.  [spawn ()] blocks until the daemon is gone and reports
-   [`Clean code] (done — a shutdown request, a signal drain, or a
-   configuration error the respawn could only repeat) or [`Crashed
-   reason] (respawn, unless the breaker trips).  The circuit breaker is
-   a sliding window: more than [max_restarts] crashes within [window_s]
-   and the supervisor stops feeding the failure. *)
+(* [`Clean code] is a shutdown request, a signal drain, or a
+   configuration error the respawn could only repeat.  The circuit
+   breaker is a sliding window: more than [max_restarts] crashes within
+   [window_s] and the supervisor stops feeding the failure. *)
 let supervise cfg spawn =
   let crash_times = ref [] in
   let rec go ~attempt ~restarts =
@@ -85,14 +82,6 @@ let supervise cfg spawn =
         end
   in
   go ~attempt:0 ~restarts:0
-
-let run_inprocess ?(config = default) run =
-  supervise config (fun () ->
-      match run () with
-      | code when code = Server.exit_crashed ->
-          `Crashed (Printf.sprintf "exit %d" code)
-      | code -> `Clean code
-      | exception e -> `Crashed (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Forked supervision (the CLI's --supervise)                          *)

@@ -44,11 +44,14 @@ type outcome = {
   gave_up : bool;  (** the circuit breaker tripped *)
 }
 
-(** [run_inprocess ?config run] supervises [run] as a function call in
-    this process: {!Server.exit_crashed} and raised exceptions count as
-    crashes.  This is the oracle/test harness flavour — a simulated
-    crash must not kill the test process. *)
-val run_inprocess : ?config:config -> (unit -> int) -> outcome
+(** [supervise config spawn] is the supervision loop, over however one
+    daemon incarnation runs: [spawn ()] blocks until the incarnation is
+    gone and reports [`Clean code] (the loop ends with [code]) or
+    [`Crashed reason] (respawn after the backoff, unless the breaker
+    trips).  {!run_forked} drives it with forked children; the
+    in-process flavour the oracles and tests use lives beside them. *)
+val supervise :
+  config -> (unit -> [ `Clean of int | `Crashed of string ]) -> outcome
 
 (** [run_forked ?config run] supervises [run] in a forked child per
     incarnation — the [layered serve --supervise] flavour, where a

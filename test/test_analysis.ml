@@ -212,25 +212,7 @@ module RtStats = Layered_runtime.Stats
 module Pool = Layered_runtime.Pool
 module Fault = Layered_runtime.Fault
 
-let tmp_counter = ref 0
-
-let with_tmp_dir f =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "layered-test-analysis-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun x -> rm (Filename.concat path x)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
-    (fun () -> f dir)
+let with_tmp_dir = Layered_check.Oracle.with_tmp_dir
 
 let pass_row id =
   Report.row ~id ~claim:"c" ~params:"" ~expected:"x" ~measured:"x" Report.Pass
@@ -437,16 +419,18 @@ let test_export_dot () =
    oracles (serial vs pooled, resumed vs uninterrupted) cannot see a
    change that moves every configuration alike; a digest committed by an
    earlier build can.  [golden.txt] holds one line "key md5" per `all`
-   experiment block (as `layered all` prints it), per perfbench sweep
-   (what `layered layers` prints) and for the iis (4,1) depth-3 sweep
-   under --symmetry.  After a deliberate output change, regenerate it
-   from the repo root with
+   experiment block (as `layered all` and `layered all --markdown` print
+   it), per perfbench sweep (what `layered layers` prints), for the iis
+   (4,1) depth-3 sweep under --symmetry, per `layered graph` output, and
+   for the `oracles` table and the `chaos --seed 42` report (checked in
+   test_chaos).  After a deliberate output change, regenerate it from the
+   repo root with
 
      LAYERED_GOLDEN_WRITE=test/golden.txt dune exec test/test_analysis.exe
 
    and list every changed digest with its reason in CHANGES.md. *)
 
-let md5 s = Digest.to_hex (Digest.string s)
+let md5 = Golden.md5
 
 (* perfbench/bench.ml's sweeps: (model, n, t, depth) *)
 let golden_sweeps =
@@ -458,13 +442,31 @@ let golden_sweeps =
 let sweep_key (model, n, t, depth) = Printf.sprintf "sweep/%s/%d/%d/%d" model n t depth
 let render_sweep s = Format.asprintf "%a" Sweep.pp s
 
+(* `layered graph`: con0 at n = 3, 4 (t = 1, the CLI default), the S^t
+   layer at (3,1) and (4,2), and every task's thickness at n = 3. *)
+let graph_digests =
+  [
+    ("graph/con0/3", fun () -> Export.con0_similarity ~n:3 ~t:1);
+    ("graph/con0/4", fun () -> Export.con0_similarity ~n:4 ~t:1);
+    ("graph/layer/3/1", fun () -> Export.st_layer ~n:3 ~t:1);
+    ("graph/layer/4/2", fun () -> Export.st_layer ~n:4 ~t:2);
+  ]
+  @ List.map
+      (fun name -> ("graph/task/" ^ name ^ "/3", fun () -> Export.task_thickness ~name ~n:3))
+      Export.task_names
+
 let golden_digests ~jobs =
   Pool.with_pool ~jobs (fun pool ->
       let reports =
-        List.map
+        List.concat_map
           (fun ((e : Registry.experiment), rows) ->
-            ( "report/" ^ e.id,
-              md5 (Format.asprintf "== %s: %s@.%a@." e.id e.title Report.pp_table rows) ))
+            [
+              ( "report/" ^ e.id,
+                md5 (Format.asprintf "== %s: %s@.%a@." e.id e.title Report.pp_table rows) );
+              ( "markdown/" ^ e.id,
+                md5 (Format.asprintf "== %s: %s@.%s@." e.id e.title (Report.to_markdown rows))
+              );
+            ])
           (Registry.run_all ~pool Registry.all)
       in
       let sweep ?symmetry (model, n, t, depth) =
@@ -473,16 +475,9 @@ let golden_digests ~jobs =
       let sym = ("iis", 4, 1, 3) in
       reports
       @ List.map (fun s -> (sweep_key s, sweep s)) golden_sweeps
-      @ [ (sweep_key sym ^ "/symmetry", sweep ~symmetry:true sym) ])
+      @ [ (sweep_key sym ^ "/symmetry", sweep ~symmetry:true sym) ]
+      @ List.map (fun (key, dot) -> (key, md5 (dot ()))) graph_digests)
   |> List.sort compare
-
-let read_digests path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter_map (fun line ->
-         match String.split_on_char ' ' line with
-         | [ key; hex ] -> Some (key, hex)
-         | _ -> None)
 
 (* A sweep cut by a states cap at jobs 1, resumed without the cap at
    jobs 4 from its every-2-levels checkpoint. *)
@@ -499,7 +494,7 @@ let resumed_sweep_digest () =
       (sweep_key s, md5 (render_sweep (run ~jobs:4 ~resume:true ()))))
 
 let test_golden_digests () =
-  let golden = read_digests "golden.txt" in
+  let golden = Golden.read "golden.txt" in
   let expect (key, hex) =
     Alcotest.(check (option string)) key (List.assoc_opt key golden) (Some hex)
   in
@@ -508,11 +503,12 @@ let test_golden_digests () =
       let got = golden_digests ~jobs in
       Alcotest.(check (list string))
         (Printf.sprintf "surfaces at jobs %d" jobs)
-        (List.map fst golden) (List.map fst got);
+        (List.map fst golden)
+        (List.sort compare (List.map fst got @ Golden.self_check_keys));
       List.iter expect got)
     [ 1; 4 ];
   expect (resumed_sweep_digest ());
-  let perfbench = read_digests "../perfbench/expected.txt" in
+  let perfbench = Golden.read "../perfbench/expected.txt" in
   let shared = List.filter (fun (k, _) -> List.mem_assoc k perfbench) golden in
   check "golden shares the report and sweep keys with perfbench" true
     (List.length shared = 22);
@@ -527,7 +523,12 @@ let () =
       Out_channel.with_open_text path (fun oc ->
           List.iter
             (fun (key, hex) -> Printf.fprintf oc "%s %s\n" key hex)
-            (golden_digests ~jobs:1))
+            (List.sort compare
+               (golden_digests ~jobs:1
+               @ [
+                   Golden.oracles (Layered_check.Chaos.rows ~jobs:2 ());
+                   Golden.chaos (Layered_check.Chaos.run ~jobs:2 ~seed:42 ());
+                 ])))
   | None ->
       Alcotest.run "layered_analysis"
         [

@@ -270,24 +270,7 @@ let test_symmetry_iff_declared () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoints refuse to cross the symmetry setting.                   *)
 
-let tmp_counter = ref 0
-
-let with_tmp_dir f =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "canon-ckpt-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_tmp_dir = Layered_check.Oracle.with_tmp_dir
 
 let test_checkpoint_symmetry_refusal () =
   with_tmp_dir (fun dir ->

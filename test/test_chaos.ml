@@ -3,7 +3,7 @@
    suite, and full detection across one round of the pairing matrix. *)
 
 open Layered_core
-open Layered_analysis
+open Layered_check
 module Fault = Layered_runtime.Fault
 
 let check = Alcotest.(check bool)
@@ -69,12 +69,13 @@ let test_only_armed_site_counts () =
 
 let test_oracles_clean () =
   Fault.disarm ();
-  let rows = Oracle.rows ~jobs:2 () in
-  check_int "one row per oracle" (List.length (Oracle.all ())) (List.length rows);
+  let rows = Chaos.rows ~jobs:2 () in
+  check_int "one row per oracle" (List.length Chaos.oracles) (List.length rows);
   List.iter
     (fun (r : Report.row) ->
       check (r.Report.claim ^ " passes disarmed") true (r.Report.status = Report.Pass))
-    rows
+    rows;
+  Golden.check (Golden.oracles rows)
 
 let test_pairings_resolve () =
   List.iter
@@ -85,7 +86,7 @@ let test_pairings_resolve () =
         (List.length oracles >= 3);
       List.iter
         (fun name ->
-          check (name ^ " exists") true (Oracle.find name <> None))
+          check (name ^ " exists") true (Chaos.find name <> None))
         oracles)
     Chaos.pairings;
   check_int "every site is paired" (List.length Fault.all) (List.length Chaos.pairings)
@@ -109,7 +110,8 @@ let test_chaos_full_round () =
       check_int "exercised" 0 c.Chaos.unexercised;
       check_int "controls clean" 0 c.Chaos.control_failures)
     r.Chaos.cells;
-  check "injector left disarmed" true (Fault.armed () = None)
+  check "injector left disarmed" true (Fault.armed () = None);
+  Golden.check (Golden.chaos r)
 
 (* A restricted site selection shrinks the matrix accordingly. *)
 let test_chaos_site_filter () =
@@ -136,9 +138,6 @@ let test_chaos_default_trials () =
   check "all detected" true (Chaos.ok r)
 
 let () =
-  (* The serve oracles register themselves from outside the analysis
-     library; the pairing table names them, so tests must see them. *)
-  Layered_serve.Serve_oracles.register ();
   Alcotest.run "layered_chaos"
     [
       ( "injector",

@@ -11,25 +11,7 @@ let check_int = Alcotest.(check int)
 (* ------------------------------------------------------------------ *)
 (* Scratch directories *)
 
-let tmp_counter = ref 0
-
-let with_tmp_dir f =
-  incr tmp_counter;
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "layered-test-ckpt-%d-%d" (Unix.getpid ()) !tmp_counter)
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun x -> rm (Filename.concat path x)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
-    (fun () -> f dir)
+let with_tmp_dir = Layered_check.Oracle.with_tmp_dir
 
 (* The on-disk name format is part of the documented contract
    ([<name>.g%06d.ckpt]); the corruption tests lean on it. *)

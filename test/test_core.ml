@@ -136,7 +136,7 @@ let prop_graph_diameter_symmetry =
 module Budget = Layered_runtime.Budget
 module Frontier = Layered_runtime.Frontier
 module Pool = Layered_runtime.Pool
-module Oracle = Layered_analysis.Oracle
+module Oracle = Layered_check.Oracle
 
 (* Both traversals: the string-keyed reference and the id-keyed frontier
    on the one-job pool. *)

@@ -90,7 +90,7 @@ let test_lazy_spawn () =
 (* ------------------------------------------------------------------ *)
 (* Frontier vs the string-keyed reference BFS *)
 
-module Oracle = Layered_analysis.Oracle
+module Oracle = Layered_check.Oracle
 
 let frontier_agrees ~jobs ~name ~succ ~key ~ident ~depth x0 =
   Pool.with_pool ~jobs (fun pool ->

@@ -888,7 +888,7 @@ let quiet_sup =
 let test_supervisor_restarts () =
   let calls = ref 0 in
   let outcome =
-    Supervisor.run_inprocess ~config:quiet_sup (fun () ->
+    Layered_check.Serve_oracles.run_inprocess ~config:quiet_sup (fun () ->
         incr calls;
         if !calls <= 2 then Server.exit_crashed else 0)
   in
@@ -898,7 +898,7 @@ let test_supervisor_restarts () =
   (* a raised exception is a crash like any abnormal exit *)
   let calls = ref 0 in
   let outcome =
-    Supervisor.run_inprocess ~config:quiet_sup (fun () ->
+    Layered_check.Serve_oracles.run_inprocess ~config:quiet_sup (fun () ->
         incr calls;
         if !calls = 1 then failwith "boom" else 0)
   in
@@ -906,7 +906,7 @@ let test_supervisor_restarts () =
   (* exit 2 (bind failure) must NOT be respawned *)
   let calls = ref 0 in
   let outcome =
-    Supervisor.run_inprocess ~config:quiet_sup (fun () ->
+    Layered_check.Serve_oracles.run_inprocess ~config:quiet_sup (fun () ->
         incr calls;
         2)
   in
@@ -916,7 +916,7 @@ let test_supervisor_restarts () =
 let test_supervisor_breaker () =
   let calls = ref 0 in
   let outcome =
-    Supervisor.run_inprocess
+    Layered_check.Serve_oracles.run_inprocess
       ~config:{ quiet_sup with Supervisor.max_restarts = 2 }
       (fun () ->
         incr calls;
@@ -931,23 +931,7 @@ let test_supervisor_breaker () =
 (* ------------------------------------------------------------------ *)
 (* Warm-cache spill: save + load roundtrip through the checkpoint *)
 
-let tmp_counter = Atomic.make 0
-
-let with_tmp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lsrv-test-%d-%d" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_counter 1))
-  in
-  let rec rm path =
-    match Sys.is_directory path with
-    | true ->
-        Array.iter (fun x -> rm (Filename.concat path x)) (Sys.readdir path);
-        Sys.rmdir path
-    | false -> Sys.remove path
-    | exception Sys_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+let with_tmp_dir = Layered_check.Oracle.with_tmp_dir
 
 (* The valence memo survives a restart: after [Spill.load] into fresh
    caches, the same queries give the cold verdicts without a single
@@ -1173,7 +1157,7 @@ let test_replay_after_crash () =
       in
       let dom =
         Domain.spawn (fun () ->
-            Supervisor.run_inprocess ~config:quiet_sup (fun () -> Server.run cfg))
+            Layered_check.Serve_oracles.run_inprocess ~config:quiet_sup (fun () -> Server.run cfg))
       in
       let rec wait n =
         if Sys.file_exists path then ()
