@@ -462,24 +462,20 @@ let cleanup_ckpt_dirs () =
    bench instance, big enough that the pooled frontier pays off —
    explored on the shared one-job pool and on bench pools of 1 and 4
    domains.
-   The trio gives the speedup curve CI watches. *)
+   The trio gives the speedup curve CI watches.  Each call builds its
+   engine afresh, so every kernel of the trio starts from an empty
+   identity table and they compare equal work. *)
 
-module Oocore_P = (val Layered_protocols.Sync_floodset.make ~t:1)
-module Oocore_E = Layered_async_mp.Synchronic.Make (Oocore_P)
+let oocore ?budget pool () =
+  let module P = (val Layered_protocols.Sync_floodset.make ~t:1) in
+  let module E = Layered_async_mp.Synchronic.Make (P) in
+  let x0 =
+    E.initial ~inputs:(Array.init 6 (fun i -> if i = 0 then Value.zero else Value.one))
+  in
+  ignore (Frontier.count_reachable ?budget pool ~succ:E.smp ~ident:E.ident ~depth:2 x0)
 
-let oocore_x0 =
-  Oocore_E.initial
-    ~inputs:(Array.init 6 (fun i -> if i = 0 then Value.zero else Value.one))
-
-let oocore_serial () =
-  ignore
-    (Frontier.count_reachable Pool.serial ~succ:Oocore_E.smp ~ident:Oocore_E.ident
-       ~depth:2 oocore_x0)
-
-let oocore_jobs jobs () =
-  ignore
-    (Frontier.count_reachable ~budget:(bench_budget ()) (pool jobs)
-       ~succ:Oocore_E.smp ~ident:Oocore_E.ident ~depth:2 oocore_x0)
+let oocore_serial () = oocore Pool.serial ()
+let oocore_jobs jobs () = oocore ~budget:(bench_budget ()) (pool jobs) ()
 
 (* ------------------------------------------------------------------ *)
 (* Similarity-graph construction: the all-pairs reference vs the
@@ -567,6 +563,9 @@ let serve_valence_warm =
 let serve_spill_dir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "lsrv-bench-%d" (Unix.getpid ()))
+
+(* The spill directory holds checkpoint files only. *)
+let cleanup_spill_dir () = rm_ckpt_dir serve_spill_dir
 
 (* Forced by [force_fixtures], outside any timed window: the spill on
    disk is the fixture, not part of the recovery being measured. *)
@@ -855,7 +854,8 @@ let () =
   let has flag = Array.exists (String.equal flag) Sys.argv in
   let finally () =
     shutdown_pools ();
-    cleanup_ckpt_dirs ()
+    cleanup_ckpt_dirs ();
+    cleanup_spill_dir ()
   in
   Fun.protect ~finally (fun () ->
       if has "--smoke" then run_smoke ()

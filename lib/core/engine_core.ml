@@ -16,8 +16,9 @@ module type MODEL = sig
   (** The state's memo cell for its {!Intern.meta}. *)
   val slot : state -> Intern.slot
 
-  (** Structural identity: every field [key] reads, never the slot (see
-      {!Intern.create}). *)
+  (** Structural identity: every field [key] reads, never the slot.  It
+      is the state's identity ({!Intern.create}), so it must be
+      canonical: equal views ⟺ equal keys. *)
   type view
 
   val view : state -> view
@@ -55,7 +56,7 @@ module type S = sig
   val ident : state -> int
 
   (** The engine's identity table (tests probe it through
-      {!Intern.memo} and {!Intern.part_ids}). *)
+      {!Intern.memo}, {!Intern.parts} and {!Intern.part_ids}). *)
   val intern_table : state Intern.t
 
   val equal : state -> state -> bool
@@ -129,7 +130,7 @@ module Make (M : MODEL) : S with type state = M.state = struct
   let key x = Intern.key intern_table (meta x) x
   let ident x = (meta x).Intern.id
   let equal x y = ident x = ident y
-  let parts x = (meta x).Intern.parts
+  let parts x = Intern.parts intern_table (meta x) x
 
   (* A fresh predicate, true on the first state of each identity. *)
   let first_seen () =

@@ -1,47 +1,57 @@
-(** State identity: hash-consing by structure into one part-id arena.
+(** State identity: hash-consing by the engine's structural view.
 
-    Every engine state has exactly one identity, its {!meta}, found in
-    three steps:
+    Every engine state has exactly one identity, its {!meta}, found by
+    one probe: the engine's typed [view] of the state (every field its
+    key reads, never the memo slot) is hashed once, outside any lock,
+    and looked up in the stripe of the table that the hash picks.  A hit
+    returns the existing meta; a miss adds the state with the next dense
+    id from one atomic counter, so ids are in first-seen order in a
+    serial run.  Neither renders anything.
 
-    + {b structural probe} — the engine's typed [view] of the state
-      (every field its key reads, never the memo slot) is looked up in a
-      structural hash table.  A hit returns the existing meta and renders
-      nothing; most probes in a traversal are hits.
-    + {b arena} — on a structural miss the state's component strings
-      ([parts]: a header plus one per process) are rendered and mapped
-      through the part pool to dense part ids.  The part-id vector is
-      the canonical identity: the arena maps it to its meta, so two
-      states that differ in representation but render the same key
-      (structurally different, key-equal) share one meta.
-    + {b dense id} — a vector new to the arena gets the next id, in
-      first-seen order.
+    {b The view contract.}  Views are the identity, so the engine must
+    make them canonical: two states have equal views exactly when they
+    have equal keys.  Every engine and protocol meets it by keeping its
+    sets as sorted lists or bitmasks and its maps as sorted association
+    lists.  A view that is structurally different for key-equal states
+    splits one state into two ids; the test suite checks every
+    protocol's reachable levels against a BFS that dedups by rendered
+    key.
 
-    The full key string is never needed for identity.  It is rendered at
-    most once per meta, on first demand ({!key}: output and string-keyed
-    dedup).  Part strings, unlike ids, are stable across processes: a
-    persisted table entry travels as its parts ({!parts_of_id}) and is
-    re-identified on load ({!adopt}).
+    {b Lazy renders.}  The key string and the part strings are rendered
+    at most once per meta, on first demand: {!key} for output and
+    string-keyed dedup, {!parts} for similarity, whose part ids (the
+    part strings mapped through the table's part pool) are the basis of
+    the bucketed similarity-graph construction in {!Simgraph}: two
+    states agree modulo process [j] exactly when their part vectors
+    agree at every index except [j].
 
-    The part ids are the basis of the bucketed similarity-graph
-    construction in {!Simgraph}: two states agree modulo process [j]
-    exactly when their part vectors agree at every index except [j].
+    {b Adopted parts.}  Part strings, unlike ids, are stable across
+    processes: a persisted table entry travels as its parts
+    ({!parts_of_id}) and is re-identified on load ({!adopt}).  The
+    first adopt builds the table's arena, which maps part-id vectors to
+    metas, from the states the table already holds; from then on every
+    structural miss renders the state's parts and claims the adopted
+    meta with those parts, if there is one.  A table that never adopts
+    has no arena.
 
-    Tables are domain-safe: probes and inserts are mutex-guarded, so
-    concurrent domains interning equal states receive the same meta, and
-    concurrent {!key} demands all return one string.  Output derived
-    from interning is byte-identical across [--jobs] counts (ids and
-    part ids depend on interning order, but nothing ordering-sensitive
-    is ever printed). *)
+    {b Stripes.}  Tables are domain-safe: each of the 64 stripes has its
+    own mutex, and the part pool has one more, taken only to pool a
+    render.  Concurrent domains interning equal states meet in one
+    stripe and receive the same meta, and concurrent {!key} and {!parts}
+    demands all return one value.  Output derived from interning is
+    byte-identical across [--jobs] counts (ids and part ids depend on
+    interning order, but nothing ordering-sensitive is ever printed). *)
 
 (** The rendered key, once demanded; read it through {!key}. *)
 type key_cell
 
+(** The pooled part ids, once demanded; read them through {!parts}. *)
+type parts_cell
+
 type meta = private {
-  id : int;  (** dense id: key-equal states share it, others never do *)
-  parts : int array;
-      (** dense part ids: index [0] is the header (round, environment),
-          index [i >= 1] is process [i]'s component *)
+  id : int;  (** dense id: states with equal views share it, others never do *)
   rendered : key_cell;
+  pooled : parts_cell;
 }
 
 (** A per-state memo cell for the state's meta.  Slots survive
@@ -58,13 +68,13 @@ type 'a t
     - [view] is the state's structural identity, compared with
       [compare] and hashed over up to 64 meaningful values: every field
       [key] reads, and nothing else (in particular not the memo slot).
-      Views must be immutable once interned.
+      Equal views ⟺ equal keys.  Views must be immutable once interned.
     - [key] renders the canonical encoding, injective on states.
     - [parts] splits the state into header + per-process component
       strings such that two states satisfy the model's
       [agree_modulo x y j] exactly when their parts agree everywhere
       except index [j].  Parts and key must determine each other
-      (same parts ⇔ same key). *)
+      (same parts ⟺ same key). *)
 val create :
   ?size:int ->
   view:('a -> 'v) ->
@@ -73,7 +83,7 @@ val create :
   unit ->
   'a t
 
-(** Intern a state: one structural probe on repeats. *)
+(** Intern a state: one find-or-add in one stripe. *)
 val intern : 'a t -> 'a -> meta
 
 (** [memo t slot x] is [intern t x], cached in [x]'s own slot — the
@@ -84,6 +94,12 @@ val memo : 'a t -> slot -> 'a -> meta
     from [x] on the meta's first demand, then shared by every state of
     that meta. *)
 val key : 'a t -> meta -> 'a -> string
+
+(** [parts t m x] is [x]'s part ids, whose meta is [m]: index [0] is the
+    header (round, environment), index [i >= 1] is process [i]'s
+    component.  Rendered from [x] and mapped through the part pool on
+    the meta's first demand, then shared like {!key}. *)
+val parts : 'a t -> meta -> 'a -> int array
 
 (** A state's orbit under process-permutation symmetry: the orbit's
     dedup key, the witness permutation mapping the state's parts onto
@@ -101,21 +117,24 @@ type canon = { ckey : string; witness : Canon.witness; weight : int }
 val canon : 'a t -> roles:int array -> 'a -> canon
 
 (** [part_ids t x] is [x]'s parts rendered afresh and mapped through the
-    part pool, without probing the structural table or the arena — what
-    an interned meta's [parts] must equal. *)
+    part pool, without probing the table — what {!parts} must return
+    for [x]. *)
 val part_ids : 'a t -> 'a -> int array
 
 (** [adopt t parts] interns a part-string vector that has no state and
-    returns its id: the id an existing meta with those parts already
-    has, or a fresh one that a state interned later with those parts
-    receives.  Not counted in {!Layered_runtime.Stats}. *)
+    returns its id: the id of a state the table holds with those parts,
+    or a fresh one that a state interned later with those parts claims.
+    Not counted in {!Layered_runtime.Stats}; a later claim counts as an
+    intern hit. *)
 val adopt : 'a t -> string array -> int
 
-(** [parts_of_id t] snapshots the part pool and the arena; the result
-    maps an interned id to its part strings.  Equal parts of different
-    ids are physically one string, so [Marshal] writes each once.
-    Raises [Invalid_argument] on an id interned after the snapshot. *)
+(** [parts_of_id t] snapshots the ids interned so far; the result maps
+    one of them to its part strings, rendering its parts on their first
+    demand.  Equal parts of different ids are physically one string, so
+    [Marshal] writes each once.  Raises [Invalid_argument] on an id
+    interned after the snapshot. *)
 val parts_of_id : 'a t -> int -> string array
 
-(** Number of distinct states interned so far (the arena population). *)
+(** Number of distinct identities so far: the states interned plus the
+    adopted part vectors no state has claimed yet. *)
 val size : 'a t -> int

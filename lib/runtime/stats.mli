@@ -22,13 +22,13 @@ type snapshot = {
   workers_respawned : int;
       (** dead worker domains replaced by {!Pool} crash containment *)
   interned_states : int;
-      (** distinct states hash-consed into {!Layered_core.Intern} tables
-          (the total arena population across all engines) *)
+      (** distinct states hash-consed into {!Layered_core.Intern} tables,
+          across all engines *)
   intern_hits : int;
-      (** intern calls answered by an existing meta — by the structural
-          probe or, for a structurally new but key-equal state, by the
-          part-id arena (per-state memo-slot hits are not counted — they
-          never reach the table) *)
+      (** intern calls answered by an existing meta: a state already in
+          the table, or an adopted part vector the state claims
+          (per-state memo-slot hits are not counted — they never reach
+          the table) *)
   simgraph_maskings : int;
       (** state × masked-position bucket insertions performed by the
           bucketed similarity-graph builder (its O(m·n) term) *)

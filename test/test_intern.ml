@@ -1,10 +1,12 @@
 (* Tests for state identity (Intern) and the bucketed similarity-graph
-   construction (Simgraph): id determinism and density, rehash,
-   structurally different but key-equal states, on-demand key rendering,
-   marshal-safe memo slots, domain-safety, and — over random walks on
+   construction (Simgraph): id determinism and density, rehash, misses
+   that render nothing, keys and parts rendered on demand, adopted part
+   vectors, marshal-safe memo slots, domain-safety; over random walks on
    all five engines, with dedicated sync omission and synchronic-mp
-   slow-process schedules — the ident/key/parts invariants and the
-   bucketed similarity graph's equality with the all-pairs reference. *)
+   slow-process schedules, the ident/key/parts invariants and the
+   bucketed similarity graph's equality with the all-pairs reference;
+   and every protocol's canonical views, against a BFS that dedups by
+   rendered key. *)
 
 open Layered_core
 
@@ -30,10 +32,11 @@ let test_intern_dense_ids () =
   | _ -> Alcotest.fail "expected six metas");
   check_int "size counts distinct keys" 4 (Intern.size t)
 
+(* Enough values that every stripe's bucket array grows more than once. *)
 let test_intern_rehash () =
   let t = string_table ~size:2 () in
-  let metas = List.init 200 (fun i -> Intern.intern t (string_of_int i)) in
-  check_int "all distinct survive rehash" 200 (Intern.size t);
+  let metas = List.init 5000 (fun i -> Intern.intern t (string_of_int i)) in
+  check_int "all distinct survive rehash" 5000 (Intern.size t);
   List.iteri
     (fun i m ->
       check_int "id stable across rehash" m.Intern.id
@@ -47,21 +50,20 @@ let test_intern_meta_fields () =
       ~parts:(fun (a, b) -> [| ""; a; b |])
       ()
   in
-  let m1 = Intern.intern t ("x", "y") in
-  let m2 = Intern.intern t ("x", "z") in
-  let m3 = Intern.intern t ("w", "y") in
-  check "key preserved verbatim" true (String.equal (Intern.key t m1 ("x", "y")) "x|y");
-  check_int "equal components share a part id" m1.Intern.parts.(1) m2.Intern.parts.(1);
-  check_int "part ids are positional, not global" m1.Intern.parts.(2) m3.Intern.parts.(2);
-  check "distinct components get distinct part ids" true
-    (m1.Intern.parts.(2) <> m2.Intern.parts.(2))
+  let x1 = ("x", "y") and x2 = ("x", "z") and x3 = ("w", "y") in
+  let m1 = Intern.intern t x1 and m2 = Intern.intern t x2 and m3 = Intern.intern t x3 in
+  let p1 = Intern.parts t m1 x1 and p2 = Intern.parts t m2 x2 and p3 = Intern.parts t m3 x3 in
+  check "key preserved verbatim" true (String.equal (Intern.key t m1 x1) "x|y");
+  check_int "equal components share a part id" p1.(1) p2.(1);
+  check_int "part ids are positional, not global" p1.(2) p3.(2);
+  check "distinct components get distinct part ids" true (p1.(2) <> p2.(2))
 
-(* A toy table whose views are unsorted int lists and whose key sorts
-   them: permutations of one list are structurally different but
-   key-equal.  Counters record every key and parts render. *)
-let sorted_table () =
+(* A toy table over int lists, keyed by their rendering: a canonical
+   view (equal lists exactly when equal keys).  Counters record every
+   key and parts render. *)
+let counted_table () =
   let key_renders = Atomic.make 0 and part_renders = Atomic.make 0 in
-  let render l = String.concat "," (List.map string_of_int (List.sort compare l)) in
+  let render l = String.concat "," (List.map string_of_int l) in
   let t =
     Intern.create ~view:Fun.id
       ~key:(fun l ->
@@ -74,24 +76,25 @@ let sorted_table () =
   in
   (t, key_renders, part_renders)
 
-let test_intern_key_equal_structures () =
-  let t, _, parts = sorted_table () in
-  let m1 = Intern.intern t [ 3; 1; 2 ] in
-  let m2 = Intern.intern t [ 1; 2; 3 ] in
-  let m3 = Intern.intern t [ 2; 3; 1 ] in
-  check_int "one id" m1.Intern.id m2.Intern.id;
-  check_int "one id (third order)" m1.Intern.id m3.Intern.id;
-  check "one part vector" true
-    (m1.Intern.parts == m2.Intern.parts && m2.Intern.parts == m3.Intern.parts);
-  check_int "one arena entry" 1 (Intern.size t);
-  let rendered = Atomic.get parts in
-  check "structural repeat is a hit" true (Intern.intern t [ 1; 2; 3 ] == m1);
-  check_int "structural hit renders no parts" rendered (Atomic.get parts);
-  check "any member renders the shared key" true
-    (String.equal (Intern.key t m1 [ 2; 3; 1 ]) (Intern.key t m2 [ 3; 1; 2 ]))
+let test_intern_misses_render_nothing () =
+  let t, keys, parts = counted_table () in
+  let values = List.init 40 (fun i -> [ i mod 8; 10 + (i mod 5) ]) in
+  let metas = List.map (Intern.intern t) values in
+  check_int "distinct values, distinct ids" 40 (Intern.size t);
+  List.iter (fun v -> ignore (Intern.intern t v)) values;
+  check_int "interning renders no key" 0 (Atomic.get keys);
+  check_int "interning renders no parts" 0 (Atomic.get parts);
+  let pooled = List.map2 (Intern.parts t) metas values in
+  check_int "parts render once per meta" 40 (Atomic.get parts);
+  check "later demands return the first pooling" true
+    (List.for_all2 ( == ) pooled (List.map2 (Intern.parts t) metas values));
+  check_int "and render nothing" 40 (Atomic.get parts);
+  check "pooled parts are the fresh render's" true
+    (List.for_all2 (fun p v -> p = Intern.part_ids t v) pooled values);
+  check_int "still no key" 0 (Atomic.get keys)
 
 let test_intern_keys_on_demand () =
-  let t, keys, _ = sorted_table () in
+  let t, keys, _ = counted_table () in
   let values = List.init 50 (fun i -> [ i mod 7; i mod 5 ]) in
   let metas = List.map (Intern.intern t) values in
   List.iter (fun v -> ignore (Intern.intern t v)) values;
@@ -99,6 +102,32 @@ let test_intern_keys_on_demand () =
   List.iter2 (fun m v -> ignore (Intern.key t m v)) metas values;
   List.iter2 (fun m v -> ignore (Intern.key t m v)) metas values;
   check_int "one render per meta" (Intern.size t) (Atomic.get keys)
+
+(* Adopting a part vector: a state already held with those parts keeps
+   its id; a vector no state has is claimed, as an intern hit, by the
+   first state interned later with those parts. *)
+let test_intern_adopt () =
+  let t, _, _ = counted_table () in
+  let held = [ 1; 2 ] and later = [ 7; 8 ] in
+  let m = Intern.intern t held in
+  check_int "held state's parts adopt to its id" m.Intern.id (Intern.adopt t [| ""; "1,2" |]);
+  check_int "no new identity" 1 (Intern.size t);
+  let k = Intern.adopt t [| ""; "7,8" |] in
+  check_int "an unheld vector gets the next id" 1 k;
+  check_int "adopting it again" k (Intern.adopt t [| ""; "7,8" |]);
+  let before = Layered_runtime.Stats.snapshot () in
+  let m' = Intern.intern t later in
+  let after = Layered_runtime.Stats.snapshot () in
+  check_int "a later state claims the adopted id" k m'.Intern.id;
+  check_int "the claim is an intern hit" 1
+    Layered_runtime.Stats.(after.intern_hits - before.intern_hits);
+  check_int "and interns no new state" 0
+    Layered_runtime.Stats.(after.interned_states - before.interned_states);
+  check_int "identities: held + claimed" 2 (Intern.size t);
+  check "a structurally new state after adopting gets a fresh id" true
+    ((Intern.intern t [ 9 ]).Intern.id = 2);
+  let parts_of = Intern.parts_of_id t in
+  Alcotest.(check (array string)) "parts of the claimed id" [| ""; "7,8" |] (parts_of k)
 
 (* Memo slots survive [Marshal]: the revived slot is foreign to the table,
    so the value transparently re-interns — to the same id, with no
@@ -118,14 +147,13 @@ let test_intern_memo_marshal () =
   check_int "same id after marshal round-trip" m.Intern.id m'.Intern.id;
   check_int "no duplicate entry" 1 (Intern.size t)
 
-(* Four domains intern the same structurally varied values and force
-   their keys at once: every domain sees the same ids and physically the
-   same key strings (one render published per meta). *)
+(* Four domains intern the same values and force their keys at once:
+   every domain sees the same ids and physically the same key strings
+   (one render published per meta). *)
 let test_intern_domains () =
-  let t, _, _ = sorted_table () in
-  let values =
-    List.init 64 (fun i -> if i / 16 mod 2 = 0 then [ i mod 16; 0 ] else [ 0; i mod 16 ])
-  in
+  let t, _, _ = counted_table () in
+  let values = List.init 64 (fun i -> [ i mod 16; 16 + (i mod 3) ]) in
+  let distinct = List.length (List.sort_uniq compare values) in
   let ready = Atomic.make 0 in
   let doms =
     List.init 4 (fun _ ->
@@ -141,7 +169,7 @@ let test_intern_domains () =
               values))
   in
   let results = List.map Domain.join doms in
-  check_int "distinct keys across domains" 16 (Intern.size t);
+  check_int "one identity per distinct value" distinct (Intern.size t);
   match results with
   | r0 :: rest ->
       List.iter
@@ -357,7 +385,8 @@ let sync_subject =
     table = E.intern_table;
     key = E.key;
     ident = E.ident;
-    parts = (fun x -> (Intern.memo E.intern_table x.E.interned x).Intern.parts);
+    parts =
+      (fun x -> Intern.parts E.intern_table (Intern.memo E.intern_table x.E.interned x) x);
     pooled = Intern.part_ids E.intern_table;
     similar = E.similar;
     similarity_graph = E.similarity_graph;
@@ -370,7 +399,8 @@ let iis_subject =
     table = IE.intern_table;
     key = IE.key;
     ident = IE.ident;
-    parts = (fun x -> (Intern.memo IE.intern_table x.IE.interned x).Intern.parts);
+    parts =
+      (fun x -> Intern.parts IE.intern_table (Intern.memo IE.intern_table x.IE.interned x) x);
     pooled = Intern.part_ids IE.intern_table;
     similar = IE.similar;
     similarity_graph = IE.similarity_graph;
@@ -383,7 +413,8 @@ let sm_subject =
     table = SE.intern_table;
     key = SE.key;
     ident = SE.ident;
-    parts = (fun x -> (Intern.memo SE.intern_table x.SE.interned x).Intern.parts);
+    parts =
+      (fun x -> Intern.parts SE.intern_table (Intern.memo SE.intern_table x.SE.interned x) x);
     pooled = Intern.part_ids SE.intern_table;
     similar = SE.similar;
     similarity_graph = SE.similarity_graph;
@@ -396,7 +427,8 @@ let mp_subject =
     table = ME.intern_table;
     key = ME.key;
     ident = ME.ident;
-    parts = (fun x -> (Intern.memo ME.intern_table x.ME.interned x).Intern.parts);
+    parts =
+      (fun x -> Intern.parts ME.intern_table (Intern.memo ME.intern_table x.ME.interned x) x);
     pooled = Intern.part_ids ME.intern_table;
     similar = ME.similar;
     similarity_graph = ME.similarity_graph;
@@ -409,7 +441,8 @@ let smp_subject =
     table = SMP.intern_table;
     key = SMP.key;
     ident = SMP.ident;
-    parts = (fun x -> (Intern.memo SMP.intern_table x.SMP.interned x).Intern.parts);
+    parts =
+      (fun x -> Intern.parts SMP.intern_table (Intern.memo SMP.intern_table x.SMP.interned x) x);
     pooled = Intern.part_ids SMP.intern_table;
     similar = SMP.similar;
     similarity_graph = SMP.similarity_graph;
@@ -611,6 +644,183 @@ let prop_sper_reference =
          let round, locals, mail = mp_view (List.fold_left ME.apply_entry x s) in
          (round + 1, locals, mail)))
 
+(* ------------------------------------------------------------------ *)
+(* Canonical views, protocol by protocol *)
+
+(* The identity is the engine's view, so a protocol whose local state is
+   structurally different for key-equal states (an unsorted set, say)
+   splits one state into several ids.  Each protocol runs on every
+   substrate and layering the analyses run it on; [Frontier]'s
+   id-deduplicated levels must match the levels of the reference BFS,
+   which dedups by a key rendered here from the state's fields through
+   the protocol's own key functions, sharing nothing with [Intern]. *)
+type levels_case =
+  | Case : {
+      name : string;
+      initials : 's list;
+      succ : 's -> 's list;
+      ident : 's -> int;
+      key : 's -> string;
+    }
+      -> levels_case
+
+let render v = Marshal.to_string v [ Marshal.No_sharing ]
+let binary = [ Value.zero; Value.one ]
+let ternary = [ Value.zero; Value.one; Value.of_int 2 ]
+
+let sync_case name protocol ~adversary =
+  let module P = (val protocol : Layered_sync.Protocol.S) in
+  let module E = Layered_sync.Engine.Make (P) in
+  let adv =
+    match adversary with
+    | `S1 -> E.s1
+    | `St -> E.st ~t:1
+    | `Crash -> E.crash ~max_new:2 ~t:1
+    | `Omission -> E.omission ~general:true ~max_new:1 ~t:1
+  in
+  Case
+    {
+      name;
+      initials = E.initial_states ~n:3 ~values:binary;
+      succ = E.layer adv;
+      ident = E.ident;
+      key = (fun x -> render (x.E.round, Array.map P.key x.E.locals, x.E.failed));
+    }
+
+let sm_case name protocol ~values =
+  let module P = (val protocol : Layered_async_sm.Protocol.S) in
+  let module E = Layered_async_sm.Engine.Make (P) in
+  Case
+    {
+      name;
+      initials = E.initial_states ~n:3 ~values;
+      succ = E.srw;
+      ident = E.ident;
+      key =
+        (fun x ->
+          render (x.E.phase, Array.map (Option.map P.reg_key) x.E.regs, Array.map P.key x.E.locals));
+    }
+
+let mp_case ?(n = 3) name protocol ~values =
+  let module P = (val protocol : Layered_async_mp.Protocol.S) in
+  let module E = Layered_async_mp.Engine.Make (P) in
+  Case
+    {
+      name;
+      initials = E.initial_states ~n ~values;
+      succ = E.sper;
+      ident = E.ident;
+      key =
+        (fun x ->
+          render
+            ( x.E.round,
+              Array.map P.key x.E.locals,
+              Array.map (List.map (fun (src, m) -> (src, P.msg_key m))) x.E.mail ));
+    }
+
+let smp_case name protocol =
+  let module P = (val protocol : Layered_sync.Protocol.S) in
+  let module E = Layered_async_mp.Synchronic.Make (P) in
+  Case
+    {
+      name;
+      initials = E.initial_states ~n:3 ~values:binary;
+      succ = E.smp;
+      ident = E.ident;
+      key =
+        (fun x ->
+          render
+            ( x.E.round,
+              Array.map P.key x.E.locals,
+              List.map (fun p -> E.(p.src, p.dst, p.sent, P.msg_key p.msg)) x.E.transit ));
+    }
+
+let iis_case name protocol ~values =
+  let module P = (val protocol : Layered_iis.Protocol.S) in
+  let module E = Layered_iis.Engine.Make (P) in
+  Case
+    {
+      name;
+      initials = E.initial_states ~n:3 ~values;
+      succ = E.layer;
+      ident = E.ident;
+      key = (fun x -> render (x.E.round, Array.map P.key x.E.locals));
+    }
+
+module Proto = Layered_protocols
+
+let first_initial (Case c) = Case { c with initials = [ List.hd c.initials ] }
+
+(* The six model rows first, then every other protocol the analyses run. *)
+let levels_cases () =
+  [
+    sync_case "mobile: floodset / S_1" (Proto.Sync_floodset.make ~t:1) ~adversary:`S1;
+    sync_case "sync: floodset / S^t" (Proto.Sync_floodset.make ~t:1) ~adversary:`St;
+    sm_case "sm: voting / S^rw" (Proto.Sm_voting.make ~horizon:2) ~values:binary;
+    mp_case "mp: floodset / S^per" (Proto.Mp_floodset.make ~horizon:2) ~values:binary;
+    smp_case "smp: floodset / synchronic" (Proto.Sync_floodset.make ~t:1);
+    iis_case "iis: voting / partitions" (Proto.Iis_voting.make ~horizon:2) ~values:binary;
+    sync_case "full-info / S_1" (Proto.Full_info.sync ~horizon:2) ~adversary:`S1;
+    sm_case "full-info / S^rw" (Proto.Full_info.shared_memory ~horizon:2) ~values:binary;
+    mp_case "full-info / S^per" (Proto.Full_info.message_passing ~horizon:2) ~values:binary;
+    iis_case "full-info / partitions" (Proto.Full_info.iis ~horizon:2) ~values:binary;
+    sm_case "k-set / S^rw" (Proto.Sm_kset.make ()) ~values:ternary;
+    mp_case "k-set / S^per" (Proto.Mp_kset.make ~n:3) ~values:ternary;
+    (* At n = 3 every k-set message is a singleton and each [seen] is
+       merged once, so the order of [seen] can depend on the path only
+       from n = 4; one initial state at depth 2 keeps the row quick. *)
+    first_initial
+      (mp_case ~n:4 "k-set / S^per, n = 4" (Proto.Mp_kset.make ~n:4) ~values:binary);
+    iis_case "k-set / partitions" (Proto.Iis_kset.make ()) ~values:ternary;
+    sync_case "eig / S^t" (Proto.Sync_eig.make ~t:1) ~adversary:`St;
+    sync_case "coordinator / omission" (Proto.Sync_coordinator.make ~t:1) ~adversary:`Omission;
+    sync_case "uniform / S^t" (Proto.Sync_uniform.make ~t:1) ~adversary:`St;
+    sync_case "early / S^t" (Proto.Sync_early.make ~t:1) ~adversary:`St;
+    sync_case "clean / crash" (Proto.Sync_clean.make ~t:1) ~adversary:`Crash;
+  ]
+
+let rec drop_trailing_empty = function
+  | [] -> []
+  | l :: rest -> (
+      match drop_trailing_empty rest with [] when l = [] -> [] | rest -> l :: rest)
+
+(* Level [d] of the reference: the keys reachable within [d] steps and
+   not within [d - 1]. *)
+let reference_levels ~succ ~key ~depth x0 =
+  let within d =
+    List.sort_uniq compare (List.map key (Layered_check.Oracle.reachable ~succ ~key ~depth:d x0))
+  in
+  let rec go d prev =
+    if d > depth then []
+    else
+      let now = within d in
+      List.filter (fun k -> not (List.mem k prev)) now :: go (d + 1) now
+  in
+  drop_trailing_empty (go 0 [])
+
+let test_views_canonical () =
+  List.iter
+    (fun (Case c) ->
+      List.iteri
+        (fun i x0 ->
+          let depth = 2 + (i mod 2) in
+          let levels =
+            (Layered_runtime.Frontier.levels Layered_runtime.Pool.serial ~succ:c.succ
+               ~ident:c.ident ~depth x0)
+              .Layered_runtime.Budget.value
+          in
+          let reference = reference_levels ~succ:c.succ ~key:c.key ~depth x0 in
+          let what = Printf.sprintf "%s, initial state %d, depth %d" c.name i depth in
+          Alcotest.(check (list int))
+            (what ^ ": level sizes")
+            (List.map List.length reference) (List.map List.length levels);
+          Alcotest.(check (list (list string)))
+            (what ^ ": level keys")
+            reference
+            (List.map (fun l -> List.sort compare (List.map c.key l)) levels))
+        c.initials)
+    (levels_cases ())
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "intern"
@@ -620,9 +830,10 @@ let () =
           Alcotest.test_case "dense ids" `Quick test_intern_dense_ids;
           Alcotest.test_case "rehash" `Quick test_intern_rehash;
           Alcotest.test_case "meta fields" `Quick test_intern_meta_fields;
-          Alcotest.test_case "key-equal structures share a meta" `Quick
-            test_intern_key_equal_structures;
+          Alcotest.test_case "structural misses render nothing" `Quick
+            test_intern_misses_render_nothing;
           Alcotest.test_case "keys rendered on demand" `Quick test_intern_keys_on_demand;
+          Alcotest.test_case "adopted parts are claimed" `Quick test_intern_adopt;
           Alcotest.test_case "memo survives marshal" `Quick test_intern_memo_marshal;
           Alcotest.test_case "domain-safe" `Quick test_intern_domains;
         ] );
@@ -648,5 +859,10 @@ let () =
           qt prop_smp_reference;
           qt prop_srw_reference;
           qt prop_sper_reference;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "levels = key-deduplicated reference (every protocol)" `Quick
+            test_views_canonical;
         ] );
     ]
