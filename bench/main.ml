@@ -120,6 +120,17 @@ let e6_sper_layer =
   let x = E.initial ~inputs:[| 0; 1; 1 |] in
   fun () -> ignore (E.sper x)
 
+(* S^per where duplicates show: every state within three layers of the
+   mixed (4,1) input (what `layers -m mp -n 4 -t 1 -d 3` explores), on a
+   fresh engine per call.  E6/sper-layer's n = 3 layer has 18 distinct
+   successors, so it has no duplicate to drop. *)
+let mp_sper_n4_d3 () =
+  let module P = (val Layered_protocols.Mp_floodset.make ~horizon:2) in
+  let module E = Layered_async_mp.Engine.Make (P) in
+  ignore
+    (Frontier.count_reachable Pool.serial ~succ:E.sper ~ident:E.ident ~depth:3
+       (E.initial ~inputs:[| 0; 1; 1; 1 |]))
+
 (* E6: all six FLP diamonds at the initial state. *)
 let e6_diamond =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon:2) in
@@ -728,6 +739,7 @@ let kernels =
     { name = "E5/bridge"; n = 3; t = 2; depth = 2; fn = e5_bridge };
     { name = "E6/sper-layer"; n = 3; t = 2; depth = 1; fn = e6_sper_layer };
     { name = "E6/diamond"; n = 3; t = 2; depth = 2; fn = e6_diamond };
+    { name = "mp/sper-n4-d3"; n = 4; t = 1; depth = 3; fn = mp_sper_n4_d3 };
     { name = "E7/verify-floodset"; n = 3; t = 1; depth = 3; fn = e7_verify_floodset };
     { name = "E7/lower-bound-chain"; n = 4; t = 2; depth = 4; fn = e7_lower_bound_chain };
     { name = "E8/clean-round"; n = 3; t = 1; depth = 3; fn = e8_clean_round };

@@ -41,33 +41,42 @@ module Make (P : Protocol.S) = struct
     if List.length (List.sort_uniq compare dests) <> List.length dests then
       invalid_arg "Engine: duplicate message destination"
 
-  (* Process [i]'s phase against [locals] and [mail]: outgoing messages
-     (from the phase-start local state), then the new local state after
-     draining the inbox, with the protocol-contract guards.  Does not
-     mutate. *)
-  let phase n locals mail i =
-    let local = locals.(i - 1) in
+  (* Process [i]'s outgoing messages from [local], and its new local state
+     after draining [inbox], each with its protocol-contract guards. *)
+  let send n i local =
     let outgoing = P.send ~n ~pid:i local in
     check_outgoing n i outgoing;
-    let local' = P.step ~n ~pid:i local ~inbox:mail.(i - 1) in
+    outgoing
+
+  let step n i local inbox =
+    let local' = P.step ~n ~pid:i local ~inbox in
     (match (P.decision local, P.decision local') with
     | Some v, Some w when not (Value.equal v w) ->
         invalid_arg "Engine: protocol violated write-once decision"
     | Some _, None -> invalid_arg "Engine: protocol erased a decision"
     | (Some _ | None), _ -> ());
-    (local', outgoing)
+    local'
+
+  (* Process [i]'s phase against [locals] and [mail]: outgoing messages
+     (from the phase-start local state), then the new local state.  Does
+     not mutate. *)
+  let phase n locals mail i =
+    let local = locals.(i - 1) in
+    let outgoing = send n i local in
+    (step n i local mail.(i - 1), outgoing)
 
   (* Mailboxes are kept in canonical order: sorted by source pid, FIFO
      within a source (channels are FIFO; the cross-source interleaving of
      concurrently-sent messages is semantically arbitrary, so a canonical
      order keeps state equality independent of it).  Each message goes
-     in after every message from a source up to its own. *)
+     in after every message from a source up to its own, so messages
+     from distinct sources give one mailbox in any insertion order. *)
+  let rec insert src m = function
+    | ((s, _) as e) :: rest when s <= src -> e :: insert src m rest
+    | box -> (src, m) :: box
+
   let enqueue mail src outgoing =
-    let rec insert m = function
-      | ((s, _) as e) :: rest when s <= src -> e :: insert m rest
-      | box -> (src, m) :: box
-    in
-    List.iter (fun (dst, m) -> mail.(dst - 1) <- insert m mail.(dst - 1)) outgoing
+    List.iter (fun (dst, m) -> mail.(dst - 1) <- insert src m mail.(dst - 1)) outgoing
 
   (* The entry runner: one phase, or a concurrent pair of phases, run in
      place on [locals] and [mail]. *)
@@ -210,54 +219,104 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  (* The schedules of [S^per] as a prefix trie, each validated once: a
-     node's [index] is the position in [schedules ~n] of the schedule
-     ending there ([-1]: none), its children the entries that extend
-     it, in first-seen order. *)
-  type trie = { mutable index : int; mutable children : (entry * trie) list }
-
-  let trie_of =
+  (* The [S^per] schedules of [n] processes, validated once and kept as
+     two masks per process.  A process takes at most one phase per
+     schedule, so two sets of runners fix what it ends with: its inbox
+     mask, those whose phase comes before its entry (a pair partner does
+     not count), and its mailbox mask, those whose messages end in its
+     final mailbox (the later entries and its pair partner).  A process
+     that sits out has only its own bit as its inbox mask, and every
+     runner plus its own bit, for the mail it keeps, as its mailbox
+     mask; no runner's masks hold its own bit. *)
+  let plans =
     Engine_core.per_n (fun n ->
-        let root = { index = -1; children = [] } in
-        let ss = schedules ~n in
-        List.iteri
-          (fun idx s ->
+        Engine_core.check_mask_width n;
+        List.map
+          (fun s ->
             validate_schedule n s;
-            let node =
-              List.fold_left
-                (fun node e ->
-                  match List.assoc_opt e node.children with
-                  | Some child -> child
-                  | None ->
-                      let child = { index = -1; children = [] } in
-                      node.children <- node.children @ [ (e, child) ];
-                      child)
-                root s
-            in
-            node.index <- idx)
-          ss;
-        (List.length ss, root))
+            let inbox = Array.init n (fun idx -> 1 lsl idx) and runners = ref 0 in
+            List.iter
+              (fun e ->
+                let pids = pids_of_entry e in
+                List.iter (fun i -> inbox.(i - 1) <- !runners) pids;
+                List.iter (fun i -> runners := !runners lor (1 lsl (i - 1))) pids)
+              s;
+            (inbox, Array.mapi (fun idx before -> !runners lxor (before lor (1 lsl idx))) inbox))
+          (schedules ~n))
 
-  (* Walk the trie depth-first, each node running its entry once on its
-     own copy of its parent's arrays, so each shared prefix runs once;
-     each successor is stored at its schedule's index. *)
+  (* [classes n f] is [f] on (process index, mask), each value computed
+     on first use and paired with its class among the process's values
+     so far under [compare], the identity's equality. *)
+  let classes n f =
+    let cells = Array.init n (fun _ -> Array.make (1 lsl n) None) and seen = Array.make n [] in
+    fun idx mask ->
+      match cells.(idx).(mask) with
+      | Some found -> found
+      | None ->
+          let v = f idx mask in
+          let found =
+            match List.find_opt (fun (_, w) -> compare v w = 0) seen.(idx) with
+            | Some found -> found
+            | None ->
+                let found = (List.length seen.(idx), v) in
+                seen.(idx) <- found :: seen.(idx);
+                found
+          in
+          cells.(idx).(mask) <- Some found;
+          found
+
+  (* Each [P.send] runs once, each [P.step] once per inbox mask of its
+     process, and each final mailbox is built once per mailbox mask.  A
+     schedule's successor is then fixed by a class of local states and
+     one of mailboxes per process, and only a schedule whose classes are
+     new builds its state, interned at once: the list, its order and its
+     ids are those of deduplicating [apply x] over {!schedules}. *)
   let sper x =
     let n = n_of x in
-    let count, root = trie_of n in
-    let succs = Array.make count x in
-    let rec visit locals mail node =
-      if node.index >= 0 then
-        succs.(node.index) <-
-          { round = x.round + 1; locals; mail; interned = Intern.fresh_slot () };
-      List.iter
-        (fun (e, child) ->
-          let locals = Array.copy locals and mail = Array.copy mail in
-          run_entry n locals mail e;
-          visit locals mail child)
-        node.children
+    let plans = plans n in
+    let outgoing = Array.init n (fun idx -> send n (idx + 1) x.locals.(idx)) in
+    (* [box] plus the messages to process [idx + 1] of the runners in
+       [mask] (a process sends itself none) *)
+    let deliver idx mask box =
+      let box = ref box in
+      for s = 0 to n - 1 do
+        if mask land (1 lsl s) <> 0 then
+          match List.assoc_opt (idx + 1) outgoing.(s) with
+          | Some m -> box := insert (s + 1) m !box
+          | None -> ()
+      done;
+      !box
     in
-    visit x.locals x.mail root;
-    dedup (Array.to_list succs)
+    let own idx mask = mask land (1 lsl idx) <> 0 in
+    let local =
+      classes n (fun idx before ->
+          if own idx before then x.locals.(idx)
+          else step n (idx + 1) x.locals.(idx) (deliver idx before x.mail.(idx)))
+    and mailbox =
+      classes n (fun idx mask -> deliver idx mask (if own idx mask then x.mail.(idx) else []))
+    in
+    let seen = Hashtbl.create 64 in
+    List.filter_map
+      (fun (inboxes, mailboxes) ->
+        let key =
+          Array.init n (fun idx ->
+              (fst (local idx inboxes.(idx)) lsl n) lor fst (mailbox idx mailboxes.(idx)))
+        in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          let y =
+            {
+              round = x.round + 1;
+              locals = Array.init n (fun idx -> snd (local idx inboxes.(idx)));
+              mail = Array.init n (fun idx -> snd (mailbox idx mailboxes.(idx)));
+              interned = Intern.fresh_slot ();
+            }
+          in
+          ignore (ident y);
+          Some y
+        end)
+      plans
 
   let in_transit x = Array.fold_left (fun acc box -> acc + List.length box) 0 x.mail
 

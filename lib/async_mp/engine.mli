@@ -57,9 +57,16 @@ module Make (P : Protocol.S) : sig
   val schedules : n:int -> schedule list
 
   (** The permutation layering: de-duplicated [apply x] over
-      {!schedules}, in schedule order.  Shared schedule prefixes run
-      once: the schedules form a prefix trie, built and validated once
-      per [n], that is walked depth-first from [x]. *)
+      {!schedules}, in schedule order, each state interned in that
+      order.  The schedules are validated once per [n] and kept as two
+      masks per process: the runners before its entry (its inbox) and
+      those whose messages end in its final mailbox.  Each [P.send] then
+      runs once, each [P.step] once per inbox mask, and only a schedule
+      whose processes end with a new combination of local states and
+      mailboxes builds its successor.  The contract guards are those of
+      [apply], but the sends are checked before any step, so a protocol
+      that breaks two rules at once may be refused by a different guard
+      than [apply] reports. *)
   val sper : state -> state list
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  Part

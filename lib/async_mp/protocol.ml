@@ -11,8 +11,9 @@
     (the paper's transposition argument).
 
     [send] and [step] must be pure and deterministic: the engine runs
-    each schedule prefix of a layer once and shares its phases across
-    every successor that extends it. *)
+    each process's [send] once per layer and its [step] once per set of
+    processes whose phases precede its own, and shares the results
+    across every schedule of the layer. *)
 
 open Layered_core
 

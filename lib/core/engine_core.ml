@@ -67,8 +67,9 @@ module type S = sig
   (** [dedup_map f xs] is [dedup (List.map f xs)], fused so that a
       repeated successor is dropped before the next one is built: the
       form of every layering over an action list, [f] being the state's
-      layer-at-once successor function.  [S^per] builds all its
-      successors in one trie walk and uses {!dedup}. *)
+      layer-at-once successor function.  [S^per] drops a repeated
+      schedule before building its successor, by comparing each
+      process's local state and mailbox, and uses neither. *)
   val dedup_map : ('a -> state) -> 'a list -> state list
 
   val decisions : state -> Value.t option array
@@ -229,8 +230,9 @@ end
 
 (** [per_n build] is [build] memoised by process count: the action
     tables every state of one [n] shares (IIS partitions, the [S^per]
-    schedule trie).  Entries are published atomically, so pooled workers
-    may race to build one but all use the one published. *)
+    schedules as per-process masks).  Entries are published atomically,
+    so pooled workers may race to build one but all use the one
+    published. *)
 let per_n build =
   let table = Atomic.make [] in
   let rec publish n v =

@@ -421,10 +421,11 @@ let test_export_dot () =
    earlier build can.  [golden.txt] holds one line "key md5" per `all`
    experiment block (as `layered all` and `layered all --markdown` print
    it), per perfbench sweep (what `layered layers` prints), for the iis
-   (4,1) depth-3 sweep under --symmetry, per `layered graph` output, and
-   for the `oracles` table and the `chaos --seed 42` report (checked in
-   test_chaos).  After a deliberate output change, regenerate it from the
-   repo root with
+   (4,1) depth-3 sweep under --symmetry, per `layered graph` output, per
+   classify query of the serve saturation matrix (what `layered classify`
+   prints), and for the `oracles` table and the `chaos --seed 42` report
+   (checked in test_chaos).  After a deliberate output change, regenerate
+   it from the repo root with
 
      LAYERED_GOLDEN_WRITE=test/golden.txt dune exec test/test_analysis.exe
 
@@ -432,11 +433,12 @@ let test_export_dot () =
 
 let md5 = Golden.md5
 
-(* perfbench/bench.ml's sweeps: (model, n, t, depth) *)
+(* perfbench/bench.ml's sweeps, then the first n = 4 S^per sweep:
+   (model, n, t, depth) *)
 let golden_sweeps =
   [
     ("smp", 5, 1, 2); ("mp", 3, 2, 5); ("iis", 5, 1, 3); ("sm", 5, 1, 3);
-    ("sync", 7, 2, 3); ("mobile", 6, 1, 3);
+    ("sync", 7, 2, 3); ("mobile", 6, 1, 3); ("mp", 4, 1, 2);
   ]
 
 let sweep_key (model, n, t, depth) = Printf.sprintf "sweep/%s/%d/%d/%d" model n t depth
@@ -479,6 +481,34 @@ let golden_digests ~jobs =
       @ List.map (fun (key, dot) -> (key, md5 (dot ()))) graph_digests)
   |> List.sort compare
 
+(* The serve saturation matrix of perfbench/bench.ml, client row by
+   client row: (model, n, depth) at t = 1. *)
+let golden_classify =
+  [
+    ("sync", 4, 5); ("mobile", 4, 4); ("sm", 3, 4); ("iis", 3, 3); ("mp", 3, 3); ("smp", 3, 3);
+    ("sync", 4, 6); ("mobile", 4, 5); ("sm", 4, 3); ("iis", 4, 3); ("mp", 3, 4); ("smp", 3, 4);
+    ("sync", 5, 4); ("mobile", 5, 4); ("sm", 4, 4); ("iis", 3, 4); ("sm", 5, 3); ("smp", 4, 3);
+    ("sync", 5, 5); ("mobile", 6, 4); ("sm", 3, 5); ("iis", 4, 4); ("sync", 6, 5);
+    ("mobile", 5, 5);
+  ]
+
+(* Each classification cold, and again through one cache shared in
+   matrix order, as the daemon answers them: both renderings must
+   agree. *)
+let classify_digests () =
+  let cache = Valence_query.create_cache () in
+  List.map
+    (fun (model, n, depth) ->
+      let render ?cache () =
+        md5
+          (Format.asprintf "%a" Valence_query.pp
+             (Valence_query.run ?cache ~model ~n ~t:1 ~depth ()))
+      in
+      let key = Printf.sprintf "classify/%s/%d/1/%d" model n depth and cold = render () in
+      Alcotest.(check string) (key ^ " through the shared cache") cold (render ~cache ());
+      (key, cold))
+    golden_classify
+
 (* A sweep cut by a states cap at jobs 1, resumed without the cap at
    jobs 4 from its every-2-levels checkpoint. *)
 let resumed_sweep_digest () =
@@ -498,20 +528,22 @@ let test_golden_digests () =
   let expect (key, hex) =
     Alcotest.(check (option string)) key (List.assoc_opt key golden) (Some hex)
   in
+  let classify = classify_digests () in
   List.iter
     (fun jobs ->
       let got = golden_digests ~jobs in
       Alcotest.(check (list string))
         (Printf.sprintf "surfaces at jobs %d" jobs)
         (List.map fst golden)
-        (List.sort compare (List.map fst got @ Golden.self_check_keys));
+        (List.sort compare (List.map fst (got @ classify) @ Golden.self_check_keys));
       List.iter expect got)
     [ 1; 4 ];
+  List.iter expect classify;
   expect (resumed_sweep_digest ());
   let perfbench = Golden.read "../perfbench/expected.txt" in
   let shared = List.filter (fun (k, _) -> List.mem_assoc k perfbench) golden in
-  check "golden shares the report and sweep keys with perfbench" true
-    (List.length shared = 22);
+  check "golden shares the report, sweep and classify keys with perfbench" true
+    (List.length shared = 46);
   List.iter
     (fun (key, hex) ->
       Alcotest.(check string) ("perfbench " ^ key) (List.assoc key perfbench) hex)
@@ -524,7 +556,7 @@ let () =
           List.iter
             (fun (key, hex) -> Printf.fprintf oc "%s %s\n" key hex)
             (List.sort compare
-               (golden_digests ~jobs:1
+               (golden_digests ~jobs:1 @ classify_digests ()
                @ [
                    Golden.oracles (Layered_check.Chaos.rows ~jobs:2 ());
                    Golden.chaos (Layered_check.Chaos.run ~jobs:2 ~seed:42 ());

@@ -192,6 +192,44 @@ let test_contract_guards () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Work bound *)
+
+(* FloodSet with its [send] and [step] calls counted.  Each process takes
+   at most one phase per layer and its inbox is fixed by the runners
+   before it, so one [sper] call needs at most n sends and n * 2^(n-1)
+   steps, however many schedules share them. *)
+let sends = ref 0
+let steps = ref 0
+
+module Counted = Mp.Engine.Make (struct
+  include P
+
+  let send ~n ~pid l =
+    incr sends;
+    P.send ~n ~pid l
+
+  let step ~n ~pid l ~inbox =
+    incr steps;
+    P.step ~n ~pid l ~inbox
+end)
+
+let test_sper_work_bound () =
+  let counted x =
+    let n = Counted.n_of x in
+    sends := 0;
+    steps := 0;
+    let layer = Counted.sper x in
+    check (Printf.sprintf "n = %d: %d sends" n !sends) true (!sends <= n);
+    check (Printf.sprintf "n = %d: %d steps" n !steps) true (!steps <= n * (1 lsl (n - 1)));
+    layer
+  in
+  let mixed n = Counted.initial ~inputs:(Array.init n (fun i -> if i = 0 then 0 else 1)) in
+  List.iter (fun n -> ignore (counted (mixed n))) [ 3; 4; 5 ];
+  (* every state of a depth-2 walk at n = 3 *)
+  let level1 = counted (mixed 3) in
+  List.iter (fun x -> ignore (counted x)) (List.concat_map counted level1)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let schedule_arb =
@@ -336,6 +374,7 @@ let () =
           Alcotest.test_case "mailbox order" `Quick test_mailbox_canonical_order;
           Alcotest.test_case "conservation" `Quick test_message_conservation;
           Alcotest.test_case "contract guards" `Quick test_contract_guards;
+          Alcotest.test_case "sper work bound" `Quick test_sper_work_bound;
         ] );
       ( "diamond",
         [
