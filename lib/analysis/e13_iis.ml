@@ -4,7 +4,7 @@ module Iis = Layered_iis
 (* The iis row decides by round t + 1, so its t is [horizon - 1]. *)
 let run_one ~n ~horizon ~length =
   let module E = (val (Models.get ~caller:"E13" "iis").Models.engine ~t:(horizon - 1)) in
-  let succ = E.layer in
+  let succ = E.memo_layer E.layer in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in

@@ -4,7 +4,7 @@ let run_one ~n ~horizon ~length =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_sync.Engine.Make (P) in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
-  let single = E.layer E.s1 in
+  let single = E.memo_layer (E.layer E.s1) in
   let keyset succ x = List.map E.key (succ x) |> List.sort_uniq compare in
   let first_violation_round succ classify x0 =
     let chain = Layering.bivalent_chain ~classify ~succ ~length x0 in
@@ -16,7 +16,7 @@ let run_one ~n ~horizon ~length =
   in
   List.concat_map
     (fun k ->
-      let succ = E.layer (E.s_multi ~omitters:k) in
+      let succ = E.memo_layer (E.layer (E.s_multi ~omitters:k)) in
       let valence = Valence.create (E.valence_spec ~succ) in
       let depth = horizon + 1 in
       let vals x = Valence.vals valence ~depth x in

@@ -6,7 +6,7 @@ open Layered_core
 let check_sync ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.layer (E.st ~t) in
+  let succ = E.memo_layer (E.layer (E.st ~t)) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 3 in
   let ok = ref true and bivalent_states = ref 0 in
@@ -37,7 +37,7 @@ let check_sync ~protocol ~n ~t =
 let check_async ~horizon ~n =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon) in
   let module E = Layered_async_mp.Engine.Make (P) in
-  let succ = E.sper in
+  let succ = E.memo_layer E.sper in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let ok = ref true and witnesses = ref 0 in

@@ -3,7 +3,7 @@ open Layered_core
 let run_one ~n ~horizon =
   let module P = (val Layered_protocols.Sync_floodset.make ~t:(horizon - 1)) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.layer E.s1 in
+  let succ = E.memo_layer (E.layer E.s1) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in
@@ -11,7 +11,10 @@ let run_one ~n ~horizon =
   (* The full micro-step relation of M^mf: one round under any action
      (j, G) with an arbitrary subset G — the single-crash actions, with
      nothing recorded. *)
-  let micro x = List.map (E.apply E.Mobile x) ((E.crash ~max_new:1 ~t:1).actions x) in
+  let micro =
+    E.memo_layer (fun x ->
+        List.map (E.apply E.Mobile x) ((E.crash ~max_new:1 ~t:1).actions x))
+  in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =
     List.concat_map

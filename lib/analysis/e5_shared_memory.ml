@@ -4,7 +4,7 @@ module Sm = Layered_async_sm
 let run_one ~n ~horizon ~length =
   let module P = (val Layered_protocols.Sm_voting.make ~horizon) in
   let module E = Sm.Engine.Make (P) in
-  let succ = E.srw in
+  let succ = E.memo_layer E.srw in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in

@@ -9,7 +9,7 @@ let split_last l =
 let run_one ~n ~horizon ~length =
   let module P = (val Layered_protocols.Mp_floodset.make ~horizon) in
   let module E = Mp.Engine.Make (P) in
-  let succ = E.sper in
+  let succ = E.memo_layer E.sper in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = horizon + 1 in
   let vals x = Valence.vals valence ~depth x in

@@ -3,7 +3,7 @@ open Layered_core
 let run_one ~pname ~protocol ~n ~t =
   let module P = (val (protocol : (module Layered_sync.Protocol.S))) in
   let module E = Layered_sync.Engine.Make (P) in
-  let succ = E.layer (E.st ~t) in
+  let succ = E.memo_layer (E.layer (E.st ~t)) in
   let valence = Valence.create (E.valence_spec ~succ) in
   let depth = t + 2 in
   let classify x = Valence.classify valence ~depth x in

@@ -31,7 +31,7 @@ type classifier = {
 let make_classifier (row : Models.t) ~n ~t =
   let module E = (val row.Models.engine ~t) in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
-  let valence = Valence.create (E.valence_spec ~succ:E.layer) in
+  let valence = Valence.create (E.valence_spec ~succ:(E.memo_layer E.layer)) in
   let lock = Mutex.create () in
   let locked f =
     Mutex.lock lock;

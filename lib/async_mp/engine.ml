@@ -269,8 +269,10 @@ module Make (P : Protocol.S) = struct
      process, and each final mailbox is built once per mailbox mask.  A
      schedule's successor is then fixed by a class of local states and
      one of mailboxes per process, and only a schedule whose classes are
-     new builds its state, interned at once: the list, its order and its
-     ids are those of deduplicating [apply x] over {!schedules}. *)
+     new builds its state: the list and its order are those of
+     deduplicating [apply x] over {!schedules}.  Distinct classes are
+     distinct views, so nothing is interned here; a successor gets its
+     id when something first asks for it. *)
   let sper x =
     let n = n_of x in
     let plans = plans n in
@@ -305,16 +307,13 @@ module Make (P : Protocol.S) = struct
         if Hashtbl.mem seen key then None
         else begin
           Hashtbl.add seen key ();
-          let y =
+          Some
             {
               round = x.round + 1;
               locals = Array.init n (fun idx -> snd (local idx inboxes.(idx)));
               mail = Array.init n (fun idx -> snd (mailbox idx mailboxes.(idx)));
               interned = Intern.fresh_slot ();
             }
-          in
-          ignore (ident y);
-          Some y
         end)
       plans
 

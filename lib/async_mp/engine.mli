@@ -57,8 +57,10 @@ module Make (P : Protocol.S) : sig
   val schedules : n:int -> schedule list
 
   (** The permutation layering: de-duplicated [apply x] over
-      {!schedules}, in schedule order, each state interned in that
-      order.  The schedules are validated once per [n] and kept as two
+      {!schedules}, in schedule order.  It interns nothing: a successor
+      is interned when something first asks for its {!ident}, so a
+      layer only counted (a sweep's last level) adds no identity.  The
+      schedules are validated once per [n] and kept as two
       masks per process: the runners before its entry (its inbox) and
       those whose messages end in its final mailbox.  Each [P.send] then
       runs once, each [P.step] once per inbox mask, and only a schedule

@@ -72,6 +72,21 @@ module type S = sig
       process's local state and mailbox, and uses neither. *)
   val dedup_map : ('a -> state) -> 'a list -> state list
 
+  (** [memo_layer layer] is [layer] computed once per state identity
+      ({!ident}): a later call on a state of that identity returns the
+      first call's list and runs nothing.  Each call of [memo_layer]
+      makes one table, so a memo belongs to one layering, and two
+      layerings of one engine (the sync engine's [s1] and [s_multi])
+      are wrapped separately.  The table is domain-safe: successors are
+      computed outside its lock and the first list published wins.  A
+      layering that raises caches nothing, so the next call raises
+      again.  The table keeps every expanded state's successors for as
+      long as the returned function lives: wrap a layering only where
+      one consumer expands a state more than once (a valence walk beside
+      layer checks, or at a second depth), never a traversal that
+      expands each state once, such as [Sweep]. *)
+  val memo_layer : (state -> state list) -> state -> state list
+
   val decisions : state -> Value.t option array
 
   (** Values decided by processes non-failed at the state. *)
@@ -156,6 +171,21 @@ module Make (M : MODEL) : S with type state = M.state = struct
         let x = f a in
         if keep x then Some x else None)
       xs
+
+  let memo_layer layer =
+    let table = Hashtbl.create 256 and lock = Mutex.create () in
+    fun x ->
+      let id = ident x in
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt table id) with
+      | Some ys -> ys
+      | None ->
+          let ys = layer x in
+          Mutex.protect lock (fun () ->
+              match Hashtbl.find_opt table id with
+              | Some first -> first
+              | None ->
+                  Hashtbl.add table id ys;
+                  ys)
 
   let decisions x = Array.map M.decision (M.locals x)
 

@@ -21,12 +21,16 @@ let cardinal s =
 let subset a b = a land lnot b = 0
 let equal = Int.equal
 
-let elements s =
-  let rec collect acc v =
-    if v < 0 then acc
-    else collect (if mem v s then v :: acc else acc) (v - 1)
-  in
-  collect [] (max_value - 1)
+(* [elements] walks from the highest set bit down, so the list conses up
+   ascending; a set only ever holds checked values.  The helpers take
+   [s] as an argument, so a call allocates the list cells and no
+   closure. *)
+let rec top s v = if s lsr (v + 1) = 0 then v else top s (v + 1)
+
+let rec collect s acc v =
+  if v < 0 then acc else collect s (if s land (1 lsl v) <> 0 then v :: acc else acc) (v - 1)
+
+let elements s = if s = 0 then [] else collect s [] (top s 0)
 
 let of_list vs = List.fold_left (fun s v -> add v s) empty vs
 let intersects a b = not (is_empty (inter a b))

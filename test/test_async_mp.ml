@@ -183,7 +183,16 @@ let test_contract_guards () =
       Alcotest.check_raises ("apply: " ^ msg) (Invalid_argument msg) (fun () ->
           ignore (B.apply x (solo [ 1; 2; 3 ])));
       Alcotest.check_raises ("sper: " ^ msg) (Invalid_argument msg) (fun () ->
-          ignore (B.sper x)))
+          ignore (B.sper x));
+      (* a layering that raises leaves nothing cached *)
+      let memo = B.memo_layer B.sper in
+      List.iter
+        (fun call ->
+          Alcotest.check_raises
+            (Printf.sprintf "memo_layer sper, call %d: %s" call msg)
+            (Invalid_argument msg)
+            (fun () -> ignore (memo x)))
+        [ 1; 2 ])
     [
       (Bad_destination, "Engine: bad message destination");
       (Duplicate_destination, "Engine: duplicate message destination");
@@ -228,6 +237,41 @@ let test_sper_work_bound () =
   (* every state of a depth-2 walk at n = 3 *)
   let level1 = counted (mixed 3) in
   List.iter (fun x -> ignore (counted x)) (List.concat_map counted level1)
+
+(* A memoised layering expands a state once: expanding an equal state
+   again, another object, runs no [send] or [step]. *)
+let test_memo_layer_work () =
+  let memo = Counted.memo_layer Counted.sper in
+  let copy (x : Counted.state) : Counted.state = Marshal.from_string (Marshal.to_string x []) 0 in
+  let x = Counted.initial ~inputs:[| 0; 1; 1 |] in
+  let first = memo x in
+  List.iter (fun y -> ignore (memo y)) first;
+  sends := 0;
+  steps := 0;
+  let again = memo (copy x) in
+  List.iter (fun y -> ignore (memo (copy y))) again;
+  check_int "sends" 0 !sends;
+  check_int "steps" 0 !steps;
+  check "the first list" true (again == first)
+
+(* [sper] interns nothing, so a sweep interns exactly the states it
+   reaches: its last level's layers are counted, never interned. *)
+let test_sper_interns_nothing () =
+  let x = initial [ 0; 1; 1 ] in
+  ignore (E.ident x);
+  let before = Intern.size E.intern_table in
+  ignore (E.sper x);
+  check_int "sper x adds no identity" before (Intern.size E.intern_table);
+  List.iter
+    (fun (n, t, depth, reachable) ->
+      let what = Printf.sprintf "mp (%d,%d) depth %d" n t depth in
+      let before = Layered_runtime.Stats.snapshot () in
+      let s = Layered_analysis.Sweep.run ~model:"mp" ~n ~t ~depth () in
+      let delta = Layered_runtime.Stats.diff (Layered_runtime.Stats.snapshot ()) before in
+      check_int (what ^ ": reachable") reachable
+        (List.fold_left (fun _ l -> l.Layered_analysis.Sweep.reachable) 0 s.levels);
+      check_int (what ^ ": interned") reachable delta.interned_states)
+    [ (3, 2, 5, 2064); (4, 1, 3, 5362) ]
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -375,6 +419,8 @@ let () =
           Alcotest.test_case "conservation" `Quick test_message_conservation;
           Alcotest.test_case "contract guards" `Quick test_contract_guards;
           Alcotest.test_case "sper work bound" `Quick test_sper_work_bound;
+          Alcotest.test_case "memo layer work" `Quick test_memo_layer_work;
+          Alcotest.test_case "sper interns nothing" `Quick test_sper_interns_nothing;
         ] );
       ( "diamond",
         [

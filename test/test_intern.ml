@@ -321,6 +321,30 @@ let test_valence_ident_agrees () =
       check "memoised completeness = reference" true (o.complete = r.complete))
     (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ])
 
+(* [memo_layer layer] lists the ids [layer] lists at every state of a
+   depth-2 walk, in every model row, and a marshalled copy of the state
+   (an equal state, another object) gets the list the state left. *)
+let test_memo_layer_rows () =
+  List.iter
+    (fun (row : Layered_analysis.Models.t) ->
+      let module E = (val row.Layered_analysis.Models.engine ~t:1) in
+      let memo = E.memo_layer E.layer in
+      let ids = List.map E.ident in
+      List.iter
+        (fun x0 ->
+          List.iter
+            (fun x ->
+              let want = ids (E.layer x) and first = memo x in
+              let copy : E.state = Marshal.from_string (Marshal.to_string x []) 0 in
+              Alcotest.(check (list int)) (row.name ^ ": memo_layer = layer") want (ids first);
+              check (row.name ^ ": the copy is another object") true (copy != x);
+              check (row.name ^ ": the copy gets the kept list") true (memo copy == first))
+            Layered_runtime.(
+              (Frontier.reachable Pool.serial ~succ:E.layer ~ident:E.ident ~depth:2 x0)
+                .Budget.value))
+        (E.initial_states ~n:3 ~values:[ Value.zero; Value.one ]))
+    Layered_analysis.Models.all
+
 (* The identity invariants on all five engines, over random walks: ids
    partition states exactly as keys do, every meta's part vector is the
    pool image of the state's freshly rendered parts, and adopting an
@@ -850,6 +874,7 @@ let () =
           Alcotest.test_case "agree_modulo matches similar" `Quick
             test_agree_modulo_matches_similar;
           Alcotest.test_case "valence keying agrees" `Quick test_valence_ident_agrees;
+          Alcotest.test_case "memo_layer = layer (every model row)" `Quick test_memo_layer_rows;
           qt prop_engine_identity;
         ] );
       ( "layering",

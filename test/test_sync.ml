@@ -179,6 +179,18 @@ let test_s_multi () =
   check "double silencing reachable" true
     (List.exists (fun y -> E.equal y both_silenced) (E.layer (E.s_multi ~omitters:2) x))
 
+(* Each memoised layering has its own table: one shared by the engine
+   would hand [s_multi] the [s1] layer it computed first. *)
+let test_memo_per_layering () =
+  let single = E.memo_layer (E.layer E.s1)
+  and multi = E.memo_layer (E.layer (E.s_multi ~omitters:2)) in
+  let x = initial [ 0; 0; 1 ] in
+  let ids succ = List.map E.ident (succ x) in
+  check_int "s1" 3 (List.length (single x));
+  check_int "s_multi 2" 4 (List.length (multi x));
+  Alcotest.(check (list int)) "s1 again" (ids (E.layer E.s1)) (ids single);
+  Alcotest.(check (list int)) "s_multi 2 again" (ids (E.layer (E.s_multi ~omitters:2))) (ids multi)
+
 let test_st_layers_are_legal () =
   (* Every S^t successor is one legal round of the crash model. *)
   let x = initial [ 0; 1; 1 ] in
@@ -429,6 +441,7 @@ let () =
           Alcotest.test_case "S1 layer" `Quick test_s1_layer;
           Alcotest.test_case "S^t structure" `Quick test_st_layer_structure;
           Alcotest.test_case "multi-omitter layer" `Quick test_s_multi;
+          Alcotest.test_case "one memo per layering" `Quick test_memo_per_layering;
           Alcotest.test_case "S^t legality" `Quick test_st_layers_are_legal;
         ] );
       ( "adversary",
