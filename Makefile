@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: build test bench-smoke bench-compare bench-baseline perfbench-check chaos-smoke resume-smoke mem-watermark-smoke serve-smoke serve-crash-smoke serve-saturation-smoke sper-n5-smoke fmt
+.PHONY: build test bench-smoke bench-compare bench-baseline perfbench-check chaos-smoke resume-smoke mem-watermark-smoke serve-smoke serve-crash-smoke serve-saturation-smoke wide-sweeps-smoke fmt
 
 build:
 	dune build
@@ -66,10 +66,11 @@ serve-crash-smoke:
 serve-saturation-smoke:
 	bash scripts/serve_saturation_smoke.sh
 
-# Run the mp (5,1) depth-2 sweep, the one report reaching width-5 S^per
-# schedules, and require its committed stdout MD5.
-sper-n5-smoke:
-	bash scripts/sper_n5_smoke.sh
+# Run the mp (5,1) depth-2 and smp (6,1) depth-3 sweeps, the widest
+# reports no tier-1 test runs, and require each one's committed stdout
+# MD5 and its count of interned states.
+wide-sweeps-smoke:
+	bash scripts/wide_sweeps_smoke.sh
 
 fmt:
 	@dune fmt || echo "fmt skipped (ocamlformat not available)"

@@ -488,6 +488,13 @@ let oocore ?budget pool () =
 let oocore_serial () = oocore Pool.serial ()
 let oocore_jobs jobs () = oocore ~budget:(bench_budget ()) (pool jobs) ()
 
+(* The whole (6,1) synchronic-MP sweep at depth 3, `layers -m smp -n 6
+   -t 1 -d 3`, on the calling domain: levels 0-3 expanded and the last
+   level's layers counted, on a fresh engine per call (as every sweep
+   builds its row's engine afresh). *)
+let sweep_smp6_d3 () =
+  ignore (Layered_analysis.Sweep.run ~pool:Pool.serial ~model:"smp" ~n:6 ~t:1 ~depth:3 ())
+
 (* ------------------------------------------------------------------ *)
 (* Similarity-graph construction: the all-pairs reference vs the
    signature-bucketed builder, on the same fixture — the deduped
@@ -774,6 +781,7 @@ let kernels =
     { name = "oocore/smp6-serial"; n = 6; t = 1; depth = 2; fn = oocore_serial };
     { name = "oocore/smp6-jobs1"; n = 6; t = 1; depth = 2; fn = oocore_jobs 1 };
     { name = "oocore/smp6-jobs4"; n = 6; t = 1; depth = 2; fn = oocore_jobs 4 };
+    { name = "sweep/smp6-d3"; n = 6; t = 1; depth = 3; fn = sweep_smp6_d3 };
     { name = "ablation/symmetry-off"; n = 4; t = 2; depth = 4; fn = symmetry_sweep ~sym:false };
     { name = "ablation/symmetry-on"; n = 4; t = 2; depth = 4; fn = symmetry_sweep ~sym:true };
     { name = "oocore/iis5-serial"; n = 5; t = 1; depth = 2; fn = oocore_iis ~sym:false 1 };

@@ -21,7 +21,7 @@ let demonstrate ~pname ~protocol ~n ~t =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let x0 = Option.get (Layering.find_bivalent ~classify initials) in
   let succ_labelled x =
-    List.map (fun a -> (a, E.apply adv.discipline x a)) (adv.actions x)
+    List.map (fun a -> (a, E.apply adv.discipline x a)) (E.actions_at adv x)
   in
   let chain = Layering.bivalent_chain_labelled ~classify ~succ:succ_labelled ~length:t x0 in
   Format.printf "Lemma 6.1 -- the adversary keeps the run bivalent:@.";

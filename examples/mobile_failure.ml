@@ -29,7 +29,7 @@ let () =
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let x0 = Option.get (Layering.find_bivalent ~classify initials) in
 
-  let succ_labelled x = List.map (fun a -> (a, E.apply E.Mobile x a)) (E.s1.actions x) in
+  let succ_labelled x = List.map (fun a -> (a, E.apply E.Mobile x a)) (E.actions_at E.s1 x) in
   let chain = Layering.bivalent_chain_labelled ~classify ~succ:succ_labelled ~length:8 x0 in
   assert chain.Layering.complete_l;
 

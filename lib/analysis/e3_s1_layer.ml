@@ -13,7 +13,7 @@ let run_one ~n ~horizon =
      nothing recorded. *)
   let micro =
     E.memo_layer (fun x ->
-        List.map (E.apply E.Mobile x) ((E.crash ~max_new:1 ~t:1).actions x))
+        List.map (E.apply E.Mobile x) (E.actions_at (E.crash ~max_new:1 ~t:1) x))
   in
   let initials = E.initial_states ~n ~values:[ Value.zero; Value.one ] in
   let sample =

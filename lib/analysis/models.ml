@@ -6,6 +6,7 @@ module type ENGINE = sig
   val initial : inputs:Value.t array -> state
   val initial_states : n:int -> values:Value.t list -> state list
   val layer : state -> state list
+  val layer_size : state -> int
   val steps : state -> (string * state) list
   val round : state -> int
 end
@@ -30,6 +31,7 @@ let floodset ~mobile ~t : (module ENGINE) =
     include E
 
     let layer = E.layer adv
+    let layer_size = E.layer_size adv
 
     (* An [S_1] omission to the empty prefix drops nothing, so it prints
        as the failure-free round; in [S^t] it is a declaration crash. *)
@@ -41,7 +43,7 @@ let floodset ~mobile ~t : (module ENGINE) =
       List.map
         (fun a ->
           (Format.asprintf "%a" E.pp_action (label a), E.apply adv.E.discipline x a))
-        (adv.E.actions x)
+        (E.actions_at adv x)
 
     let round x = x.E.round
   end)
@@ -53,6 +55,7 @@ let sm ~t : (module ENGINE) =
     include E
 
     let layer = E.srw
+    let layer_size = E.srw_size
 
     let steps x =
       labelled Layered_async_sm.Engine.pp_action E.apply (E.actions ~n:(E.n_of x)) x
@@ -67,6 +70,7 @@ let mp ~t : (module ENGINE) =
     include E
 
     let layer = E.sper
+    let layer_size = E.sper_size
 
     let steps x =
       labelled Layered_async_mp.Engine.pp_schedule E.apply (E.schedules ~n:(E.n_of x)) x
@@ -81,6 +85,7 @@ let smp ~t : (module ENGINE) =
     include E
 
     let layer = E.smp
+    let layer_size = E.smp_size
 
     let steps x =
       labelled Layered_async_mp.Synchronic.pp_action E.apply (E.actions ~n:(E.n_of x)) x

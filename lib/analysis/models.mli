@@ -41,8 +41,13 @@ module type ENGINE = sig
   val initial_states : n:int -> values:Value.t list -> state list
 
   (** The row's layering: the de-duplicated successors of a state, in
-      action order. *)
+      action order, built by the layer kernel ({!Engine_core.layer});
+      it interns nothing. *)
   val layer : state -> state list
+
+  (** [List.length (layer x)], counted without building a successor:
+      what {!Sweep} reports for its last level. *)
+  val layer_size : state -> int
 
   (** One successor per action of the layering, not de-duplicated, each
       labelled with its action as {!Chains} prints it. *)

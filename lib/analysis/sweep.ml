@@ -35,7 +35,7 @@ let mixed_inputs n = Array.init n (fun i -> if i = 0 then Value.zero else Value.
    meaningless to the unreduced traversal, and vice versa. *)
 let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
     ?(size = List.length) ~symmetry
-    ~(succ : a -> a list) ~(ident : a -> int) ~(x0 : a) ~depth () =
+    ~(succ : a -> a list) ~(layer_size : a -> int) ~(ident : a -> int) ~(x0 : a) ~depth () =
   let cur_min = Atomic.make max_int and cur_max = Atomic.make 0 in
   let rec fold_atomic better a v =
     let c = Atomic.get a in
@@ -137,16 +137,16 @@ let sweep_generic (type a) ~pool ?budget ?ckpt ~name ?canon
   let delivered = Array.length sizes in
   (* Stats for the deepest delivered level: a died-out BFS expanded it
      (the accumulator holds its counts); a depth-capped one never did, so
-     compute them directly — the one place a successor is recomputed, and
-     only on a complete sweep.  The pass runs under the traversal's
-     budget: an exhaustion there truncates the sweep at [depth], exactly
-     as a sweep one level deeper truncates before expanding that level. *)
+     count its layers with [layer_size], which builds no successor, only
+     on a complete sweep.  The pass runs under the traversal's budget: an
+     exhaustion there truncates the sweep at [depth], exactly as a sweep
+     one level deeper truncates before expanding that level. *)
   let final_stats, status =
     match status with
     | Budget.Truncated _ -> ((0, 0), status)
     | Budget.Complete when delivered < depth + 1 -> (harvest (), status)
     | Budget.Complete -> (
-        match Pool.parallel_map ?budget pool (fun x -> List.length (succ x)) !last_level with
+        match Pool.parallel_map ?budget pool layer_size !last_level with
         | counts ->
             ( ( List.fold_left min max_int counts |> (fun m -> if counts = [] then 0 else m),
                 List.fold_left max 0 counts ),
@@ -197,7 +197,8 @@ let run ?pool ?budget ?checkpoint ?(symmetry = false) ~model ~n ~t ~depth () =
   let levels, status =
     sweep_generic ~pool ?budget ?ckpt:checkpoint
       ~name:(checkpoint_name ~model ~n ~t ~depth)
-      ?canon ?size ~symmetry ~succ:E.layer ~ident:E.ident ~x0:(E.initial ~inputs) ~depth ()
+      ?canon ?size ~symmetry ~succ:E.layer ~layer_size:E.layer_size ~ident:E.ident
+      ~x0:(E.initial ~inputs) ~depth ()
   in
   { model; n; levels; status }
 

@@ -34,12 +34,18 @@ module Make (P : Protocol.S) = struct
   let initial_states ~n ~values =
     List.map (fun inputs -> initial ~inputs) (Inputs.vectors ~n ~values)
 
+  (* Every destination is checked before any repeat, as one bitmask. *)
   let check_outgoing n pid outgoing =
-    let dests = List.map fst outgoing in
-    if List.exists (fun d -> d = pid || d < 1 || d > n) dests then
+    Engine_core.check_mask_width n;
+    if List.exists (fun (d, _) -> d = pid || d < 1 || d > n) outgoing then
       invalid_arg "Engine: bad message destination";
-    if List.length (List.sort_uniq compare dests) <> List.length dests then
-      invalid_arg "Engine: duplicate message destination"
+    ignore
+      (List.fold_left
+         (fun seen (d, _) ->
+           let bit = 1 lsl (d - 1) in
+           if seen land bit <> 0 then invalid_arg "Engine: duplicate message destination";
+           seen lor bit)
+         0 outgoing)
 
   (* Process [i]'s outgoing messages from [local], and its new local state
      after draining [inbox], each with its protocol-contract guards. *)
@@ -219,103 +225,86 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  (* The [S^per] schedules of [n] processes, validated once and kept as
-     two masks per process.  A process takes at most one phase per
-     schedule, so two sets of runners fix what it ends with: its inbox
-     mask, those whose phase comes before its entry (a pair partner does
-     not count), and its mailbox mask, those whose messages end in its
-     final mailbox (the later entries and its pair partner).  A process
-     that sits out has only its own bit as its inbox mask, and every
-     runner plus its own bit, for the mail it keeps, as its mailbox
-     mask; no runner's masks hold its own bit. *)
-  let plans =
-    Engine_core.per_n (fun n ->
-        Engine_core.check_mask_width n;
-        List.map
-          (fun s ->
-            validate_schedule n s;
-            let inbox = Array.init n (fun idx -> 1 lsl idx) and runners = ref 0 in
-            List.iter
-              (fun e ->
-                let pids = pids_of_entry e in
-                List.iter (fun i -> inbox.(i - 1) <- !runners) pids;
-                List.iter (fun i -> runners := !runners lor (1 lsl (i - 1))) pids)
-              s;
-            (inbox, Array.mapi (fun idx before -> !runners lxor (before lor (1 lsl idx))) inbox))
-          (schedules ~n))
+  (* A schedule's masks.  A process takes at most one phase per schedule,
+     so two sets of runners fix what it ends with: its inbox mask, those
+     whose phase comes before its entry (a pair partner does not count),
+     and its mailbox mask, those whose messages end in its final mailbox
+     (the later entries and its pair partner).  A process that sits out
+     has only its own bit as its inbox mask, and every runner plus its
+     own bit, for the mail it keeps, as its mailbox mask; no runner's
+     masks hold its own bit.  [masks n s] is each process's pair. *)
+  let masks n s =
+    let inbox = Array.init n (fun idx -> 1 lsl idx) and runners = ref 0 in
+    List.iter
+      (fun e ->
+        let pids = pids_of_entry e in
+        List.iter (fun i -> inbox.(i - 1) <- !runners) pids;
+        List.iter (fun i -> runners := !runners lor (1 lsl (i - 1))) pids)
+      s;
+    Array.mapi (fun idx before -> (before, !runners lxor (before lor (1 lsl idx)))) inbox
 
-  (* [classes n f] is [f] on (process index, mask), each value computed
-     on first use and paired with its class among the process's values
-     so far under [compare], the identity's equality. *)
-  let classes n f =
-    let cells = Array.init n (fun _ -> Array.make (1 lsl n) None) and seen = Array.make n [] in
-    fun idx mask ->
-      match cells.(idx).(mask) with
-      | Some found -> found
-      | None ->
-          let v = f idx mask in
-          let found =
-            match List.find_opt (fun (_, w) -> compare v w = 0) seen.(idx) with
-            | Some found -> found
-            | None ->
-                let found = (List.length seen.(idx), v) in
-                seen.(idx) <- found :: seen.(idx);
-                found
-          in
-          cells.(idx).(mask) <- Some found;
-          found
+  (* [box] plus the message to [dst] among [src]'s [outgoing], if any *)
+  let rec deliver_from src (dst : Pid.t) box = function
+    | [] -> box
+    | (d, m) :: rest -> if d = dst then insert src m box else deliver_from src dst box rest
 
-  (* Each [P.send] runs once, each [P.step] once per inbox mask of its
-     process, and each final mailbox is built once per mailbox mask.  A
-     schedule's successor is then fixed by a class of local states and
-     one of mailboxes per process, and only a schedule whose classes are
-     new builds its state: the list and its order are those of
-     deduplicating [apply x] over {!schedules}.  Distinct classes are
-     distinct views, so nothing is interned here; a successor gets its
-     id when something first asks for it. *)
-  let sper x =
+  (* A layer's shared work at [x]: every [P.send] runs once, first, and
+     a process's masks count only the runners with a message for it (and
+     its own bit), so each [P.step] runs once per such inbox mask and
+     each final mailbox is built once per such mailbox mask.  Returns
+     what process [idx + 1] ends with under its masks: its local state
+     and its mailbox. *)
+  let work x =
     let n = n_of x in
-    let plans = plans n in
     let outgoing = Array.init n (fun idx -> send n (idx + 1) x.locals.(idx)) in
-    (* [box] plus the messages to process [idx + 1] of the runners in
-       [mask] (a process sends itself none) *)
+    (* senders.(idx): the processes with a message for [idx + 1], and [idx + 1] *)
+    let senders = Array.init n (fun idx -> 1 lsl idx) in
+    Array.iteri
+      (fun s out -> List.iter (fun (d, _) -> senders.(d - 1) <- senders.(d - 1) lor (1 lsl s)) out)
+      outgoing;
+    (* [box] plus the messages to process [idx + 1] of the runners in [mask] *)
     let deliver idx mask box =
       let box = ref box in
       for s = 0 to n - 1 do
-        if mask land (1 lsl s) <> 0 then
-          match List.assoc_opt (idx + 1) outgoing.(s) with
-          | Some m -> box := insert (s + 1) m !box
-          | None -> ()
+        if s <> idx && mask land (1 lsl s) <> 0 then
+          box := deliver_from (s + 1) (idx + 1) !box outgoing.(s)
       done;
       !box
     in
-    let own idx mask = mask land (1 lsl idx) <> 0 in
     let local =
-      classes n (fun idx before ->
-          if own idx before then x.locals.(idx)
-          else step n (idx + 1) x.locals.(idx) (deliver idx before x.mail.(idx)))
+      Engine_core.memo_masks n (fun idx inbox ->
+          if inbox land (1 lsl idx) <> 0 then x.locals.(idx)
+          else step n (idx + 1) x.locals.(idx) (deliver idx inbox x.mail.(idx)))
     and mailbox =
-      classes n (fun idx mask -> deliver idx mask (if own idx mask then x.mail.(idx) else []))
+      Engine_core.memo_masks n (fun idx mail ->
+          deliver idx mail (if mail land (1 lsl idx) <> 0 then x.mail.(idx) else []))
     in
-    let seen = Hashtbl.create 64 in
-    List.filter_map
-      (fun (inboxes, mailboxes) ->
-        let key =
-          Array.init n (fun idx ->
-              (fst (local idx inboxes.(idx)) lsl n) lor fst (mailbox idx mailboxes.(idx)))
-        in
-        if Hashtbl.mem seen key then None
-        else begin
-          Hashtbl.add seen key ();
-          Some
-            {
-              round = x.round + 1;
-              locals = Array.init n (fun idx -> snd (local idx inboxes.(idx)));
-              mail = Array.init n (fun idx -> snd (mailbox idx mailboxes.(idx)));
-              interned = Intern.fresh_slot ();
-            }
-        end)
-      plans
+    fun idx (inbox, mail) ->
+      (local idx (inbox land senders.(idx)), mailbox idx (mail land senders.(idx)))
+
+  let build x get () =
+    let n = n_of x in
+    let locals = Array.copy x.locals and mail = Array.copy x.mail in
+    for idx = 0 to n - 1 do
+      let local, box = get idx in
+      locals.(idx) <- local;
+      mail.(idx) <- box
+    done;
+    { round = x.round + 1; locals; mail; interned = Intern.fresh_slot () }
+
+  (* The [S^per] schedules of [n] processes, validated and compiled once. *)
+  let rows =
+    Engine_core.per_key (fun n ->
+        Engine_core.check_mask_width n;
+        Engine_core.rows ~n
+          (List.map
+             (fun s ->
+               validate_schedule n s;
+               (masks n s, ()))
+             (schedules ~n)))
+
+  let sper x = Engine_core.layer (rows (n_of x)) ~local:(work x) ~env:Fun.id ~build:(build x)
+  let sper_size x = Engine_core.layer_size (rows (n_of x)) ~local:(work x) ~env:Fun.id
 
   let in_transit x = Array.fold_left (fun acc box -> acc + List.length box) 0 x.mail
 

@@ -57,19 +57,23 @@ module Make (P : Protocol.S) : sig
   val schedules : n:int -> schedule list
 
   (** The permutation layering: de-duplicated [apply x] over
-      {!schedules}, in schedule order.  It interns nothing: a successor
-      is interned when something first asks for its {!ident}, so a
-      layer only counted (a sweep's last level) adds no identity.  The
-      schedules are validated once per [n] and kept as two
-      masks per process: the runners before its entry (its inbox) and
-      those whose messages end in its final mailbox.  Each [P.send] then
-      runs once, each [P.step] once per inbox mask, and only a schedule
-      whose processes end with a new combination of local states and
-      mailboxes builds its successor.  The contract guards are those of
-      [apply], but the sends are checked before any step, so a protocol
-      that breaks two rules at once may be refused by a different guard
-      than [apply] reports. *)
+      {!schedules}, in schedule order, built by the layer kernel
+      ({!Engine_core.layer}).  The schedules are validated and compiled
+      once per [n], each into two masks per process: the runners before
+      its entry (its inbox) and those whose messages end in its final
+      mailbox.  At a state a mask counts only the runners with a message
+      for the process, so each [P.send] runs at most once, each [P.step]
+      once per such inbox mask, and only a schedule whose processes end
+      with a new combination of local states and mailboxes builds its
+      successor.  Nothing is interned: a successor is interned when
+      something first asks for its {!ident}.  The contract guards are those of
+      [apply], but [sper] checks every send before any step, so a
+      protocol that breaks two rules at once may be refused by a
+      different guard than [apply] reports. *)
   val sper : state -> state list
+
+  (** [List.length (sper x)], counted without building a successor. *)
+  val sper_size : state -> int
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  Part
       [i] bundles process [i]'s mailbox and local state, so

@@ -49,10 +49,20 @@ module Make (P : Layered_sync.Protocol.S) : sig
   val apply : state -> action -> state
 
   (** The synchronic layering: de-duplicated [apply x] over {!actions},
-      in action order.  The round's fresh packets are built once per
-      sender and shared by every successor, and each [P.step] runs once
-      per (receiver, sender whose fresh packet it misses). *)
+      in action order, built by the layer kernel ({!Engine_core.layer}).
+      The actions are compiled once per [n], each into the sender whose
+      fresh packet each receiver misses and the transit it leaves.  At a
+      state the round's fresh packets are built once per sender and
+      shared by every successor, each [P.step] runs once per (receiver,
+      sender whose fresh packet it misses), and only an action whose
+      processes and transit end in a new combination builds its
+      successor: a transit is classed by its packets' kept flags, one
+      per packet, and its list is built only for a new successor.
+      Nothing is interned. *)
   val smp : state -> state list
+
+  (** [List.length (smp x)], counted without building a successor. *)
+  val smp_size : state -> int
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  Round
       and the whole transit list form the header part, compared

@@ -66,17 +66,34 @@ module Make (P : Protocol.S) = struct
     let x' = List.fold_left apply_event x events in
     { x' with phase = x.phase + 1; interned = Intern.fresh_slot () }
 
-  (* One phase from [x] under any action, equal to
-     [apply_events x (compile x a)].  The writes are shared: per slow
-     [j], on first use, the register vector after the proper writes, and
-     one vector after every write (the slow process writes last).  Each
-     scan runs once per (pid, vector); [Absent] and [Read_late k] only
-     choose which scan each process gets. *)
-  let successor x =
+  (* An action's row, validated: each process's label, the register
+     vector it scans ([j]: every write but the slow [j + 1]'s; [n]: every
+     write) or [n + 1] when it takes no step, and the vector the phase
+     leaves. *)
+  let row n { slow = j; mode } =
+    if j < 1 || j > n then invalid_arg "Engine.apply: bad slow process";
+    let j = j - 1 in
+    (* proper processes [i < early] scan before [j]'s write *)
+    let absent, early =
+      match mode with
+      | Absent -> (true, n)
+      | Read_late k ->
+          if k < 0 || k > n then invalid_arg "Engine.apply: bad read-late count";
+          (false, k)
+    in
+    ( Array.init n (fun i ->
+          if i = j then if absent then n + 1 else n else if i < early then j else n),
+      if absent then j else n )
+
+  (* The phase's shared work at [x]: each [P.write] runs at most once,
+     each register vector is built once (a process that writes nothing
+     leaves the vector every write leaves), and each [P.step] runs once
+     per (process, vector).  Returns the local state a label gives and
+     the vector an environment label leaves. *)
+  let work x =
     let n = n_of x in
-    let phase = x.phase + 1 in
     let write = Engine_core.memo n (fun i -> P.write ~n ~pid:(i + 1) x.locals.(i)) in
-    (* regs j: every write but process [j + 1]'s; regs n: every write *)
+    let vector v = if v < n && Option.is_none (write v) then n else v in
     let regs =
       Engine_core.memo (n + 1) (fun v ->
           let regs = Array.copy x.regs in
@@ -96,28 +113,15 @@ module Make (P : Protocol.S) = struct
           | (Some _ | None), _ -> ());
           l)
     in
-    let scan i v = scans ((v * n) + i) in
-    fun { slow = j; mode } ->
-      if j < 1 || j > n then invalid_arg "Engine.apply: bad slow process";
-      let j = j - 1 in
-      (* proper processes [i < early] scan before [j]'s write *)
-      let absent, early =
-        match mode with
-        | Absent -> (true, n)
-        | Read_late k ->
-            if k < 0 || k > n then invalid_arg "Engine.apply: bad read-late count";
-            (false, k)
-      in
-      let locals =
-        Array.init n (fun i ->
-            if i = j then if absent then x.locals.(i) else scan i n
-            else if i < early then scan i j
-            else scan i n)
-      in
-      let regs = regs (if absent then j else n) in
-      { phase; locals; regs; interned = Intern.fresh_slot () }
+    ( (fun i v -> if v > n then x.locals.(i) else scans ((vector v * n) + i)),
+      fun v -> regs (vector v) )
 
-  let apply x a = successor x a
+  let build x get regs =
+    { phase = x.phase + 1; locals = Array.init (n_of x) get; regs; interned = Intern.fresh_slot () }
+
+  let apply x a =
+    let labels, v = row (n_of x) a and local, regs = work x in
+    build x (fun i -> local i labels.(i)) (regs v)
 
   let schedule_legal events =
     let wrote = Hashtbl.create 8 and scanned = Hashtbl.create 8 in
@@ -200,7 +204,15 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let srw x = dedup_map (successor x) (actions ~n:(n_of x))
+  let rows = Engine_core.per_key (fun n -> Engine_core.rows ~n (List.map (row n) (actions ~n)))
+
+  let srw x =
+    let local, regs = work x in
+    Engine_core.layer (rows (n_of x)) ~local ~env:regs ~build:(build x)
+
+  let srw_size x =
+    let local, regs = work x in
+    Engine_core.layer_size (rows (n_of x)) ~local ~env:regs
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>phase %d@," x.phase;

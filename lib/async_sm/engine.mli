@@ -74,11 +74,17 @@ module Make (P : Protocol.S) : sig
   include Engine_core.S with type state := state
 
   (** The synchronic layering: [S^rw x] is the de-duplicated [apply x a]
-      over {!actions}, in action order.  The phase's writes and scans
-      are shared across the layer: each [P.write] runs at most once per
-      process, each [P.step] once per (process, register vector it
-      scans). *)
+      over {!actions}, in action order, built by the layer kernel
+      ({!Engine_core.layer}).  The actions are compiled once per [n],
+      each into the register vector every process scans and the vector
+      the phase leaves; at a state each [P.write] runs at most once per
+      process and each [P.step] once per (process, register vector),
+      and only an action whose processes and registers end in a new
+      combination builds its successor.  Nothing is interned. *)
   val srw : state -> state list
+
+  (** [List.length (srw x)], counted without building a successor. *)
+  val srw_size : state -> int
 
   val pp : Format.formatter -> state -> unit
 end

@@ -64,14 +64,6 @@ module type S = sig
   (** [states] without repeated identities, first occurrence kept. *)
   val dedup : state list -> state list
 
-  (** [dedup_map f xs] is [dedup (List.map f xs)], fused so that a
-      repeated successor is dropped before the next one is built: the
-      form of every layering over an action list, [f] being the state's
-      layer-at-once successor function.  [S^per] drops a repeated
-      schedule before building its successor, by comparing each
-      process's local state and mailbox, and uses neither. *)
-  val dedup_map : ('a -> state) -> 'a list -> state list
-
   (** [memo_layer layer] is [layer] computed once per state identity
       ({!ident}): a later call on a state of that identity returns the
       first call's list and runs nothing.  Each call of [memo_layer]
@@ -148,29 +140,17 @@ module Make (M : MODEL) : S with type state = M.state = struct
   let equal x y = ident x = ident y
   let parts x = Intern.parts intern_table (meta x) x
 
-  (* A fresh predicate, true on the first state of each identity. *)
-  let first_seen () =
+  let dedup states =
     let seen = Hashtbl.create 64 in
-    fun x ->
-      let k = ident x in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end
-
-  let dedup states = List.filter (first_seen ()) states
-
-  (* A layer can have hundreds of actions (541 IIS partitions at n = 5);
-     holding every successor for a separate dedup pass pushes them out
-     of the minor heap. *)
-  let dedup_map f xs =
-    let keep = first_seen () in
-    List.filter_map
-      (fun a ->
-        let x = f a in
-        if keep x then Some x else None)
-      xs
+    List.filter
+      (fun x ->
+        let k = ident x in
+        if Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.add seen k ();
+          true
+        end)
+      states
 
   let memo_layer layer =
     let table = Hashtbl.create 256 and lock = Mutex.create () in
@@ -258,24 +238,121 @@ module Make (M : MODEL) : S with type state = M.state = struct
     Valence.import v (List.map (fun (p, e) -> (Intern.adopt intern_table p, e)) entries)
 end
 
-(** [per_n build] is [build] memoised by process count: the action
-    tables every state of one [n] shares (IIS partitions, the [S^per]
-    schedules as per-process masks).  Entries are published atomically,
-    so pooled workers may race to build one but all use the one
-    published. *)
-let per_n build =
+(** [per_key build] is [build] memoised by an [int] key: the rows every
+    state of one process count shares, and the synchronous adversaries'
+    rows per failure set.  Entries are published atomically, so pooled
+    workers may race to build one but all use the one published.
+    ([assq] compares the [int] keys by value.) *)
+let per_key build =
   let table = Atomic.make [] in
-  let rec publish n v =
+  let rec publish (k : int) v =
     let seen = Atomic.get table in
-    match List.assoc_opt n seen with
-    | Some v -> v
-    | None ->
-        if Atomic.compare_and_set table seen ((n, v) :: seen) then v else publish n v
+    match List.assq k seen with
+    | v -> v
+    | exception Not_found ->
+        if Atomic.compare_and_set table seen ((k, v) :: seen) then v else publish k v
   in
-  fun n ->
-    match List.assoc_opt n (Atomic.get table) with
-    | Some v -> v
-    | None -> publish n (build n)
+  fun k ->
+    match List.assq k (Atomic.get table) with
+    | v -> v
+    | exception Not_found -> publish k (build k)
+
+(** {1 The layer kernel}
+
+    In every layering here a successor is fixed by what each process
+    ends the layer with and by what the environment holds after it:
+    one action differs from another only in what one slow, omitting,
+    late or excluded process sees.  So a layering is compiled once per
+    process count (and failure set, for the synchronous adversaries)
+    into rows, one per action: a label per process (its inbox, view or
+    scan mask) and an environment label (the registers, transit or
+    failure set it leaves).  At a state, {!layer} computes each distinct
+    label's value once and classes it under [compare]; a row whose
+    vector of classes an earlier row had is skipped, and only the new
+    rows are built.  Equal class vectors are equal views, so the list
+    is the identity-deduplicated [apply x] over the actions, in action
+    order.  A skipped row allocates nothing, and nothing is interned. *)
+
+(** The distinct [values] of a sequence, first occurrence first, and
+    each element's position among them ([index]). *)
+type 'a column = { values : 'a array; index : int array }
+
+(** A layering's rows: one column per process (index [i - 1] for
+    process [i]) and the environment's, both of labels. *)
+type ('p, 'e) rows = { procs : 'p column array; env : 'e column }
+
+(* [column f xs] is [f] over [xs], each element classed under [compare]
+   by a linear search of the classes so far: a column has few, and
+   this allocates nothing but the two arrays. *)
+let column f xs =
+  let values = ref [||] and count = ref 0 in
+  let index =
+    Array.map
+      (fun x ->
+        let v = f x in
+        let k = ref 0 in
+        while !k < !count && compare !values.(!k) v <> 0 do
+          incr k
+        done;
+        if !k = !count then begin
+          if !count = 0 then values := Array.make (Array.length xs) v else !values.(!k) <- v;
+          incr count
+        end;
+        !k)
+      xs
+  in
+  { values = Array.sub !values 0 !count; index }
+
+(** [rows ~n labelled] compiles one row per element of [labelled], in
+    order: each process's label (index [i - 1] for process [i]) and the
+    environment's. *)
+let rows ~n labelled =
+  let labelled = Array.of_list labelled in
+  {
+    procs = Array.init n (fun c -> column (fun (ps, _) -> ps.(c)) labelled);
+    env = column snd labelled;
+  }
+
+(* [distinct rows ~local ~env emit] calls [emit get v] on each row whose
+   vector of classes no earlier row has, in row order: [get c] is
+   process [c + 1]'s value in that row and [v] its environment's.  A
+   row's vector is written into one scratch array and copied only when
+   it is new, so a repeated row allocates nothing. *)
+let distinct rows ~local ~env emit =
+  let n = Array.length rows.procs in
+  (* each column's values at this state, and each label's class *)
+  let procs = Array.mapi (fun c labels -> column (local c) labels.values) rows.procs
+  and envs = column env rows.env.values in
+  let seen = Hashtbl.create 16 and key = Array.make (n + 1) 0 in
+  for r = 0 to Array.length rows.env.index - 1 do
+    for c = 0 to n - 1 do
+      key.(c) <- procs.(c).index.(rows.procs.(c).index.(r))
+    done;
+    key.(n) <- envs.index.(rows.env.index.(r));
+    if not (Hashtbl.mem seen key) then begin
+      let key = Array.copy key in
+      Hashtbl.add seen key ();
+      emit (fun c -> procs.(c).values.(key.(c))) envs.values.(key.(n))
+    end
+  done
+
+(** [layer rows ~local ~env ~build] is the successors of the rows with
+    distinct class vectors, in row order.  [local c p] is process
+    [c + 1]'s local value under label [p] and [env e] the environment
+    left under label [e], each computed once per label and classed under
+    [compare].  [build get v] builds a row's successor from [get c],
+    process [c + 1]'s value, and [v], its environment. *)
+let layer rows ~local ~env ~build =
+  let out = ref [] in
+  distinct rows ~local ~env (fun get v -> out := build get v :: !out);
+  List.rev !out
+
+(** [layer_size rows ~local ~env] is [List.length (layer rows ~local
+    ~env ~build)], counted without building a successor. *)
+let layer_size rows ~local ~env =
+  let size = ref 0 in
+  distinct rows ~local ~env (fun _ _ -> incr size);
+  !size
 
 (** [memo size f] is [f] on [0 .. size - 1], each value computed on
     first use: a layer's sends, writes, register vectors and steps. *)

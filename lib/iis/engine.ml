@@ -63,41 +63,44 @@ module Make (P : Protocol.S) = struct
     if List.sort compare members <> Pid.all n then
       invalid_arg "Iis: blocks must partition {1..n}"
 
-  (* One round from [x] under any valid ordered partition.  Each
-     [P.write] runs once, and each [P.step] once per (process, view set):
-     the view is the union of the blocks up to and including the
-     process's own, kept as a bitmask. *)
-  let successor x =
+  (* A partition's row: each process's view, the processes whose writes
+     its snapshot holds (its block and every earlier one), as a mask. *)
+  let row n blocks =
+    let views = Array.make n 0 and seen = ref 0 in
+    List.iter
+      (fun block ->
+        List.iter (fun i -> seen := !seen lor (1 lsl (i - 1))) block;
+        List.iter (fun i -> views.(i - 1) <- !seen) block)
+      blocks;
+    (views, ())
+
+  (* Process [idx + 1]'s new local state at [x] when its view is [seen]:
+     each [P.write] runs at most once per state. *)
+  let local x =
     let n = n_of x in
-    Engine_core.check_mask_width n;
-    let round = x.round + 1 in
-    let writes = Array.init n (fun idx -> P.write ~n ~pid:(idx + 1) x.locals.(idx)) in
-    let step =
-      Engine_core.memo_masks n (fun idx seen ->
-          let snapshot = ref [] in
-          for k = n - 1 downto 0 do
-            if seen land (1 lsl k) <> 0 then snapshot := (k + 1, writes.(k)) :: !snapshot
-          done;
-          let local = P.step ~n ~pid:(idx + 1) x.locals.(idx) ~snapshot:!snapshot in
-          (match (P.decision x.locals.(idx), P.decision local) with
-          | Some v, Some w when not (Value.equal v w) ->
-              invalid_arg "Iis: protocol violated write-once decision"
-          | Some _, None -> invalid_arg "Iis: protocol erased a decision"
-          | (Some _ | None), _ -> ());
-          local)
-    in
-    fun blocks ->
-      let locals = Array.copy x.locals and seen = ref 0 in
-      List.iter
-        (fun block ->
-          List.iter (fun i -> seen := !seen lor (1 lsl (i - 1))) block;
-          List.iter (fun i -> locals.(i - 1) <- step (i - 1) !seen) block)
-        blocks;
-      { round; locals; interned = Intern.fresh_slot () }
+    let write = Engine_core.memo n (fun k -> P.write ~n ~pid:(k + 1) x.locals.(k)) in
+    fun idx seen ->
+      let snapshot = ref [] in
+      for k = n - 1 downto 0 do
+        if seen land (1 lsl k) <> 0 then snapshot := (k + 1, write k) :: !snapshot
+      done;
+      let local = P.step ~n ~pid:(idx + 1) x.locals.(idx) ~snapshot:!snapshot in
+      (match (P.decision x.locals.(idx), P.decision local) with
+      | Some v, Some w when not (Value.equal v w) ->
+          invalid_arg "Iis: protocol violated write-once decision"
+      | Some _, None -> invalid_arg "Iis: protocol erased a decision"
+      | (Some _ | None), _ -> ());
+      local
+
+  let build x get () =
+    { round = x.round + 1; locals = Array.init (n_of x) get; interned = Intern.fresh_slot () }
 
   let apply x blocks =
-    validate_partition (n_of x) blocks;
-    successor x blocks
+    let n = n_of x in
+    validate_partition n blocks;
+    Engine_core.check_mask_width n;
+    let views, () = row n blocks and local = local x in
+    build x (fun idx -> local idx views.(idx)) ()
 
   let raw_key x =
     let buf = Buffer.create 64 in
@@ -135,13 +138,15 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let partitions_of =
-    Engine_core.per_n (fun n ->
+  let rows =
+    Engine_core.per_key (fun n ->
+        Engine_core.check_mask_width n;
         let ps = partitions ~n in
         List.iter (validate_partition n) ps;
-        ps)
+        Engine_core.rows ~n (List.map (row n) ps))
 
-  let layer x = dedup_map (successor x) (partitions_of (n_of x))
+  let layer x = Engine_core.layer (rows (n_of x)) ~local:(local x) ~env:Fun.id ~build:(build x)
+  let layer_size x = Engine_core.layer_size (rows (n_of x)) ~local:(local x) ~env:Fun.id
 
   let pp ppf x =
     Format.fprintf ppf "@[<v>round %d@," x.round;

@@ -47,11 +47,17 @@ module Make (P : Protocol.S) : sig
   val apply : state -> partition -> state
 
   (** The layering: de-duplicated [apply x] over all ordered
-      partitions, in {!partitions} order.  The round's writes and steps
-      are shared across the layer: each [P.write] runs once per process,
-      each [P.step] once per (process, view set), the partitions
-      themselves are validated once per [n]. *)
+      partitions, in {!partitions} order, built by the layer kernel
+      ({!Engine_core.layer}).  The partitions are validated and compiled
+      once per [n], each into every process's view set; at a state each
+      [P.write] runs at most once per process and each [P.step] once
+      per (process, view set), and only a partition whose processes end
+      with a new combination of local states builds its successor.
+      Nothing is interned. *)
   val layer : state -> state list
+
+  (** [List.length (layer x)], counted without building a successor. *)
+  val layer_size : state -> int
 
   (** Identity, similarity and valence wiring ({!Engine_core}).  The
       environment carries nothing across rounds, so a process's

@@ -33,16 +33,61 @@ module Make (P : Protocol.S) = struct
   let initial_states ~n ~values =
     List.map (fun inputs -> initial ~inputs) (Inputs.vectors ~n ~values)
 
-  (* One round from [x] under any action.  What does not depend on the
-     action is done once: each [P.send] on first use, and each [P.step]
-     once per (receiver, bitmask of the senders whose message arrives) —
-     the received vector is a function of that mask and the sends.  The
-     marks and drops are still validated per action. *)
-  let successor discipline x =
-    let n = n_of x in
-    Engine_core.check_mask_width n;
+  let mask_of failed =
+    let m = ref 0 in
+    Array.iteri (fun i f -> if f then m := !m lor (1 lsl i)) failed;
+    !m
+
+  (* An action's row, validated against the failure set [failed] (a
+     mask): each receiver's label, the mask of the senders whose message
+     arrives, and the failure set after the round. *)
+  let row discipline ~n ~failed { marks; drops } =
     let omission = match discipline with Omission -> true | Mobile | Crash -> false in
-    let round = x.round + 1 in
+    let check_pid j = if j < 1 || j > n then invalid_arg "Engine.apply: bad pid" in
+    let marked = ref 0 in
+    List.iter
+      (fun j ->
+        check_pid j;
+        let bit = 1 lsl (j - 1) in
+        if !marked land bit <> 0 then invalid_arg "Engine.apply: duplicate omitters";
+        if omission && failed land bit <> 0 then invalid_arg "Engine.apply: already faulty";
+        marked := !marked lor bit)
+      marks;
+    let faulty = failed lor !marked in
+    (* blocked.(s): bitmask of the receivers that miss sender [s + 1] *)
+    let blocked = Array.make n 0 in
+    List.iter
+      (fun o ->
+        check_pid o.sender;
+        let s = o.sender - 1 in
+        List.iter
+          (fun d ->
+            check_pid d;
+            if omission && faulty land ((1 lsl s) lor (1 lsl (d - 1))) = 0 then
+              invalid_arg "Engine.apply: drop between non-faulty processes";
+            blocked.(s) <- blocked.(s) lor (1 lsl (d - 1)))
+          o.blocked)
+      drops;
+    (* A crashed process is silent from the round after its mark; an
+       omission-faulty one keeps sending. *)
+    let silent = if omission then 0 else failed in
+    ( Array.init n (fun r ->
+          let mask = ref 0 in
+          for i = 0 to n - 1 do
+            if i <> r && silent land (1 lsl i) = 0 && blocked.(i) land (1 lsl r) = 0 then
+              mask := !mask lor (1 lsl i)
+          done;
+          !mask),
+      match (discipline, marks) with
+      | Mobile, _ | (Crash | Omission), [] -> failed
+      | (Crash | Omission), _ :: _ -> faulty )
+
+  (* Process [r + 1]'s new local state at [x] when the messages of the
+     senders in [mask] arrive.  Each [P.send] runs at most once, and
+     each [P.step] once per (receiver, senders whose message arrives): a
+     sender with no message for the receiver does not count. *)
+  let local x =
+    let n = n_of x and round = x.round + 1 in
     let send =
       Engine_core.memo (n * n) (fun c ->
           P.send ~n ~round ~pid:((c / n) + 1) x.locals.(c / n) ~dest:((c mod n) + 1))
@@ -55,51 +100,31 @@ module Make (P : Protocol.S) = struct
           in
           P.step ~n ~round ~pid:(r + 1) x.locals.(r) ~received)
     in
-    (* A crashed process is silent from the round after its mark; an
-       omission-faulty one keeps sending. *)
-    let silenced i = (not omission) && x.failed.(i) in
-    let check_pid j = if j < 1 || j > n then invalid_arg "Engine.apply: bad pid" in
-    fun { marks; drops } ->
-      let marked = Array.make n false in
-      List.iter
-        (fun j ->
-          check_pid j;
-          if marked.(j - 1) then invalid_arg "Engine.apply: duplicate omitters";
-          if omission && x.failed.(j - 1) then invalid_arg "Engine.apply: already faulty";
-          marked.(j - 1) <- true)
-        marks;
-      let faulty idx = x.failed.(idx) || marked.(idx) in
-      (* blocked.(s): bitmask of the receivers that miss sender [s + 1] *)
-      let blocked = Array.make n 0 in
-      List.iter
-        (fun o ->
-          check_pid o.sender;
-          let s = o.sender - 1 in
-          List.iter
-            (fun d ->
-              check_pid d;
-              if omission && not (faulty s || faulty (d - 1)) then
-                invalid_arg "Engine.apply: drop between non-faulty processes";
-              blocked.(s) <- blocked.(s) lor (1 lsl (d - 1)))
-            o.blocked)
-        drops;
-      let locals =
-        Array.init n (fun r ->
-            let mask = ref 0 in
-            for i = 0 to n - 1 do
-              if i <> r && (not (silenced i)) && blocked.(i) land (1 lsl r) = 0 then
-                mask := !mask lor (1 lsl i)
-            done;
-            step r !mask)
-      in
-      let failed =
-        match (discipline, marks) with
-        | Mobile, _ | (Crash | Omission), [] -> x.failed
-        | (Crash | Omission), _ :: _ -> Array.init n faulty
-      in
-      { round; locals; failed; interned = Intern.fresh_slot () }
+    fun r mask ->
+      let arrive = ref 0 in
+      for i = 0 to n - 1 do
+        if mask land (1 lsl i) <> 0 && Option.is_some (send ((i * n) + r)) then
+          arrive := !arrive lor (1 lsl i)
+      done;
+      step r !arrive
 
-  let apply discipline x a = successor discipline x a
+  (* [was] is [x]'s failure set, which a successor keeping it shares. *)
+  let build x was get failed =
+    let n = n_of x in
+    {
+      round = x.round + 1;
+      locals = Array.init n get;
+      failed =
+        (if failed = was then x.failed else Array.init n (fun i -> failed land (1 lsl i) <> 0));
+      interned = Intern.fresh_slot ();
+    }
+
+  let apply discipline x a =
+    let n = n_of x in
+    Engine_core.check_mask_width n;
+    let was = mask_of x.failed in
+    let labels, failed = row discipline ~n ~failed:was a and local = local x in
+    build x was (fun r -> local r labels.(r)) failed
 
   let raw_key x =
     let buf = Buffer.create 64 in
@@ -143,14 +168,39 @@ module Make (P : Protocol.S) = struct
 
   include (Core : Engine_core.S with type state := state)
 
-  let failed_count x = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 x.failed
+  let count failed = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 failed
+  let alive ~n failed = List.filter (fun i -> not failed.(i - 1)) (Pid.all n)
+  let failed_count x = count x.failed
+  let nonfailed x = alive ~n:(n_of x) x.failed
 
-  let nonfailed x =
-    List.filter (fun i -> not (x.failed.(i - 1))) (Pid.all (n_of x))
+  type adversary = {
+    discipline : discipline;
+    actions : n:int -> failed:bool array -> action list;
+    rows : int -> int -> (int, int) Engine_core.rows;
+  }
 
-  type adversary = { discipline : discipline; actions : state -> action list }
+  (* [actions] compiled on first use once per (n, failure set): all they
+     read. *)
+  let adversary discipline actions =
+    let rows =
+      Engine_core.per_key (fun n ->
+          Engine_core.check_mask_width n;
+          Engine_core.per_key (fun failed ->
+              Engine_core.rows ~n
+                (List.map
+                   (row discipline ~n ~failed)
+                   (actions ~n ~failed:(Array.init n (fun i -> failed land (1 lsl i) <> 0))))))
+    in
+    { discipline; actions; rows }
 
-  let layer adv x = dedup_map (successor adv.discipline x) (adv.actions x)
+  let actions_at adv x = adv.actions ~n:(n_of x) ~failed:x.failed
+
+  let layer adv x =
+    let was = mask_of x.failed in
+    Engine_core.layer (adv.rows (n_of x) was) ~local:(local x) ~env:Fun.id ~build:(build x was)
+
+  let layer_size adv x =
+    Engine_core.layer_size (adv.rows (n_of x) (mask_of x.failed)) ~local:(local x) ~env:Fun.id
 
   let rec subsets = function
     | [] -> [ [] ]
@@ -171,15 +221,10 @@ module Make (P : Protocol.S) = struct
   let prefix n j k = { sender = j; blocked = List.filter (fun d -> d <= k) (Pid.all n) }
 
   let s1 =
-    {
-      discipline = Mobile;
-      actions =
-        (fun x ->
-          let n = n_of x in
-          List.concat_map
-            (fun j -> List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n))
-            (Pid.all n));
-    }
+    adversary Mobile (fun ~n ~failed:_ ->
+        List.concat_map
+          (fun j -> List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n))
+          (Pid.all n))
 
   (* While fewer than [t] processes are failed, a single fresh omission
      per layer — including the "declaration-only" crash (sender recorded
@@ -187,32 +232,21 @@ module Make (P : Protocol.S) = struct
      in this model (see DESIGN.md); once [t] processes are failed, only
      the failure-free successor remains. *)
   let st ~t =
-    {
-      discipline = Crash;
-      actions =
-        (fun x ->
-          if failed_count x >= t then [ clean ]
-          else begin
-            let n = n_of x in
-            let per_sender j =
-              if x.failed.(j - 1) then []
-              else
-                List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n)
-                @ [ omit [ { sender = j; blocked = [] } ] ]
-            in
-            clean :: List.concat_map per_sender (Pid.all n)
-          end);
-    }
+    adversary Crash (fun ~n ~failed ->
+        if count failed >= t then [ clean ]
+        else begin
+          let per_sender j =
+            if failed.(j - 1) then []
+            else
+              List.map (fun k -> omit [ prefix n j k ]) (0 :: Pid.all n)
+              @ [ omit [ { sender = j; blocked = [] } ] ]
+          in
+          clean :: List.concat_map per_sender (Pid.all n)
+        end)
 
   let s_multi ~omitters =
-    {
-      discipline = Mobile;
-      actions =
-        (fun x ->
-          let n = n_of x in
-          List.map omit
-            (choose (fun j -> List.map (prefix n j) (Pid.all n)) (Pid.all n) omitters));
-    }
+    adversary Mobile (fun ~n ~failed:_ ->
+        List.map omit (choose (fun j -> List.map (prefix n j) (Pid.all n)) (Pid.all n) omitters))
 
   let non_negative ~what max_new =
     if max_new < 0 then invalid_arg (Printf.sprintf "Engine.%s: negative max_new" what)
@@ -227,40 +261,29 @@ module Make (P : Protocol.S) = struct
 
   let crash ~max_new ~t =
     non_negative ~what:"crash" max_new;
-    {
-      discipline = Crash;
-      actions =
-        (fun x ->
-          List.map omit
-            (choose (drops_by ~empty:true (n_of x)) (nonfailed x)
-               (min max_new (t - failed_count x))));
-    }
+    adversary Crash (fun ~n ~failed ->
+        List.map omit
+          (choose (drops_by ~empty:true n) (alive ~n failed) (min max_new (t - count failed))))
 
   let omission ~general ~max_new ~t =
     non_negative ~what:"omission" max_new;
-    {
-      discipline = Omission;
-      actions =
-        (fun x ->
-          let n = n_of x in
-          (* Receive omissions: faulty [r] misses each sender in a set. *)
-          let misses r =
-            List.map
-              (fun o -> List.map (fun s -> { sender = s; blocked = [ r ] }) o.blocked)
-              (drops_by ~empty:false n r)
-          in
-          List.concat_map
-            (fun marks ->
-              let faulty = List.filter (fun j -> x.failed.(j - 1)) (Pid.all n) @ marks in
-              let receives =
-                if general then List.map List.concat (choose misses faulty n) else [ [] ]
-              in
-              List.concat_map
-                (fun sends ->
-                  List.map (fun recvs -> { marks; drops = sends @ recvs }) receives)
-                (choose (drops_by ~empty:false n) faulty n))
-            (choose (fun j -> [ j ]) (nonfailed x) (min max_new (t - failed_count x))));
-    }
+    adversary Omission (fun ~n ~failed ->
+        (* Receive omissions: faulty [r] misses each sender in a set. *)
+        let misses r =
+          List.map
+            (fun o -> List.map (fun s -> { sender = s; blocked = [ r ] }) o.blocked)
+            (drops_by ~empty:false n r)
+        in
+        List.concat_map
+          (fun marks ->
+            let faulty = List.filter (fun j -> failed.(j - 1)) (Pid.all n) @ marks in
+            let receives =
+              if general then List.map List.concat (choose misses faulty n) else [ [] ]
+            in
+            List.concat_map
+              (fun sends -> List.map (fun recvs -> { marks; drops = sends @ recvs }) receives)
+              (choose (drops_by ~empty:false n) faulty n))
+          (choose (fun j -> [ j ]) (alive ~n failed) (min max_new (t - count failed))))
 
   exception Cut of Budget.status
 
@@ -278,10 +301,7 @@ module Make (P : Protocol.S) = struct
             | None -> Budget.charge b 1));
         Hashtbl.add seen id ();
         visit x;
-        if x.round < rounds then begin
-          let next = successor adv.discipline x in
-          List.iter (fun a -> go (next a)) (adv.actions x)
-        end
+        if x.round < rounds then List.iter go (layer adv x)
       end
     in
     match List.iter go roots with () -> Budget.Complete | exception Cut status -> status

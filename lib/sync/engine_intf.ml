@@ -67,15 +67,36 @@ module type S = sig
 
   (** {1 Message adversaries} *)
 
-  (** A discipline and the actions it may choose at a state. *)
-  type adversary = { discipline : discipline; actions : state -> action list }
+  (** A discipline and the actions it may choose at a state: they depend
+      on the process count and the failure record (index [i - 1] for
+      process [i]) only.  An adversary is made only here, so that it
+      carries its actions compiled for the layer kernel: on first use
+      once per (n, failure set), each into the senders whose message
+      every receiver gets and the failure set after the round. *)
+  type adversary = private {
+    discipline : discipline;
+    actions : n:int -> failed:bool array -> action list;
+    rows : int -> int -> (int, int) Engine_core.rows;
+        (** [rows n failed]: [actions] compiled, [failed] as a bitmask *)
+  }
+
+  (** [actions_at adv x] is [adv.actions] at [x]'s process count and
+      failure record. *)
+  val actions_at : adversary -> state -> action list
 
   (** The de-duplicated successors of a state under [adv], in action
-      order: [apply adv.discipline x] over [adv.actions x], with the
-      round's sends and steps shared across the layer — each [P.send]
-      runs at most once per (sender, receiver), each [P.step] once per
-      (receiver, set of senders whose message arrives). *)
+      order: [apply adv.discipline x] over [adv.actions ~n ~failed] at
+      [x], built by the layer kernel ({!Engine_core.layer}) from
+      [adv.rows].  At a state each [P.send] runs at most once per
+      (sender, receiver), each [P.step] once per (receiver, set of
+      senders whose message arrives), and only an action whose processes
+      and failure set end in a new combination builds its successor.
+      Nothing is interned. *)
   val layer : adversary -> state -> state list
+
+  (** [List.length (layer adv x)], counted without building a
+      successor. *)
+  val layer_size : adversary -> state -> int
 
   (** [S_1] (Section 5): the actions [(j, [k])] for [1 <= j <= n],
       [0 <= k <= n] — one omission by [j] to the prefix [{1, ..., k}] —
@@ -109,10 +130,9 @@ module type S = sig
 
   (** [walk ?budget adv ~rounds ~visit roots] visits, depth-first, every
       distinct state reachable from [roots] under [adv] in at most
-      [rounds] rounds, once each, expanding each state's actions with the
-      sharing of {!layer}.  Each new state is charged to [budget];
-      an exhausted budget stops the walk before that state, truncated at
-      its round. *)
+      [rounds] rounds, once each, expanding each state by {!layer}.
+      Each new state is charged to [budget]; an exhausted budget stops
+      the walk before that state, truncated at its round. *)
   val walk :
     ?budget:Layered_runtime.Budget.t ->
     adversary ->

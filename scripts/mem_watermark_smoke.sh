@@ -4,6 +4,14 @@
 # its report to be byte-identical to an unconstrained reference -- at
 # --jobs 1 and --jobs 4.
 #
+# The sweep goes to depth 3 so that the watermark bites with a wide
+# margin: at the boundary after level 3 (10,310 states) the major heap
+# holds about 1.8 M words at --jobs 1 and 1.7-2.0 M at --jobs 4, against
+# the 131,072-word (1 MB) watermark.  A depth-2 sweep left the --jobs 1
+# heap within a few percent of the watermark at its one boundary, so a
+# small allocation change elsewhere silenced the watermark with no bug
+# behind it.
+#
 # Two further legs harden the contract:
 #   - the watermarked runs must actually have compacted ("memory soft
 #     events" > 0 and "gc compactions" > 0 in --stats), or the watermark
@@ -20,7 +28,7 @@ BIN=_build/default/bin/main.exe
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/layered-mem-watermark-smoke.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 
-INSTANCE=(layers -m smp -n 6 -t 1 -d 2)
+INSTANCE=(layers -m smp -n 6 -t 1 -d 3)
 SOFT_MB="${MEM_SOFT_MB:-1}"
 
 count() { # count <file> <label>  -- integer value of a --stats counter

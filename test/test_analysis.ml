@@ -52,6 +52,28 @@ let test_sweep () =
     (Invalid_argument "Sweep.run: unknown model \"nope\"") (fun () ->
       ignore (Sweep.run ~model:"nope" ~n:3 ~t:1 ~depth:1 ()))
 
+(* A sweep counts its last level's layers without building them
+   ([layer_size]) and harvests every other level's while expanding it: a
+   depth-d sweep's last row must be row d of the depth-(d + 1) sweep.
+   No layering interns a successor, so the sweep interns exactly the
+   states it reaches. *)
+let test_sweep_last_row () =
+  let module Stats = Layered_runtime.Stats in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun depth ->
+          let what = Printf.sprintf "%s depth %d" model depth in
+          let before = Stats.snapshot () in
+          let rows = (Sweep.run ~model ~n:3 ~t:1 ~depth ()).Sweep.levels in
+          let interned = (Stats.diff (Stats.snapshot ()) before).Stats.interned_states in
+          let last = List.nth rows depth in
+          check (what ^ ": interned = reachable") true (interned = last.Sweep.reachable);
+          check what true
+            (last = List.nth (Sweep.run ~model ~n:3 ~t:1 ~depth:(depth + 1) ()).Sweep.levels depth))
+        [ 1; 2 ])
+    Models.names
+
 module Budget = Layered_runtime.Budget
 
 (* A budgeted sweep reports the completed level prefix of the unbudgeted
@@ -568,6 +590,7 @@ let () =
           ( "tools",
             [
               Alcotest.test_case "sweep" `Quick test_sweep;
+              Alcotest.test_case "last row counted = row expanded" `Quick test_sweep_last_row;
               Alcotest.test_case "sweep under budget" `Quick test_sweep_budget;
               Alcotest.test_case "last level under the sweep budget" `Quick
                 test_sweep_budget_last_level;

@@ -235,7 +235,7 @@ let prop_sync_builders_agree =
       let picks = Array.of_list (if picks = [] then [ 0 ] else picks) in
       let states =
         List.concat_map
-          (walk ~rounds ~picks ~actions:(E.st ~t:1).actions ~apply:(E.apply E.Crash))
+          (walk ~rounds ~picks ~actions:(E.actions_at (E.st ~t:1)) ~apply:(E.apply E.Crash))
           (E.initial_states ~n ~values:[ Value.zero; Value.one ])
         |> dedup_by E.ident
       in
@@ -405,7 +405,7 @@ let thunks apply x acts = List.map (fun a () -> apply x a) acts
 let sync_subject =
   {
     initials = (fun ~n -> E.initial_states ~n ~values);
-    actions = (fun x -> thunks (E.apply E.Crash) x ((E.st ~t:1).actions x));
+    actions = (fun x -> thunks (E.apply E.Crash) x (E.actions_at (E.st ~t:1) x));
     table = E.intern_table;
     key = E.key;
     ident = E.ident;
@@ -612,14 +612,18 @@ let mp_view (x : ME.state) =
     Array.map MP.key x.ME.locals,
     Array.map (List.map (fun (src, m) -> (src, MP.msg_key m))) x.ME.mail )
 
-(* [layer x] equals the de-duplicated references over [actions x], and
-   [apply x a] equals each reference, at every state of the walks. *)
-let layering_matches (type s) (e : s subject) case ~actions ~apply ~layer ~view ~reference =
+(* [layer x] equals the de-duplicated references over [actions x],
+   [size x] is its length, and [apply x a] equals each reference, at
+   every state of the walks. *)
+let layering_matches (type s) (e : s subject) case ~actions ~apply ~layer ~size ~view
+    ~reference =
   List.for_all
     (fun x ->
       let acts = actions x in
       let refs = List.map (reference x) acts in
-      List.map view (layer x) = dedup_by Fun.id refs
+      let layer = layer x in
+      List.map view layer = dedup_by Fun.id refs
+      && size x = List.length layer
       && List.map (fun a -> view (apply x a)) acts = refs)
     (walk_states e case)
 
@@ -628,8 +632,9 @@ let prop_sync_reference =
     ~count:20 schedule_arb (fun case ->
       List.for_all
         (fun (adv : E.adversary) ->
-          layering_matches sync_subject case ~actions:adv.actions
-            ~apply:(E.apply adv.discipline) ~layer:(E.layer adv) ~view:sync_view
+          layering_matches sync_subject case ~actions:(E.actions_at adv)
+            ~apply:(E.apply adv.discipline) ~layer:(E.layer adv) ~size:(E.layer_size adv)
+            ~view:sync_view
             ~reference:(ref_sync adv.discipline))
         [
           E.s1;
@@ -643,30 +648,57 @@ let prop_iis_reference =
   QCheck.Test.make ~name:"reference: IIS layer = per-action rounds" ~count:15 schedule_arb
     (layering_matches iis_subject
        ~actions:(fun x -> Layered_iis.Engine.partitions ~n:(IE.n_of x))
-       ~apply:IE.apply ~layer:IE.layer ~view:iis_view ~reference:ref_iis)
+       ~apply:IE.apply ~layer:IE.layer ~size:IE.layer_size ~view:iis_view ~reference:ref_iis)
 
 let prop_smp_reference =
   QCheck.Test.make ~name:"reference: synchronic-mp layer = per-action rounds" ~count:20
     schedule_arb
     (layering_matches smp_subject
        ~actions:(fun x -> SMP.actions ~n:(SMP.n_of x))
-       ~apply:SMP.apply ~layer:SMP.smp ~view:smp_view ~reference:ref_smp)
+       ~apply:SMP.apply ~layer:SMP.smp ~size:SMP.smp_size ~view:smp_view
+       ~reference:ref_smp)
 
 let prop_srw_reference =
   QCheck.Test.make ~name:"reference: S^rw = apply_events of compile" ~count:20 schedule_arb
     (layering_matches sm_subject
        ~actions:(fun x -> SE.actions ~n:(SE.n_of x))
-       ~apply:SE.apply ~layer:SE.srw ~view:sm_view
+       ~apply:SE.apply ~layer:SE.srw ~size:SE.srw_size ~view:sm_view
        ~reference:(fun x a -> sm_view (SE.apply_events x (SE.compile x a))))
 
 let prop_sper_reference =
   QCheck.Test.make ~name:"reference: S^per = fold of apply_entry" ~count:20 schedule_arb
     (layering_matches mp_subject
        ~actions:(fun x -> ME.schedules ~n:(ME.n_of x))
-       ~apply:ME.apply ~layer:ME.sper ~view:mp_view
+       ~apply:ME.apply ~layer:ME.sper ~size:ME.sper_size ~view:mp_view
        ~reference:(fun x s ->
          let round, locals, mail = mp_view (List.fold_left ME.apply_entry x s) in
          (round + 1, locals, mail)))
+
+(* The layer kernel alone, on random rows: process [c + 1]'s value under
+   label [p] is [p mod 3] and the environment's under label [e] is
+   [e mod 2], so distinct labels share classes.  Each row takes its
+   process labels from one of three random vectors, so rows often agree
+   everywhere but in the environment.  The kernel must keep the first
+   row of each vector of values, in row order, and [layer_size] must
+   count them.  Seventy columns are more than [Hashtbl.hash] reads of a
+   row's class vector, so there rows that differ only in a late column
+   share a hash. *)
+let prop_kernel_first_rows =
+  QCheck.Test.make ~name:"kernel: first row per class vector" ~count:60
+    QCheck.(
+      triple (oneofl [ 2; 70 ])
+        (list_of_size (Gen.return 3) (list_of_size (Gen.return 70) (int_bound 5)))
+        (list_of_size (Gen.int_range 1 40) (pair (int_bound 2) (int_bound 5))))
+    (fun (n, pool, picks) ->
+      let pool = Array.of_list (List.map (fun ps -> Array.sub (Array.of_list ps) 0 n) pool) in
+      let labelled = List.map (fun (k, e) -> (pool.(k), e)) picks in
+      let rows = Engine_core.rows ~n labelled in
+      let local _ p = p mod 3 and env e = e mod 2 in
+      let got = Engine_core.layer rows ~local ~env ~build:(fun get v -> (Array.init n get, v)) in
+      let want =
+        dedup_by Fun.id (List.map (fun (ps, e) -> (Array.map (local 0) ps, env e)) labelled)
+      in
+      got = want && Engine_core.layer_size rows ~local ~env = List.length want)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical views, protocol by protocol *)
@@ -884,6 +916,7 @@ let () =
           qt prop_smp_reference;
           qt prop_srw_reference;
           qt prop_sper_reference;
+          qt prop_kernel_first_rows;
         ] );
       ( "views",
         [

@@ -194,7 +194,7 @@ let test_memo_per_layering () =
 let test_st_layers_are_legal () =
   (* Every S^t successor is one legal round of the crash model. *)
   let x = initial [ 0; 1; 1 ] in
-  let micro y = List.map (E.apply E.Crash y) ((E.crash ~max_new:1 ~t:1).actions y) in
+  let micro y = List.map (E.apply E.Crash y) (E.actions_at (E.crash ~max_new:1 ~t:1) y) in
   let violations =
     Layering.validate ~micro ~ident:E.ident ~bound:1 ~states:[ x ] (E.layer (E.st ~t:1))
   in
@@ -203,7 +203,7 @@ let test_st_layers_are_legal () =
 (* ------------------------------------------------------------------ *)
 (* Adversary enumeration *)
 
-let crash_actions ~max_new ~t x = (E.crash ~max_new ~t).actions x
+let crash_actions ~max_new ~t x = E.actions_at (E.crash ~max_new ~t) x
 
 let test_crash_action_counts () =
   let x = initial [ 0; 1; 1 ] in
@@ -281,7 +281,7 @@ let test_omission_contains_crash () =
 
 let test_omission_action_counts () =
   let x = initial [ 0; 1; 1 ] in
-  let actions x = (E.omission ~general:false ~max_new:1 ~t:1).actions x in
+  let actions x = E.actions_at (E.omission ~general:false ~max_new:1 ~t:1) x in
   (* No faulty process yet, budget 1: no-corruption (1 action: nothing to
      drop) + 3 single corruptions x 4 drop subsets. *)
   check_int "fresh actions" (1 + (3 * 4)) (List.length (actions x));
