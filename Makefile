@@ -25,7 +25,8 @@ bench-baseline:
 
 # Run both perfbench workloads for a second each, end to end and traced,
 # and require every output to match perfbench/expected.txt ("correct":
-# true, "failed": 0); the traced runs print their work counters.
+# true, "failed": 0); the traced runs' work counters must equal the
+# values pinned in the script.
 perfbench-check:
 	bash scripts/perfbench_check.sh
 

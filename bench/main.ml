@@ -12,7 +12,7 @@
    a cheap liveness check that keeps bench code from bit-rotting.  Run
    with --json to execute every kernel once and emit one JSON object per
    kernel (name, instance parameters, wall time, states expanded,
-   checkpoint snapshot bytes) for machine consumption. *)
+   checkpoint snapshot bytes, words allocated) for machine consumption. *)
 
 open Bechamel
 open Toolkit
@@ -806,10 +806,10 @@ let run_smoke () =
     kernels;
   Printf.printf "all %d bench kernels ran\n" (List.length kernels)
 
-(* One run per kernel, wall clock and states-expanded delta, as a JSON
-   array on stdout.  Deliberately no Bechamel: the point is a cheap
-   machine-readable snapshot (e.g. for CI trend lines), not a rigorous
-   estimate. *)
+(* One run per kernel, wall clock, states-expanded delta and minor words,
+   as a JSON array on stdout.  Deliberately no Bechamel: the point is a
+   cheap machine-readable snapshot (e.g. for CI trend lines), not a
+   rigorous estimate. *)
 let run_json () =
   force_fixtures ();
   print_string "[";
@@ -828,18 +828,23 @@ let run_json () =
          compare across adjacent kernels instead of charging one kernel
          with its predecessor's major-GC debt. *)
       Gc.compact ();
+      (* [minor_words]: the words the run allocated on this domain, the
+         caller's; a pooled kernel's workers are not counted.  Unlike
+         [wall_ns], a serial kernel's figure repeats run to run. *)
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       k.fn ();
       let t1 = Unix.gettimeofday () in
+      let w1 = Gc.minor_words () in
       let s = Stats.snapshot () in
       Printf.printf
         "\n  {\"kernel\": %S, \"n\": %d, \"t\": %d, \"depth\": %d, \"wall_ns\": %.0f, \
-         \"states\": %d, \"bytes\": %d, \"orbit_hits\": %d}"
+         \"states\": %d, \"bytes\": %d, \"orbit_hits\": %d, \"minor_words\": %.0f}"
         k.name k.n k.t k.depth
         ((t1 -. t0) *. 1e9)
         s.Stats.states_expanded
         (Atomic.get last_ckpt_bytes)
-        s.Stats.orbit_hits)
+        s.Stats.orbit_hits (w1 -. w0))
     kernels;
   print_string "\n]\n"
 

@@ -272,25 +272,20 @@ module Make (P : Protocol.S) = struct
       !box
     in
     let local =
-      Engine_core.memo_masks n (fun idx inbox ->
+      Engine_core.memo ~n (fun idx inbox ->
           if inbox land (1 lsl idx) <> 0 then x.locals.(idx)
           else step n (idx + 1) x.locals.(idx) (deliver idx inbox x.mail.(idx)))
     and mailbox =
-      Engine_core.memo_masks n (fun idx mail ->
+      Engine_core.memo ~n (fun idx mail ->
           deliver idx mail (if mail land (1 lsl idx) <> 0 then x.mail.(idx) else []))
     in
     fun idx (inbox, mail) ->
-      (local idx (inbox land senders.(idx)), mailbox idx (mail land senders.(idx)))
+      ( Engine_core.find local idx (inbox land senders.(idx)),
+        Engine_core.find mailbox idx (mail land senders.(idx)) )
 
-  let build x get () =
-    let n = n_of x in
-    let locals = Array.copy x.locals and mail = Array.copy x.mail in
-    for idx = 0 to n - 1 do
-      let local, box = get idx in
-      locals.(idx) <- local;
-      mail.(idx) <- box
-    done;
-    { round = x.round + 1; locals; mail; interned = Intern.fresh_slot () }
+  let build x row () =
+    { round = x.round + 1; locals = Array.map fst row; mail = Array.map snd row;
+      interned = Intern.fresh_slot () }
 
   (* The [S^per] schedules of [n] processes, validated and compiled once. *)
   let rows =

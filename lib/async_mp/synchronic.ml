@@ -60,104 +60,100 @@ module Make (P : Layered_sync.Protocol.S) = struct
     ( labels,
       if absent then (j, true, 0) else if !missed = 0 then (0, false, 0) else (j, false, !missed) )
 
-  (* One virtual round's shared work at [x]: the fresh packets of each
-     sender (built on first use, so successors hold physically equal
-     records), the position of each (receiver, source)'s oldest
-     in-transit packet, and each [P.step], run once per (receiver, source
-     whose fresh packet it misses; missing one that would not arrive
-     anyway is missing none).  Every receiver gets its oldest packet
-     from each source, a fresh one only where there is none in transit
-     and it is not missed.  Returns the local state a label gives, the
+  (* One virtual round's shared work at [x]: each [P.send] runs at most
+     once, first, the round's fresh packets are built once for every
+     successor to share, the position of each (receiver, source)'s oldest
+     in-transit packet is found once, and each [P.step] runs once per
+     (receiver, source whose fresh packet it misses; missing one that
+     would not arrive anyway is missing none), on first use.  Every
+     receiver gets its oldest packet from each source, a fresh one only
+     where there is none in transit and it is not missed, so the sender
+     [absent] (one action's, or [-1]) sends only if a receiver holds no
+     older packet from it.  Returns the local state a label gives, the
      packets an environment label keeps in transit, and their list. *)
-  let work x =
+  let work ~absent x =
     let n = n_of x in
-    let round = x.round + 1 in
-    let fresh_of =
-      Engine_core.memo n (fun s ->
-          List.filter_map
-            (fun d ->
-              match P.send ~n ~round ~pid:(s + 1) x.locals.(s) ~dest:d with
-              | Some msg -> Some { src = s + 1; dst = d; msg; sent = round }
-              | None -> None)
-            (Pid.others n (s + 1)))
-    in
-    let old = Array.of_list x.transit in
-    (* oldest.((r * n) + s): position of the oldest packet from [s + 1] to [r + 1] *)
+    let round = x.round + 1 and fresh_at = List.length x.transit in
+    (* oldest.((r * n) + s): position of the oldest packet from [s + 1] to
+       [r + 1]; inbox.((r * n) + s): what [r + 1] gets from [s + 1] unless
+       it misses a fresh packet *)
     let oldest = Array.make (n * n) (-1) in
-    Array.iteri
+    List.iteri
       (fun pos p ->
         let c = ((p.dst - 1) * n) + p.src - 1 in
         if oldest.(c) < 0 then oldest.(c) <- pos)
-      old;
-    let arrives s r =
-      oldest.((r * n) + s) < 0 && List.exists (fun p -> p.dst = r + 1) (fresh_of s)
+      x.transit;
+    (* fresh.((r * n) + s): [s + 1]'s message to [r + 1] this round; every
+       packet: the old ones, then the fresh ones by sender and receiver *)
+    let fresh = Array.make (n * n) None and l = ref [] in
+    for s = n - 1 downto 0 do
+      let sends = ref (s <> absent) in
+      for r = 0 to n - 1 do
+        if r <> s && oldest.((r * n) + s) < 0 then sends := true
+      done;
+      for r = n - 1 downto 0 do
+        if !sends && r <> s then begin
+          fresh.((r * n) + s) <- P.send ~n ~round ~pid:(s + 1) x.locals.(s) ~dest:(r + 1);
+          match fresh.((r * n) + s) with
+          | Some msg -> l := { src = s + 1; dst = r + 1; msg; sent = round } :: !l
+          | None -> ()
+        end
+      done
+    done;
+    let packets = Array.of_list (x.transit @ !l) in
+    let inbox =
+      Array.mapi (fun c pos -> if pos >= 0 then Some packets.(pos).msg else fresh.(c)) oldest
     in
-    (* step ((r * (n + 1)) + missed): [r]'s step when it misses
-       [missed]'s fresh packet ([missed = n]: none) *)
+    let arrives s r = oldest.((r * n) + s) < 0 && Option.is_some fresh.((r * n) + s) in
+    (* [r]'s step when it misses [missed]'s fresh packet ([missed = n]:
+       none) *)
     let step =
-      Engine_core.memo (n * (n + 1)) (fun c ->
-          let r = c / (n + 1) and missed = c mod (n + 1) in
-          let received = Array.make n None in
-          for s = 0 to n - 1 do
-            let pos = oldest.((r * n) + s) in
-            if pos >= 0 then received.(s) <- Some old.(pos).msg
-            else if s <> missed && s <> r then
-              match List.find_opt (fun p -> p.dst = r + 1) (fresh_of s) with
-              | Some p -> received.(s) <- Some p.msg
-              | None -> ()
-          done;
+      Engine_core.memo ~n (fun r missed ->
+          let received = Array.sub inbox (r * n) n in
+          if missed < n then received.(missed) <- None;
           P.step ~n ~round ~pid:(r + 1) x.locals.(r) ~received)
     in
     let local r m =
       if m > n then x.locals.(r)
-      else step ((r * (n + 1)) + if m < n && arrives m r then m else n)
+      else Engine_core.find step r (if m < n && arrives m r then m else n)
     in
     (* The packets an environment label leaves in transit, as one flag
-       per packet: the old ones by position, then each (sender,
-       receiver)'s fresh one.  Each receiver takes its oldest packet from
-       each source, and a fresh one only where none is older and it is
-       not missed; an absent [j] takes nothing and sends nothing.  No two
+       per packet.  Each receiver takes its oldest packet from each
+       source, and a fresh one only where none is older and it is not
+       missed; an absent [j] takes nothing and sends nothing.  No two
        packets are equal (one per sender, receiver and round), so equal
        flags are exactly equal transits, and the kernel classes flags. *)
-    let fresh_at = Array.length old in
     let kept (j, absent, missed) =
-      let receives r = not (absent && r = j) in
-      let flags = Bytes.make (fresh_at + (n * n)) '\000' in
-      Array.iteri
-        (fun pos p ->
-          if not (receives (p.dst - 1) && oldest.(((p.dst - 1) * n) + p.src - 1) = pos) then
-            Bytes.set flags pos '\001')
-        old;
-      for s = 0 to n - 1 do
-        if not (absent && s = j) then
-          List.iter
-            (fun p ->
-              let r = p.dst - 1 in
-              let late = s = j && missed land (1 lsl r) <> 0 in
-              if not (receives r && oldest.((r * n) + s) < 0 && not late) then
-                Bytes.set flags (fresh_at + (s * n) + r) '\001')
-            (fresh_of s)
+      let flags = Bytes.make (Array.length packets) '\000' in
+      for pos = 0 to Array.length packets - 1 do
+        let s = packets.(pos).src - 1 and r = packets.(pos).dst - 1 in
+        let taken =
+          (not (absent && r = j))
+          &&
+          if pos < fresh_at then oldest.((r * n) + s) = pos
+          else oldest.((r * n) + s) < 0 && not (s = j && missed land (1 lsl r) <> 0)
+        in
+        if not (taken || (absent && s = j && pos >= fresh_at)) then Bytes.set flags pos '\001'
       done;
       flags
     in
-    (* the flagged packets, old ones first, then by sender and receiver *)
     let transit flags =
-      let fresh = ref [] in
-      for c = (n * n) - 1 downto 0 do
-        if Bytes.get flags (fresh_at + c) <> '\000' then
-          fresh := List.find (fun p -> p.dst = (c mod n) + 1) (fresh_of (c / n)) :: !fresh
+      let out = ref [] in
+      for pos = Array.length packets - 1 downto 0 do
+        if Bytes.get flags pos <> '\000' then out := packets.(pos) :: !out
       done;
-      List.filteri (fun pos _ -> Bytes.get flags pos <> '\000') x.transit @ !fresh
+      !out
     in
     (local, kept, transit)
 
-  let build x transit get kept =
-    { round = x.round + 1; locals = Array.init (n_of x) get; transit = transit kept;
+  let build x transit row kept =
+    { round = x.round + 1; locals = row; transit = transit kept;
       interned = Intern.fresh_slot () }
 
   let apply x a =
-    let labels, e = row (n_of x) a and local, kept, transit = work x in
-    build x transit (fun r -> local r labels.(r)) (kept e)
+    let labels, ((j, absent, _) as e) = row (n_of x) a in
+    let local, kept, transit = work ~absent:(if absent then j else -1) x in
+    build x transit (Array.mapi local labels) (kept e)
 
   let packet_key p = Printf.sprintf "%d>%d@%d:%s" p.src p.dst p.sent (P.msg_key p.msg)
 
@@ -219,11 +215,11 @@ module Make (P : Layered_sync.Protocol.S) = struct
   let rows = Engine_core.per_key (fun n -> Engine_core.rows ~n (List.map (row n) (actions ~n)))
 
   let smp x =
-    let local, kept, transit = work x in
+    let local, kept, transit = work ~absent:(-1) x in
     Engine_core.layer (rows (n_of x)) ~local ~env:kept ~build:(build x transit)
 
   let smp_size x =
-    let local, kept, _ = work x in
+    let local, kept, _ = work ~absent:(-1) x in
     Engine_core.layer_size (rows (n_of x)) ~local ~env:kept
 
   let in_transit x = List.length x.transit

@@ -52,11 +52,11 @@ module Make (P : Layered_sync.Protocol.S) : sig
       in action order, built by the layer kernel ({!Engine_core.layer}).
       The actions are compiled once per [n], each into the sender whose
       fresh packet each receiver misses and the transit it leaves.  At a
-      state the round's fresh packets are built once per sender and
-      shared by every successor, each [P.step] runs once per (receiver,
-      sender whose fresh packet it misses), and only an action whose
-      processes and transit end in a new combination builds its
-      successor: a transit is classed by its packets' kept flags, one
+      state each [P.send] runs once per (sender, receiver), its packet is
+      built once and shared by every successor, each [P.step] runs once
+      per (receiver, sender whose fresh packet it misses), and only an
+      action whose processes and transit end in a new combination builds
+      its successor: a transit is classed by its packets' kept flags, one
       per packet, and its list is built only for a new successor.
       Nothing is interned. *)
   val smp : state -> state list

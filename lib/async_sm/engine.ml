@@ -85,26 +85,28 @@ module Make (P : Protocol.S) = struct
           if i = j then if absent then n + 1 else n else if i < early then j else n),
       if absent then j else n )
 
-  (* The phase's shared work at [x]: each [P.write] runs at most once,
-     each register vector is built once (a process that writes nothing
-     leaves the vector every write leaves), and each [P.step] runs once
-     per (process, vector).  Returns the local state a label gives and
-     the vector an environment label leaves. *)
+  (* The phase's shared work at [x]: each [P.write] runs once, first,
+     and each register vector is built once (a process that writes
+     nothing leaves the vector every write leaves) and each [P.step] once
+     per (process, vector), on first use.  Returns the local state a
+     label gives and the vector an environment label leaves. *)
   let work x =
     let n = n_of x in
-    let write = Engine_core.memo n (fun i -> P.write ~n ~pid:(i + 1) x.locals.(i)) in
-    let vector v = if v < n && Option.is_none (write v) then n else v in
-    let regs =
-      Engine_core.memo (n + 1) (fun v ->
-          let regs = Array.copy x.regs in
-          for i = 0 to n - 1 do
-            if i <> v then match write i with Some r -> regs.(i) <- Some r | None -> ()
-          done;
-          regs)
+    let writes = Array.init n (fun i -> P.write ~n ~pid:(i + 1) x.locals.(i)) in
+    let vector v = if v < n && Option.is_none writes.(v) then n else v in
+    (* vectors.(v): [regs v], or [[||]] until its first use *)
+    let vectors = Array.make (n + 1) [||] in
+    let regs v =
+      if Array.length vectors.(v) = 0 then begin
+        vectors.(v) <- Array.copy x.regs;
+        for i = 0 to n - 1 do
+          if i <> v && Option.is_some writes.(i) then vectors.(v).(i) <- writes.(i)
+        done
+      end;
+      vectors.(v)
     in
     let scans =
-      Engine_core.memo ((n + 1) * n) (fun c ->
-          let v = c / n and i = c mod n in
+      Engine_core.memo ~n (fun i v ->
           let l = P.step ~n ~pid:(i + 1) x.locals.(i) ~reads:(Array.copy (regs v)) in
           (match (P.decision x.locals.(i), P.decision l) with
           | Some a, Some b when not (Value.equal a b) ->
@@ -113,15 +115,15 @@ module Make (P : Protocol.S) = struct
           | (Some _ | None), _ -> ());
           l)
     in
-    ( (fun i v -> if v > n then x.locals.(i) else scans ((vector v * n) + i)),
+    ( (fun i v -> if v > n then x.locals.(i) else Engine_core.find scans i (vector v)),
       fun v -> regs (vector v) )
 
-  let build x get regs =
-    { phase = x.phase + 1; locals = Array.init (n_of x) get; regs; interned = Intern.fresh_slot () }
+  let build x row regs =
+    { phase = x.phase + 1; locals = row; regs; interned = Intern.fresh_slot () }
 
   let apply x a =
     let labels, v = row (n_of x) a and local, regs = work x in
-    build x (fun i -> local i labels.(i)) (regs v)
+    build x (Array.mapi local labels) (regs v)
 
   let schedule_legal events =
     let wrote = Hashtbl.create 8 and scanned = Hashtbl.create 8 in

@@ -152,20 +152,25 @@ module Make (M : MODEL) : S with type state = M.state = struct
         end)
       states
 
+  (* Nothing between a [lock] and its [unlock] can raise, and a probe
+     allocates nothing: [mem] then [find] on a hit, [add] on a miss. *)
   let memo_layer layer =
     let table = Hashtbl.create 256 and lock = Mutex.create () in
     fun x ->
       let id = ident x in
-      match Mutex.protect lock (fun () -> Hashtbl.find_opt table id) with
-      | Some ys -> ys
-      | None ->
-          let ys = layer x in
-          Mutex.protect lock (fun () ->
-              match Hashtbl.find_opt table id with
-              | Some first -> first
-              | None ->
-                  Hashtbl.add table id ys;
-                  ys)
+      Mutex.lock lock;
+      let hit = Hashtbl.mem table id in
+      let ys = if hit then Hashtbl.find table id else [] in
+      Mutex.unlock lock;
+      if hit then ys
+      else begin
+        let ys = layer x in
+        Mutex.lock lock;
+        if not (Hashtbl.mem table id) then Hashtbl.add table id ys;
+        let first = Hashtbl.find table id in
+        Mutex.unlock lock;
+        first
+      end
 
   let decisions x = Array.map M.decision (M.locals x)
 
@@ -271,114 +276,164 @@ let per_key build =
     vector of classes an earlier row had is skipped, and only the new
     rows are built.  Equal class vectors are equal views, so the list
     is the identity-deduplicated [apply x] over the actions, in action
-    order.  A skipped row allocates nothing, and nothing is interned. *)
+    order, and nothing is interned.
+
+    Allocation: at a state the kernel makes a fixed set of scratch
+    values (labels' classes and classes' values in flat arrays, a class
+    vector, a byte per row, the table of vectors seen), then per new row
+    a copy of its vector, the table's entry, the array of its values
+    handed to the successor, and a list cell.  A label or
+    a repeated row allocates nothing in the kernel; a label's value, and
+    what a step reads and makes, is the engine's cost. *)
 
 (** The distinct [values] of a sequence, first occurrence first, and
     each element's position among them ([index]). *)
 type 'a column = { values : 'a array; index : int array }
 
 (** A layering's rows: one column per process (index [i - 1] for
-    process [i]) and the environment's, both of labels. *)
-type ('p, 'e) rows = { procs : 'p column array; env : 'e column }
+    process [i]) and the environment's, both of labels; [offset.(c)] is
+    where column [c]'s labels start when every process's labels are
+    numbered in one sequence, [offset.(n)] their count. *)
+type ('p, 'e) rows = { procs : 'p column array; env : 'e column; offset : int array }
 
-(* [column f xs] is [f] over [xs], each element classed under [compare]
-   by a linear search of the classes so far: a column has few, and
-   this allocates nothing but the two arrays. *)
-let column f xs =
-  let values = ref [||] and count = ref 0 in
-  let index =
-    Array.map
-      (fun x ->
-        let v = f x in
-        let k = ref 0 in
-        while !k < !count && compare !values.(!k) v <> 0 do
-          incr k
-        done;
-        if !k = !count then begin
-          if !count = 0 then values := Array.make (Array.length xs) v else !values.(!k) <- v;
-          incr count
-        end;
-        !k)
-      xs
-  in
-  { values = Array.sub !values 0 !count; index }
+(* Classes of values in flat arrays: [classes.(base + k)] is label [k]'s
+   class in the column starting at [base], and [reps.(base + j)] class
+   [j]'s value ([reps] is made when the first value is). *)
+type 'a classed = { classes : int array; mutable reps : 'a array }
+
+(* [classify f c labels s base] classes [f c] on each of [labels] under
+   [compare], by a linear search of the column's classes so far (a
+   column has few), and returns the number of classes. *)
+let classify f c labels s base =
+  let count = ref 0 in
+  for k = 0 to Array.length labels - 1 do
+    let v = f c labels.(k) in
+    let j = ref 0 in
+    while !j < !count && compare s.reps.(base + !j) v <> 0 do
+      incr j
+    done;
+    if !j = !count then begin
+      if Array.length s.reps = 0 then s.reps <- Array.make (Array.length s.classes) v
+      else s.reps.(base + !j) <- v;
+      incr count
+    end;
+    s.classes.(base + k) <- !j
+  done;
+  !count
 
 (** [rows ~n labelled] compiles one row per element of [labelled], in
     order: each process's label (index [i - 1] for process [i]) and the
     environment's. *)
 let rows ~n labelled =
   let labelled = Array.of_list labelled in
-  {
-    procs = Array.init n (fun c -> column (fun (ps, _) -> ps.(c)) labelled);
-    env = column snd labelled;
-  }
+  let column f =
+    let s = { classes = Array.make (Array.length labelled) 0; reps = [||] } in
+    let count = classify (fun _ l -> f l) 0 labelled s 0 in
+    { values = Array.sub s.reps 0 count; index = s.classes }
+  in
+  let procs = Array.init n (fun c -> column (fun (ps, _) -> ps.(c))) in
+  let offset = Array.make (n + 1) 0 in
+  Array.iteri (fun c p -> offset.(c + 1) <- offset.(c) + Array.length p.values) procs;
+  { procs; env = column snd; offset }
 
-(* [distinct rows ~local ~env emit] calls [emit get v] on each row whose
-   vector of classes no earlier row has, in row order: [get c] is
-   process [c + 1]'s value in that row and [v] its environment's.  A
-   row's vector is written into one scratch array and copied only when
-   it is new, so a repeated row allocates nothing. *)
-let distinct rows ~local ~env emit =
-  let n = Array.length rows.procs in
-  (* each column's values at this state, and each label's class *)
-  let procs = Array.mapi (fun c labels -> column (local c) labels.values) rows.procs
-  and envs = column env rows.env.values in
+(* [scan rows ~local ~env] is a state's classes of process and
+   environment labels, [fresh] with byte [r] set on each of the [size]
+   rows whose class vector no earlier row has, and [size]. *)
+let scan rows ~local ~env =
+  let n = Array.length rows.procs and count = Array.length rows.env.index in
+  let locals = { classes = Array.make rows.offset.(n) 0; reps = [||] }
+  and envs = { classes = Array.make (Array.length rows.env.values) 0; reps = [||] } in
+  for c = 0 to n - 1 do
+    ignore (classify local c rows.procs.(c).values locals rows.offset.(c))
+  done;
+  ignore (classify (fun _ e -> env e) 0 rows.env.values envs 0);
   let seen = Hashtbl.create 16 and key = Array.make (n + 1) 0 in
-  for r = 0 to Array.length rows.env.index - 1 do
+  let fresh = Bytes.make count '\000' and size = ref 0 in
+  for r = 0 to count - 1 do
     for c = 0 to n - 1 do
-      key.(c) <- procs.(c).index.(rows.procs.(c).index.(r))
+      key.(c) <- locals.classes.(rows.offset.(c) + rows.procs.(c).index.(r))
     done;
-    key.(n) <- envs.index.(rows.env.index.(r));
+    key.(n) <- envs.classes.(rows.env.index.(r));
     if not (Hashtbl.mem seen key) then begin
-      let key = Array.copy key in
-      Hashtbl.add seen key ();
-      emit (fun c -> procs.(c).values.(key.(c))) envs.values.(key.(n))
+      Hashtbl.add seen (Array.copy key) ();
+      Bytes.set fresh r '\001';
+      incr size
     end
-  done
+  done;
+  (locals, envs, fresh, !size)
 
 (** [layer rows ~local ~env ~build] is the successors of the rows with
     distinct class vectors, in row order.  [local c p] is process
     [c + 1]'s local value under label [p] and [env e] the environment
     left under label [e], each computed once per label and classed under
-    [compare].  [build get v] builds a row's successor from [get c],
-    process [c + 1]'s value, and [v], its environment. *)
+    [compare].  [build row v] builds a row's successor from [row.(c)],
+    process [c + 1]'s value, and [v], its environment; [row] is the
+    successor's to keep.  The rows are built last to first. *)
 let layer rows ~local ~env ~build =
+  let locals, envs, fresh, _ = scan rows ~local ~env in
   let out = ref [] in
-  distinct rows ~local ~env (fun get v -> out := build get v :: !out);
-  List.rev !out
+  for r = Bytes.length fresh - 1 downto 0 do
+    if Bytes.get fresh r <> '\000' then begin
+      let row = Array.make (Array.length rows.procs) locals.reps.(0) in
+      for c = 0 to Array.length row - 1 do
+        let base = rows.offset.(c) in
+        row.(c) <- locals.reps.(base + locals.classes.(base + rows.procs.(c).index.(r)))
+      done;
+      out := build row envs.reps.(envs.classes.(rows.env.index.(r))) :: !out
+    end
+  done;
+  !out
 
 (** [layer_size rows ~local ~env] is [List.length (layer rows ~local
     ~env ~build)], counted without building a successor. *)
 let layer_size rows ~local ~env =
-  let size = ref 0 in
-  distinct rows ~local ~env (fun _ _ -> incr size);
-  !size
+  let _, _, _, size = scan rows ~local ~env in
+  size
 
-(** [memo size f] is [f] on [0 .. size - 1], each value computed on
-    first use: a layer's sends, writes, register vectors and steps. *)
-let memo size f =
-  let cells = Array.make size None in
-  fun i ->
-    match cells.(i) with
-    | Some v -> v
-    | None ->
-        let v = f i in
-        cells.(i) <- Some v;
-        v
+(** [memo ~n g] is [g] on pairs of a process index below [n] and an
+    [int] key (the processes read, a register vector, a missed sender),
+    each value computed on first use ({!find}).  A process's keys so far
+    are searched linearly (it has few) in its slice of two flat arrays,
+    which double when a slice is full; no value is boxed. *)
+type 'a memo = {
+  g : int -> int -> 'a;
+  counts : int array;
+  mutable width : int;
+  mutable keys : int array;
+  mutable found : 'a array;
+}
 
-(** [memo_masks n f] is [f] on pairs of a process index below [n] and a
-    bitmask, each value computed on first use: a layer's steps, keyed by
-    the set of processes whose data they read.  ([assq] compares the
-    [int] keys by value.) *)
-let memo_masks n f =
-  let table = Array.make n [] in
-  fun i (mask : int) ->
-    match List.assq mask table.(i) with
-    | v -> v
-    | exception Not_found ->
-        let v = f i mask in
-        table.(i) <- (mask, v) :: table.(i);
-        v
+let memo ~n g = { g; counts = Array.make n 0; width = 0; keys = [||]; found = [||] }
+
+let grow m v =
+  let n = Array.length m.counts in
+  let width = max n (2 * m.width) in
+  let keys = Array.make (n * width) 0 and found = Array.make (n * width) v in
+  for i = 0 to n - 1 do
+    for k = 0 to m.counts.(i) - 1 do
+      keys.((i * width) + k) <- m.keys.((i * m.width) + k);
+      found.((i * width) + k) <- m.found.((i * m.width) + k)
+    done
+  done;
+  m.width <- width;
+  m.keys <- keys;
+  m.found <- found
+
+let find m i key =
+  let count = m.counts.(i) in
+  let k = ref 0 in
+  while !k < count && m.keys.((i * m.width) + !k) <> key do
+    incr k
+  done;
+  if !k < count then m.found.((i * m.width) + !k)
+  else begin
+    let v = m.g i key in
+    if count = m.width then grow m v;
+    m.keys.((i * m.width) + count) <- key;
+    m.found.((i * m.width) + count) <- v;
+    m.counts.(i) <- count + 1;
+    v
+  end
 
 (** Refuses process counts whose pid sets do not fit an [int] bitmask. *)
 let check_mask_width n =

@@ -28,11 +28,12 @@ type 'a t = {
   spec : 'a spec;
   mutable budget : Layered_runtime.Budget.t option;
   memo : (int, int * outcome) Hashtbl.t;
+  mutable complete : bool;  (** the last [walk]'s completeness *)
 }
 
-let create ?budget spec = { spec; budget; memo = Hashtbl.create 4096 }
+let create ?budget spec = { spec; budget; memo = Hashtbl.create 4096; complete = true }
 
-(* Swap the budget consulted by [compute].  Not synchronised: callers
+(* Swap the budget consulted by [walk].  Not synchronised: callers
    that share an engine across domains (the serve dispatcher) must hold
    their per-classifier lock around set/classify/reset.  Budget-cut
    outcomes are never cached, so a cancelled walk leaves the memo
@@ -42,36 +43,34 @@ let set_budget t budget = t.budget <- budget
 let export t = Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.memo []
 let import t entries = List.iter (fun (id, e) -> Hashtbl.replace t.memo id e) entries
 
-let rec compute t ~depth x =
+(* What a memo probe finds for an identity it does not hold. *)
+let no_entry = (-1, { vals = Vset.empty; complete = false })
+
+(* [walk t depth x]: [x]'s values at [depth], its completeness left in
+   [t.complete], so no outcome is allocated but the memo's. *)
+let rec walk t depth x =
   let spec = t.spec in
-  if spec.terminal x then { vals = spec.decided x; complete = true }
-  else if depth = 0 then { vals = spec.decided x; complete = false }
+  t.complete <- spec.terminal x;
+  if t.complete || depth = 0 then spec.decided x
   else if Layered_runtime.Budget.exceeded_opt t.budget <> None then
     (* Budget exhausted: stop expanding futures.  The unexplored branch
        degrades the outcome to incomplete (so verdicts become [Unknown]
        rather than wrong), and nothing is cached — incompleteness here is
        the budget's fault, not the depth's. *)
-    { vals = spec.decided x; complete = false }
+    spec.decided x
   else begin
     let id = spec.ident x in
-    match Hashtbl.find_opt t.memo id with
-    | Some (d, res) when (res.complete && d <= depth) || d = depth ->
+    match if Hashtbl.mem t.memo id then Hashtbl.find t.memo id else no_entry with
+    | d, res when (res.complete && d <= depth) || d = depth ->
         Layered_runtime.Stats.record_valence_lookup ~hit:true;
-        res
-    | Some _ | None ->
+        t.complete <- res.complete;
+        res.vals
+    | _ ->
         Layered_runtime.Stats.record_valence_lookup ~hit:false;
         Layered_runtime.Budget.charge_opt t.budget 1;
         let children = spec.succ x in
-        let res =
-          List.fold_left
-            (fun acc y ->
-              let o = compute t ~depth:(depth - 1) y in
-              { vals = Vset.union acc.vals o.vals; complete = acc.complete && o.complete })
-            { vals = spec.decided x; complete = true }
-            children
-        in
-        let res = if children = [] then { res with complete = spec.terminal x } else res in
-        (* A budget trip mid-fold prunes futures arbitrarily, so [res]
+        let vals = fold t (depth - 1) (spec.decided x) (children <> []) children in
+        (* A budget trip mid-fold prunes futures arbitrarily, so [vals]
            reflects this walk's interruption point, not the state.  All
            budget trips are monotone (deadlines stay passed, counters
            only grow, cancellation is permanent), so checking here
@@ -79,13 +78,23 @@ let rec compute t ~depth x =
            results may enter the memo, or one walk's cancellation would
            leak Unknown verdicts into every later walk at this depth. *)
         if Layered_runtime.Budget.exceeded_opt t.budget = None then
-          Hashtbl.replace t.memo id (depth, res);
-        res
+          Hashtbl.replace t.memo id (depth, { vals; complete = t.complete });
+        vals
   end
+
+(* [vals] with the children's; [t.complete] ends as [complete] and theirs *)
+and fold t depth vals complete = function
+  | [] ->
+      t.complete <- complete;
+      vals
+  | y :: ys ->
+      let v = walk t depth y in
+      fold t depth (Vset.union vals v) (complete && t.complete) ys
 
 let outcome t ~depth x =
   if depth < 0 then invalid_arg "Valence.outcome: negative depth";
-  compute t ~depth x
+  let vals = walk t depth x in
+  { vals; complete = t.complete }
 
 (* chaos site: corrupt a classification so that the answer is a
    *different* verdict — the permutation-invariance oracle compares

@@ -75,14 +75,15 @@ module Make (P : Protocol.S) = struct
     (views, ())
 
   (* Process [idx + 1]'s new local state at [x] when its view is [seen]:
-     each [P.write] runs at most once per state. *)
+     each [P.write] runs once per state, first, and the step's snapshot
+     lists the writes its view holds. *)
   let local x =
     let n = n_of x in
-    let write = Engine_core.memo n (fun k -> P.write ~n ~pid:(k + 1) x.locals.(k)) in
+    let writes = Array.init n (fun k -> (k + 1, P.write ~n ~pid:(k + 1) x.locals.(k))) in
     fun idx seen ->
       let snapshot = ref [] in
       for k = n - 1 downto 0 do
-        if seen land (1 lsl k) <> 0 then snapshot := (k + 1, write k) :: !snapshot
+        if seen land (1 lsl k) <> 0 then snapshot := writes.(k) :: !snapshot
       done;
       let local = P.step ~n ~pid:(idx + 1) x.locals.(idx) ~snapshot:!snapshot in
       (match (P.decision x.locals.(idx), P.decision local) with
@@ -92,15 +93,15 @@ module Make (P : Protocol.S) = struct
       | (Some _ | None), _ -> ());
       local
 
-  let build x get () =
-    { round = x.round + 1; locals = Array.init (n_of x) get; interned = Intern.fresh_slot () }
+  let build x row () =
+    { round = x.round + 1; locals = row; interned = Intern.fresh_slot () }
 
   let apply x blocks =
     let n = n_of x in
     validate_partition n blocks;
     Engine_core.check_mask_width n;
-    let views, () = row n blocks and local = local x in
-    build x (fun idx -> local idx views.(idx)) ()
+    let views, () = row n blocks in
+    build x (Array.mapi (local x) views) ()
 
   let raw_key x =
     let buf = Buffer.create 64 in

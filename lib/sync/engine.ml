@@ -88,32 +88,33 @@ module Make (P : Protocol.S) = struct
      sender with no message for the receiver does not count. *)
   let local x =
     let n = n_of x and round = x.round + 1 in
-    let send =
-      Engine_core.memo (n * n) (fun c ->
-          P.send ~n ~round ~pid:((c / n) + 1) x.locals.(c / n) ~dest:((c mod n) + 1))
-    in
+    (* msgs.((i * n) + r): sender [i + 1]'s message to [r + 1], sent once
+       [asked.(r)] holds [i]; [has.(r)]: the senders asked with one *)
+    let msgs = Array.make (n * n) None and asked = Array.make n 0 and has = Array.make n 0 in
     let step =
-      Engine_core.memo_masks n (fun r mask ->
-          let received =
-            Array.init n (fun i ->
-                if mask land (1 lsl i) <> 0 then send ((i * n) + r) else None)
-          in
+      Engine_core.memo ~n (fun r mask ->
+          let received = Array.make n None in
+          for i = 0 to n - 1 do
+            if mask land (1 lsl i) <> 0 then received.(i) <- msgs.((i * n) + r)
+          done;
           P.step ~n ~round ~pid:(r + 1) x.locals.(r) ~received)
     in
     fun r mask ->
-      let arrive = ref 0 in
       for i = 0 to n - 1 do
-        if mask land (1 lsl i) <> 0 && Option.is_some (send ((i * n) + r)) then
-          arrive := !arrive lor (1 lsl i)
+        if mask land lnot asked.(r) land (1 lsl i) <> 0 then begin
+          msgs.((i * n) + r) <- P.send ~n ~round ~pid:(i + 1) x.locals.(i) ~dest:(r + 1);
+          asked.(r) <- asked.(r) lor (1 lsl i);
+          if Option.is_some msgs.((i * n) + r) then has.(r) <- has.(r) lor (1 lsl i)
+        end
       done;
-      step r !arrive
+      Engine_core.find step r (mask land has.(r))
 
   (* [was] is [x]'s failure set, which a successor keeping it shares. *)
-  let build x was get failed =
+  let build x was row failed =
     let n = n_of x in
     {
       round = x.round + 1;
-      locals = Array.init n get;
+      locals = row;
       failed =
         (if failed = was then x.failed else Array.init n (fun i -> failed land (1 lsl i) <> 0));
       interned = Intern.fresh_slot ();
@@ -123,8 +124,8 @@ module Make (P : Protocol.S) = struct
     let n = n_of x in
     Engine_core.check_mask_width n;
     let was = mask_of x.failed in
-    let labels, failed = row discipline ~n ~failed:was a and local = local x in
-    build x was (fun r -> local r labels.(r)) failed
+    let labels, failed = row discipline ~n ~failed:was a in
+    build x was (Array.mapi (local x) labels) failed
 
   let raw_key x =
     let buf = Buffer.create 64 in

@@ -88,10 +88,10 @@ module type S = sig
       order: [apply adv.discipline x] over [adv.actions ~n ~failed] at
       [x], built by the layer kernel ({!Engine_core.layer}) from
       [adv.rows].  At a state each [P.send] runs at most once per
-      (sender, receiver), each [P.step] once per (receiver, set of
-      senders whose message arrives), and only an action whose processes
-      and failure set end in a new combination builds its successor.
-      Nothing is interned. *)
+      (sender, receiver), never for a crashed sender, each [P.step] once
+      per (receiver, senders whose message arrives), and only an action
+      whose processes and failure set end in a new combination builds
+      its successor.  Nothing is interned. *)
   val layer : adversary -> state -> state list
 
   (** [List.length (layer adv x)], counted without building a

@@ -445,7 +445,8 @@ let test_export_dot () =
    it), per perfbench sweep (what `layered layers` prints), for the iis
    (4,1) depth-3 sweep under --symmetry, per `layered graph` output, per
    classify query of the serve saturation matrix (what `layered classify`
-   prints), and for the `oracles` table and the `chaos --seed 42` report
+   prints), per `layered chain` model row and `layered verify` protocol
+   and failure model, and for the `oracles` table and the `chaos --seed 42` report
    (checked in test_chaos).  After a deliberate output change, regenerate
    it from the repo root with
 
@@ -531,6 +532,40 @@ let classify_digests () =
       (key, cold))
     golden_classify
 
+(* `layered chain -m <model>` for every model row, and `layered verify -p
+   <protocol> --model <failures>` for every protocol and failure model,
+   each at the CLI's defaults (n = 3, t = 1, length 6; the protocol's
+   default rounds, max-new 2). *)
+let cli_digests () =
+  let chains =
+    List.map
+      (fun model ->
+        ( "chain/" ^ model,
+          md5 (Format.asprintf "%a" Chains.pp (Chains.run ~model ~n:3 ~t:1 ~length:6)) ))
+      Models.names
+  and verify =
+    let open Layered_protocols in
+    List.concat_map
+      (fun (name, protocol, rounds) ->
+        List.map
+          (fun (fname, failures) ->
+            ( Printf.sprintf "verify/%s/%s" name fname,
+              md5
+                (Format.asprintf "%a@." Consensus_check.pp_result
+                   (Consensus_check.check ~protocol ~failures ~n:3 ~t:1 ~rounds ~max_new:2 ()))
+            ))
+          [
+            ("crash", Consensus_check.Crash); ("omission", Consensus_check.Omission);
+            ("general", Consensus_check.General_omission);
+          ])
+      [
+        ("floodset", Sync_floodset.make ~t:1, 3); ("eig", Sync_eig.make ~t:1, 3);
+        ("early", Sync_early.make ~t:1, 3); ("clean", Sync_clean.make ~t:1, 3);
+        ("uniform", Sync_uniform.make ~t:1, 4); ("coordinator", Sync_coordinator.make ~t:1, 7);
+      ]
+  in
+  chains @ verify
+
 (* A sweep cut by a states cap at jobs 1, resumed without the cap at
    jobs 4 from its every-2-levels checkpoint. *)
 let resumed_sweep_digest () =
@@ -550,17 +585,17 @@ let test_golden_digests () =
   let expect (key, hex) =
     Alcotest.(check (option string)) key (List.assoc_opt key golden) (Some hex)
   in
-  let classify = classify_digests () in
+  let classify = classify_digests () and cli = cli_digests () in
   List.iter
     (fun jobs ->
       let got = golden_digests ~jobs in
       Alcotest.(check (list string))
         (Printf.sprintf "surfaces at jobs %d" jobs)
         (List.map fst golden)
-        (List.sort compare (List.map fst (got @ classify) @ Golden.self_check_keys));
+        (List.sort compare (List.map fst (got @ classify @ cli) @ Golden.self_check_keys));
       List.iter expect got)
     [ 1; 4 ];
-  List.iter expect classify;
+  List.iter expect (classify @ cli);
   expect (resumed_sweep_digest ());
   let perfbench = Golden.read "../perfbench/expected.txt" in
   let shared = List.filter (fun (k, _) -> List.mem_assoc k perfbench) golden in
@@ -578,7 +613,7 @@ let () =
           List.iter
             (fun (key, hex) -> Printf.fprintf oc "%s %s\n" key hex)
             (List.sort compare
-               (golden_digests ~jobs:1 @ classify_digests ()
+               (golden_digests ~jobs:1 @ classify_digests () @ cli_digests ()
                @ [
                    Golden.oracles (Layered_check.Chaos.rows ~jobs:2 ());
                    Golden.chaos (Layered_check.Chaos.run ~jobs:2 ~seed:42 ());

@@ -399,6 +399,38 @@ let test_synchronic_bridge () =
         [ 1; 2; 3 ])
     [ [ 0; 1; 1 ]; [ 0; 0; 1 ]; [ 1; 0; 1 ] ]
 
+(* A layer's shared protocol work: [smp] runs each [P.send] at most
+   once per (sender, receiver), and each [P.step] at most once per
+   (receiver, missed sender).  A receiver's steps differ only in the one
+   sender whose fresh packet it misses, or none, so they see distinct
+   sets of senders and number at most [n]. *)
+let smp_steps = Array.make 8 0
+
+module CountedS = Mp.Synchronic.Make (struct
+  include PS
+
+  let send ~n ~round ~pid l ~dest =
+    Calls.once (Printf.sprintf "send %d->%d" pid dest);
+    PS.send ~n ~round ~pid l ~dest
+
+  let step ~n ~round ~pid l ~received =
+    Calls.once (Printf.sprintf "step %d of %d" pid (Calls.mask received));
+    smp_steps.(pid - 1) <- smp_steps.(pid - 1) + 1;
+    PS.step ~n ~round ~pid l ~received
+end)
+
+let test_smp_work_bound () =
+  Calls.check
+    (fun x ->
+      let n = CountedS.n_of x in
+      Array.fill smp_steps 0 (Array.length smp_steps) 0;
+      let layer = CountedS.smp x in
+      Array.iteri
+        (fun r k -> if k > n then Alcotest.failf "%d steps of process %d" k (r + 1))
+        smp_steps;
+      layer)
+    (fun n -> CountedS.initial ~inputs:(Array.init n (fun i -> if i = 0 then 0 else 1)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   ignore schedule_arb;
@@ -441,5 +473,6 @@ let () =
           Alcotest.test_case "late delivery" `Quick test_synchronic_late_delivery;
           Alcotest.test_case "rejects bad actions" `Quick test_synchronic_rejects;
           Alcotest.test_case "bridge" `Quick test_synchronic_bridge;
+          Alcotest.test_case "smp work bound" `Quick test_smp_work_bound;
         ] );
     ]

@@ -99,6 +99,28 @@ let test_schedule_legality () =
     (E.schedule_legal
        [ Sm.Engine.Write 1; Sm.Engine.Write 2; Sm.Engine.Scan 2; Sm.Engine.Scan 1 ])
 
+(* A layer's shared protocol work: [srw] runs each [P.write] at most
+   once per process and each [P.step] at most once per (process,
+   register vector). *)
+module Counted = Sm.Engine.Make (struct
+  include P
+
+  let write ~n ~pid l =
+    Calls.once (Printf.sprintf "write %d" pid);
+    P.write ~n ~pid l
+
+  let step ~n ~pid l ~reads =
+    Calls.once
+      (Printf.sprintf "step %d of %s" pid
+         (String.concat "|"
+            (Array.to_list (Array.map (function Some r -> P.reg_key r | None -> "_") reads))));
+    P.step ~n ~pid l ~reads
+end)
+
+let test_srw_work_bound () =
+  Calls.check Counted.srw (fun n ->
+      Counted.initial ~inputs:(Array.init n (fun i -> if i = 0 then 0 else 1)))
+
 (* ------------------------------------------------------------------ *)
 (* The Lemma 5.3 bridge, exhaustively at the initial states *)
 
@@ -235,6 +257,7 @@ let () =
           Alcotest.test_case "bad actions rejected" `Quick test_bad_actions_rejected;
           Alcotest.test_case "contract guards" `Quick test_contract_guards;
           Alcotest.test_case "schedule legality" `Quick test_schedule_legality;
+          Alcotest.test_case "srw work bound" `Quick test_srw_work_bound;
         ] );
       ("bridge", [ Alcotest.test_case "Lemma 5.3 bridge" `Quick test_bridge_everywhere ]);
       ( "properties",

@@ -165,6 +165,26 @@ let prop_deterministic =
       let run () = E.key (List.fold_left E.apply (initial inputs) parts) in
       String.equal (run ()) (run ()))
 
+(* A layer's shared protocol work: [layer] runs each [P.write] at most
+   once per process and each [P.step] at most once per (process, view). *)
+module Counted = Iis.Engine.Make (struct
+  include P
+
+  let write ~n ~pid l =
+    Calls.once (Printf.sprintf "write %d" pid);
+    P.write ~n ~pid l
+
+  let step ~n ~pid l ~snapshot =
+    Calls.once
+      (Printf.sprintf "step %d of %s" pid
+         (String.concat "," (List.map (fun (k, _) -> string_of_int k) snapshot)));
+    P.step ~n ~pid l ~snapshot
+end)
+
+let test_layer_work_bound () =
+  Calls.check Counted.layer (fun n ->
+      Counted.initial ~inputs:(Array.init n (fun i -> if i = 0 then 0 else 1)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "layered_iis"
@@ -181,6 +201,7 @@ let () =
           Alcotest.test_case "singleton blocks" `Quick test_singleton_blocks_prefix_views;
           Alcotest.test_case "invalid rejected" `Quick test_invalid_partitions_rejected;
           Alcotest.test_case "contract guards" `Quick test_contract_guards;
+          Alcotest.test_case "layer work bound" `Quick test_layer_work_bound;
         ] );
       ( "similarity",
         [

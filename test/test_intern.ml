@@ -694,7 +694,7 @@ let prop_kernel_first_rows =
       let labelled = List.map (fun (k, e) -> (pool.(k), e)) picks in
       let rows = Engine_core.rows ~n labelled in
       let local _ p = p mod 3 and env e = e mod 2 in
-      let got = Engine_core.layer rows ~local ~env ~build:(fun get v -> (Array.init n get, v)) in
+      let got = Engine_core.layer rows ~local ~env ~build:(fun row v -> (row, v)) in
       let want =
         dedup_by Fun.id (List.map (fun (ps, e) -> (Array.map (local 0) ps, env e)) labelled)
       in

@@ -191,6 +191,46 @@ let test_memo_per_layering () =
   Alcotest.(check (list int)) "s1 again" (ids (E.layer E.s1)) (ids single);
   Alcotest.(check (list int)) "s_multi 2 again" (ids (E.layer (E.s_multi ~omitters:2))) (ids multi)
 
+(* A layer's shared protocol work: each [Q.send] runs at most once per
+   (sender, receiver) and never for a sender crashed at the state, and
+   each [Q.step] at most once per (receiver, senders whose message
+   arrives).  Floodset sends every message; the coordinator's king
+   round (the walk's third) sends only the king's, so there many
+   receivers' labels share one set of arriving senders. *)
+let crashed = ref [||]
+
+module Work_bound (Q : Layered_sync.Protocol.S) = struct
+  module Counted = Layered_sync.Engine.Make (struct
+    include Q
+
+    let send ~n ~round ~pid l ~dest =
+      if !crashed.(pid - 1) then Alcotest.failf "send by crashed %d" pid;
+      Calls.once (Printf.sprintf "send %d->%d" pid dest);
+      Q.send ~n ~round ~pid l ~dest
+
+    let step ~n ~round ~pid l ~received =
+      Calls.once (Printf.sprintf "step %d of %d" pid (Calls.mask received));
+      Q.step ~n ~round ~pid l ~received
+  end)
+
+  let check () =
+    let mixed n = Counted.initial ~inputs:(Array.init n (fun i -> if i = 0 then 0 else 1)) in
+    List.iter
+      (fun adv ->
+        Calls.check
+          (fun x ->
+            crashed := x.Counted.failed;
+            Counted.layer adv x)
+          mixed)
+      [ Counted.s1; Counted.st ~t:1; Counted.st ~t:2 ]
+end
+
+let test_layer_work_bound () =
+  let module Flood = Work_bound (P) in
+  let module King = Work_bound ((val Layered_protocols.Sync_coordinator.make ~t:1)) in
+  Flood.check ();
+  King.check ()
+
 let test_st_layers_are_legal () =
   (* Every S^t successor is one legal round of the crash model. *)
   let x = initial [ 0; 1; 1 ] in
@@ -442,6 +482,7 @@ let () =
           Alcotest.test_case "S^t structure" `Quick test_st_layer_structure;
           Alcotest.test_case "multi-omitter layer" `Quick test_s_multi;
           Alcotest.test_case "one memo per layering" `Quick test_memo_per_layering;
+          Alcotest.test_case "layer work bound" `Quick test_layer_work_bound;
           Alcotest.test_case "S^t legality" `Quick test_st_layers_are_legal;
         ] );
       ( "adversary",
